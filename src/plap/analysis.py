@@ -34,6 +34,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from .params import (
     DerivedConstants,
@@ -653,7 +654,7 @@ class AlphaCResult:
     bracket: tuple[float, float]
     iterations: int
     phi_at_ends: tuple[float, float]
-    method: str  # "closed_form" | "bisection"
+    method: str  # "closed_form" | "brent"
 
 
 def critical_bracket(N: int, p: float) -> tuple[float, float]:
@@ -668,17 +669,31 @@ def critical_bracket(N: int, p: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _search_interval(lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi) retreated inward by 1e-4 of its width at both ends, away
+    from the degenerate endpoint dynamics: the only place phi is
+    evaluated in the search for alpha_c."""
+    retreat = 1e-4 * (hi - lo)
+    return lo + retreat, hi - retreat
+
+
 def find_alpha_c(N: int, p: float, tol: float = 1e-6,
                  config: Optional[IntegrationConfig] = None,
                  force_bisection: bool = False) -> AlphaCResult:
     """The unique alpha_c < 0 carrying a homoclinic orbit.
 
     For N = 1 the value is the closed form -(p-1)/(p-2) (returned
-    exactly unless ``force_bisection``).  Otherwise phi is bisected over
-    the critical bracket, retreating inward by 1e-4 of the width to
-    avoid the degenerate endpoint dynamics; equal signs at both ends
-    raise :class:`BracketError` rather than widening silently.
+    exactly unless ``force_bisection``).  Otherwise the root of phi is
+    found by Brent's method over the critical bracket, retreating inward
+    by 1e-4 of the width to avoid the degenerate endpoint dynamics;
+    equal signs at both ends raise :class:`BracketError` rather than
+    widening silently.  Every phi evaluation is kept, and the result
+    carries the tightest evaluated pair with phi > 0 > phi (width at
+    most ``tol``) and its midpoint, or, when an evaluation hits
+    phi = 0 exactly, that point as a bracket of width 0.
     """
+    if not tol > 0.0:
+        raise ParameterError(f"alpha_c tolerance must be positive, got {tol}")
     cfg = config or IntegrationConfig()
     lo, hi = critical_bracket(N, p)
     params = ProblemParams(N=N, p=p, alpha=-1.0, epsilon=-1)
@@ -688,12 +703,11 @@ def find_alpha_c(N: int, p: float, tol: float = 1e-6,
             return AlphaCResult(dc.alpha_p, (lo, hi), 0,
                                 (math.nan, math.nan), "closed_form")
         # the one-dimensional root sits exactly at the lower bracket end;
-        # extend the bisection bracket halfway down toward the Hopf value
+        # extend the search bracket halfway down toward the Hopf value
         lo = 0.5 * (dc.alpha_star + dc.alpha_p)
-    retreat = 1e-4 * (hi - lo)
-    a, b = lo + retreat, hi - retreat
-    fa = phi_of_alpha(N, p, a, cfg)
-    fb = phi_of_alpha(N, p, b, cfg)
+    a, b = _search_interval(lo, hi)
+    evals = {a: phi_of_alpha(N, p, a, cfg), b: phi_of_alpha(N, p, b, cfg)}
+    fa, fb = evals[a], evals[b]
     if not (fa > 0.0 > fb):
         err = BracketError(
             f"connection function does not change sign on ({a}, {b}): "
@@ -701,16 +715,33 @@ def find_alpha_c(N: int, p: float, tol: float = 1e-6,
         err.bracket = (a, b)
         err.phi_at_ends = (fa, fb)
         raise err
-    it = 0
-    while b - a > tol and it < 200:
-        mid = 0.5 * (a + b)
-        fm = phi_of_alpha(N, p, mid, cfg)
-        if fm > 0.0:
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-        it += 1
-    return AlphaCResult(0.5 * (a + b), (a, b), it, (fa, fb), "bisection")
+
+    def phi(alpha: float) -> float:
+        if alpha not in evals:
+            value = phi_of_alpha(N, p, alpha, cfg)
+            if not math.isfinite(value):
+                raise AnalysisError(f"connection function is {value} "
+                                    f"at alpha = {alpha}")
+            evals[alpha] = value
+        return evals[alpha]
+
+    try:
+        brentq(phi, a, b, xtol=0.5 * tol)
+    except RuntimeError as exc:
+        raise AnalysisError(f"critical exponent search did not converge "
+                            f"on ({a}, {b}): {exc}") from exc
+    iterations = len(evals) - 2
+    root = next((x for x, v in evals.items() if v == 0.0), None)
+    if root is not None:  # brentq stops at an exact zero
+        return AlphaCResult(root, (root, root), iterations, (0.0, 0.0),
+                            "brent")
+    # Brent's bracket only ever shrinks onto evaluated points, so its
+    # final (phi > 0, phi < 0) ends are neighbours among the evaluations
+    pts = sorted(evals.items())
+    (a, fa), (b, fb) = min(
+        ((u, v) for u, v in zip(pts, pts[1:]) if u[1] > 0.0 > v[1]),
+        key=lambda uv: uv[1][0] - uv[0][0])
+    return AlphaCResult(0.5 * (a + b), (a, b), iterations, (fa, fb), "brent")
 
 
 # ---------------------------------------------------------------------------
@@ -743,30 +774,56 @@ def theorem_tag(params: ProblemParams,
 
     eps = +1 splits at -gamma (pin above, mel below); eps = -1 splits at
     -gamma (osc at or below), 0 (int above), -p' (pom in [-p', 0)), and
-    on (-gamma, -p') at alpha_star (sou), alpha_c (orb below, clin at,
-    ent above).  When alpha_c is needed but not supplied, it is resolved
-    here (closed form for N = 1, coarse bisection otherwise).
+    on (-gamma, -p') at alpha_star (sou), alpha_c (orb below, clin
+    within ``alpha_c_tol``, ent above).  When alpha_c is needed but not
+    supplied, N = 1 uses the closed form and N >= 2 the sign of the
+    decreasing connection function: phi(alpha) gives the side of
+    alpha_c, and one more evaluation at alpha -+ alpha_c_tol decides
+    clin.
     """
+    return _tag_and_phi(params, IntegrationConfig(), alpha_c, alpha_c_tol)[0]
+
+
+def _tag_and_phi(params: ProblemParams, cfg: IntegrationConfig,
+                 alpha_c: Optional[float] = None,
+                 alpha_c_tol: float = 1e-6) -> tuple[str, Optional[float]]:
+    """:func:`theorem_tag` and, when deciding it took one, phi(alpha)."""
     dc = derive_constants(params)
     al = params.alpha
     if params.epsilon == 1:
-        return "pin" if al >= -dc.gamma else "mel"
+        return ("pin" if al >= -dc.gamma else "mel"), None
     if al <= -dc.gamma:
-        return "osc"
+        return "osc", None
     if al > 0.0:
-        return "int"
+        return "int", None
     if al >= -dc.p_prime:
-        return "pom"
+        return "pom", None
     if al <= dc.alpha_star:
-        return "sou"
-    if alpha_c is None:
-        if params.N == 1:
-            alpha_c = dc.alpha_p
-        else:
-            alpha_c = find_alpha_c(params.N, params.p, tol=alpha_c_tol).value
-    if abs(al - alpha_c) <= alpha_c_tol:
-        return "clin"
-    return "orb" if al < alpha_c else "ent"
+        return "sou", None
+    if alpha_c is None and params.N == 1:
+        alpha_c = dc.alpha_p
+    if alpha_c is not None:
+        if abs(al - alpha_c) <= alpha_c_tol:
+            return "clin", None
+        return ("orb" if al < alpha_c else "ent"), None
+    # phi is evaluated only where find_alpha_c evaluates it, in the
+    # search interval that holds alpha_c; nearer the bracket ends a
+    # separatrix can miss the section.  A neighbour beyond the interval
+    # is clamped to its end, which decides clin the same way by
+    # monotonicity.
+    a, b = _search_interval(*critical_bracket(params.N, params.p))
+    if not a < al < b:
+        return ("orb" if al <= a else "ent"), None
+    phi = phi_of_alpha(params.N, params.p, al, cfg)
+    if phi > 0.0:
+        right = min(al + alpha_c_tol, b)
+        near = phi_of_alpha(params.N, params.p, right, cfg) <= 0.0
+        return ("clin" if near else "orb"), phi
+    if phi < 0.0:
+        left = max(al - alpha_c_tol, a)
+        near = phi_of_alpha(params.N, params.p, left, cfg) >= 0.0
+        return ("clin" if near else "ent"), phi
+    return "clin", phi
 
 
 def _traj_digest(traj: Trajectory, params: ProblemParams) -> dict:
@@ -795,7 +852,7 @@ def classify_regime(params: ProblemParams,
     p, al, eps, N = params.p, params.alpha, params.epsilon, float(params.N)
     span = min(tau_budget, cfg.max_time_span)
 
-    tag = theorem_tag(params)
+    tag, phi_value = _tag_and_phi(params, cfg)
     spoints = classify_stationary_points(params)
     digests: dict = {}
     cycles: list[CycleInfo] = []
@@ -902,12 +959,8 @@ def classify_regime(params: ProblemParams,
                   for sp in spoints))
 
     elif tag == "pom":
-        if al != -dc.p_prime:
-            grade("regular orbit has exactly one simple zero",
-                  None if t_r is None else zeros_of(t_r) == 1)
-        else:
-            grade("regular orbit has exactly one simple zero",
-                  None if t_r is None else zeros_of(t_r) == 1)
+        grade("regular orbit has exactly one simple zero",
+              None if t_r is None else zeros_of(t_r) == 1)
         grade("hole orbit approaches the flat profile",
               None if t_eps is None else label_of(t_eps) in ("A_gamma", "M_ell"))
         t_a = run("T_alpha")
@@ -966,13 +1019,13 @@ def classify_regime(params: ProblemParams,
         cycle_from(t_r, "O_r")
 
     # the connection function, when defined
-    phi_value = None
     alpha_c_bracket = None
     if eps == -1 and al < 0.0 and dc.beta > 0.0:
-        try:
-            phi_value = phi_of_alpha(params.N, p, al, cfg)
-        except (AnalysisError, ParameterError):
-            phi_value = None
+        if phi_value is None:
+            try:
+                phi_value = phi_of_alpha(params.N, p, al, cfg)
+            except (AnalysisError, ParameterError):
+                phi_value = None
         if tag in ("sou", "orb", "clin", "ent"):
             lo, hi = critical_bracket(params.N, p)
             alpha_c_bracket = (lo, hi)

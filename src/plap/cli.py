@@ -147,13 +147,21 @@ def _build_config(args) -> IntegrationConfig:
             key = key.strip()
             if key not in valid:
                 raise ParameterError(f"unknown config key {key!r} in {cfg_file}")
-            overrides[key] = float(val.strip())
+            try:
+                overrides[key] = float(val.strip())
+            except ValueError:
+                raise ParameterError(f"config key {key!r} in {cfg_file} "
+                                     f"needs a number, got {val.strip()!r}"
+                                     ) from None
     if getattr(args, "tol", None) is not None:
         overrides["rel_tol"] = args.tol
         overrides.setdefault("abs_tol", min(1e-10, args.tol))
     if getattr(args, "tau_max", None) is not None:
         overrides["max_time_span"] = args.tau_max
-    return IntegrationConfig(**overrides)
+    try:
+        return IntegrationConfig(**overrides)
+    except ValueError as exc:
+        raise ParameterError(str(exc)) from None
 
 
 def _config_hash(cfg: IntegrationConfig) -> str:
@@ -367,7 +375,7 @@ def cmd_alpha_c(args) -> int:
         raise ParameterError("alpha-c requires --N and --p")
     cfg = _build_config(args)
     try:
-        res = find_alpha_c(args.N, args.p, tol=args.tol or 1e-6, config=cfg,
+        res = find_alpha_c(args.N, args.p, config=cfg,
                            force_bisection=args.force_bisection)
     except BracketError as exc:
         out = {"schema_version": SCHEMA_VERSION, "error": str(exc),
@@ -484,10 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="SVG output path")
     sp.set_defaults(fn=cmd_portrait)
 
-    sp = sub.add_parser("alpha-c", help="critical exponent by bisection")
+    sp = sub.add_parser("alpha-c", help="critical exponent: root of the "
+                        "connection function by Brent's method")
     _add_param_flags(sp, need_alpha=False)
     sp.add_argument("--force-bisection", action="store_true",
-                    help="bisect even when a closed form is available")
+                    help="search for the root even when a closed form "
+                         "is available (N = 1)")
     sp.set_defaults(fn=cmd_alpha_c)
 
     sp = sub.add_parser("classify", help="full regime report as JSON")

@@ -57,9 +57,9 @@ class IntegrationConfig:
     def __post_init__(self) -> None:
         for name in ("abs_tol", "rel_tol", "max_time_span", "y_axis_band",
                      "max_step", "escape_threshold", "capture_radius", "origin_radius"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # rejects NaN too
                 raise ValueError(f"IntegrationConfig.{name} must be positive")
-        if self.max_steps <= 0:
+        if not self.max_steps > 0:
             raise ValueError("IntegrationConfig.max_steps must be positive")
 
 

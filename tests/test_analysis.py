@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from plap.params import ProblemParams, derive_constants, m_ell_point
+from plap.params import (ParameterError, ProblemParams, derive_constants,
+                         m_ell_point)
 from plap.trajectories import shoot_regular
 from plap.analysis import (
     BracketError,
@@ -20,6 +21,24 @@ from plap.analysis import (
     phi_of_alpha,
     theorem_tag,
 )
+
+
+SEED_ALPHA_C_2_3 = -1.9085247500419618  # find_alpha_c(2, 3.0) by bisection
+
+
+@pytest.fixture
+def phi_calls(monkeypatch):
+    """Arguments of every phi_of_alpha call made through plap.analysis."""
+    import plap.analysis as analysis_mod
+    calls = []
+    real = analysis_mod.phi_of_alpha
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_mod, "phi_of_alpha", counted)
+    return calls
 
 
 def _flat_info(N, p, alpha, eps):
@@ -155,7 +174,7 @@ class TestCriticalExponent:
     def test_one_dimensional_bisection(self):
         res = find_alpha_c(1, 3.0, tol=1e-4, force_bisection=True)
         assert res.value == pytest.approx(-2.0, abs=1e-3)
-        assert res.method == "bisection"
+        assert res.method == "brent"
         assert res.iterations > 0
 
     def test_two_dimensional_bracket(self):
@@ -182,6 +201,33 @@ class TestCriticalExponent:
         res = find_alpha_c(2, 3.0, tol=1e-6)
         assert abs(phi_of_alpha(2, 3.0, res.value)) <= 1e-4
 
+    def test_brent_uses_few_evaluations(self, phi_calls):
+        res = find_alpha_c(2, 3.0)
+        assert len(phi_calls) <= 10
+        assert res.iterations == len(phi_calls) - 2
+        assert abs(res.value - SEED_ALPHA_C_2_3) <= 1e-6
+        assert res.bracket[0] < res.value < res.bracket[1]
+        assert res.bracket[1] - res.bracket[0] <= 1e-6
+        fa, fb = res.phi_at_ends
+        assert fa > 0.0 > fb
+
+    def test_exact_zero_is_a_zero_width_bracket(self, monkeypatch):
+        # a gap that is exactly 0 on a plateau around -1.75: brentq stops
+        # at the first point it evaluates there
+        import plap.analysis as analysis_mod
+        monkeypatch.setattr(
+            analysis_mod, "phi_of_alpha",
+            lambda N, p, al, cfg=None: (1.0 if al < -1.8
+                                        else -1.0 if al > -1.7 else 0.0))
+        res = find_alpha_c(2, 3.0)
+        assert res.bracket == (res.value, res.value)
+        assert -1.8 <= res.value <= -1.7
+        assert res.phi_at_ends == (0.0, 0.0)
+
+    def test_nonpositive_tolerance_rejected(self):
+        with pytest.raises(ParameterError):
+            find_alpha_c(2, 3.0, tol=0.0)
+
 
 class TestRegimeClassifier:
     def test_tag_table(self):
@@ -198,6 +244,31 @@ class TestRegimeClassifier:
         }
         for (N, p, al, eps), tag in cases.items():
             assert theorem_tag(ProblemParams(N, p, al, eps)) == tag, (N, p, al, eps)
+
+    @pytest.mark.parametrize("shift, tag", [(0.0, "clin"), (-3e-6, "orb"),
+                                            (3e-6, "ent")])
+    def test_tag_by_sign_of_connection_gap(self, phi_calls, shift, tag):
+        params = ProblemParams(2, 3.0, SEED_ALPHA_C_2_3 + shift, -1)
+        assert theorem_tag(params) == tag
+        assert len(phi_calls) <= 2
+
+    @pytest.mark.parametrize("alpha, tag", [(-2.03, "orb"),
+                                            (-2.0 + 2e-5, "orb"),
+                                            (-1.5 - 2e-5, "ent")])
+    def test_tag_outside_search_interval_needs_no_gap(self, phi_calls,
+                                                      alpha, tag):
+        # the critical bracket is (-2.0, -1.5) and find_alpha_c searches
+        # it 5e-5 in from both ends; (-2.0625, -2.0] lies in the tag band
+        # below it, where the double-zero separatrix need not reach the
+        # section, and the strips at the ends are never searched
+        assert theorem_tag(ProblemParams(2, 3.0, alpha, -1)) == tag
+        assert phi_calls == []
+
+    def test_report_reuses_tag_gap(self, phi_calls):
+        rep = classify_regime(ProblemParams(2, 3.0, -1.8, -1))
+        assert rep.theorem_tag == "ent"
+        assert len(phi_calls) <= 2
+        assert rep.phi_value == phi_of_alpha(2, 3.0, -1.8)
 
     def test_single_sign_regime_report(self):
         rep = classify_regime(ProblemParams(2, 3.0, 1.0, 1))

@@ -120,6 +120,23 @@ class TestIntegrate:
                          "--Y0", "0", "--tau-max", "5", "--out", str(out))
         assert code == 0
 
+    @pytest.mark.parametrize("line, message", [
+        ("rel_tol = abc\n", "needs a number"),
+        ("rel_tol = -1\n", "must be positive"),
+        ("rel_tol = nan\n", "must be positive"),
+    ])
+    def test_bad_config_value(self, capsys, tmp_path, monkeypatch, line,
+                              message):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(line)
+        monkeypatch.setenv("PLAP_CONFIG", str(cfg))
+        code, _, err = run(capsys, "integrate", "--N", "1", "--p", "3",
+                           "--alpha", "-4", "--eps", "-1", "--y0", "0.05",
+                           "--Y0", "0", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+
     def test_bad_config_key(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("bogus = 1\n")
@@ -179,6 +196,13 @@ class TestReports:
         doc = json.loads(out)
         assert doc["alpha_c"] == -2
         assert doc["method"] == "closed_form"
+
+    def test_tol_keeps_default_bracket_width(self, capsys):
+        code, out, _ = run(capsys, "alpha-c", "--N", "2", "--p", "3",
+                           "--tol", "1e-9")
+        assert code == 0
+        lo, hi = json.loads(out)["bracket"]
+        assert 0.0 < hi - lo <= 1e-6
 
     def test_classifier_report(self, capsys):
         code, out, _ = run(capsys, "classify", "--N", "1", "--p", "3",
