@@ -282,6 +282,22 @@ class TestRegimeClassifier:
         assert rep.passed()
         assert len(rep.cycles) >= 2  # regular and hole orbits both cycle
 
+    def test_oscillating_report_pinned(self):
+        # the osc report as solve_ivp's RK45 produced it; the scalar
+        # stepper must keep every tag, status and count, and both cycle
+        # periods to 1e-6
+        rep = classify_regime(ProblemParams(1, 3.0, -4.0, -1))
+        assert rep.theorem_tag == "osc"
+        assert [status for _, status in rep.checks] == ["pass"] * 4
+        pinned = {"T_r": ("time_span", "oscillating_sign", 263),
+                  "T_eps": ("time_span", "oscillating_sign", 267)}
+        for kind, want in pinned.items():
+            d = rep.trajectories[kind]
+            assert (d["termination"], d["label"], d["sign_changes"]) == want
+        periods = [c.period_tau for c in rep.cycles]
+        assert periods == pytest.approx([1.5007691155821656, 1.5007691155505003],
+                                        rel=0.0, abs=1e-6)
+
     def test_source_regime_report(self):
         rep = classify_regime(ProblemParams(1, 3.0, -2.53, -1))
         assert rep.theorem_tag == "sou"
