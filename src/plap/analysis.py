@@ -29,6 +29,7 @@ alpha_c.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field as dc_field
 from typing import Optional, Sequence
 
@@ -568,6 +569,17 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
     the graph of a scalar ODE dS/dg = S G / (g F).  Integrating in g
     avoids the arbitrarily slow rescaled-time traverse near the decay
     point.
+
+    The double-zero separatrix leaves an unstable node and is not stiff:
+    RK45 takes a few dozen steps.  The algebraic-decay separatrix starts
+    on the center manifold of A', where F vanishes, so the transverse
+    rate of the slope equation grows like 1/F and an explicit pair is
+    held to steps of about 1e-6 by stability, not accuracy.  It is
+    integrated with LSODA, which switches to BDF there.  Its launch point
+    must have F > 0: LSODA started where F <= 0 never leaves it.  Both
+    solves together may make at most ``cfg.max_steps`` rhs evaluations;
+    a launch off the admissible region, a degenerate A' (alpha = eta)
+    or an exhausted budget raise :class:`AnalysisError`.
     """
     dc = derive_constants(params)
     p, al, N = params.p, params.alpha, float(params.N)
@@ -579,6 +591,10 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
     g_L = 1.0 / dc.gamma
     g_A = 1.0 / abs(al)
     beta, eta = dc.beta, dc.eta
+    if al == eta:
+        raise AnalysisError("the algebraic-decay point is degenerate at "
+                            "alpha = eta: its center manifold has infinite "
+                            "coefficients")
 
     def F(g, S):
         return beta * S * (1.0 + eta * g) - (1.0 + al * g) / (p - 1.0)
@@ -586,11 +602,19 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
     def G(g, S):
         return 1.0 + al * g - beta * (1.0 + N * g) * S
 
+    nfev = 0
+
     def rhs(g, u):
-        # F > 0 holds on the separatrix but trial stages of the embedded
-        # RK pair may probe states just off it where F <= 0; flooring F
-        # there blows up the slope estimate and forces step rejection
-        # instead of aborting the whole shoot.
+        nonlocal nfev
+        nfev += 1
+        if nfev > cfg.max_steps:
+            raise AnalysisError(
+                f"connection function exceeded its budget of {cfg.max_steps} "
+                f"rhs evaluations at alpha = {al}")
+        # F > 0 holds on the separatrix, but RK45's trial stages and
+        # LSODA's corrector iterates may probe states just off it where
+        # F <= 0; flooring F there blows up the slope and forces a
+        # smaller step instead of aborting the whole shoot.
         S = float(u[0])
         f = F(g, S)
         if not (f > 0.0):
@@ -620,8 +644,14 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
         / (beta * (p - 1.0) * (al - eta) ** 2)
     x0 = -1e-3 * (g_A - g_L)
     S_start1 = m1 * x0 + m2 * x0 * x0
-    sol1 = solve_ivp(rhs, (g_A + x0, g_L), [S_start1], method="RK45",
-                     rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-13))
+    if not F(g_A + x0, S_start1) > 0.0:
+        raise AnalysisError(
+            "algebraic-decay separatrix launches outside the admissible region F > 0")
+    with warnings.catch_warnings():
+        # LSODA warns before giving up; the failure is reported below
+        warnings.simplefilter("ignore", UserWarning)
+        sol1 = solve_ivp(rhs, (g_A + x0, g_L), [S_start1], method="LSODA",
+                         rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-13))
     if not sol1.success:
         raise AnalysisError(
             "algebraic-decay separatrix left the admissible region before the section")

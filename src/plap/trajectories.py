@@ -104,16 +104,18 @@ def _y_handoff(params: ProblemParams, grow: bool) -> float:
 
 def _compose(params: ProblemParams, pre_tau, pre_y, pre_Y, pre_events,
              s_traj: Trajectory, meta: dict) -> Trajectory:
-    """Concatenate lifted launch-phase samples with the S continuation."""
+    """Concatenate lifted launch-phase samples with the S continuation;
+    the result's ``meta`` is the launch's plus the S-chart stepper
+    counts ``meta["stats"]``."""
     d = s_traj.direction
     tau = np.concatenate([np.asarray(pre_tau, dtype=float), s_traj.tau])
     ys = np.hstack([np.vstack([pre_y, pre_Y]), s_traj.ys])
     keep = np.ones(tau.size, dtype=bool)
     keep[1:] = np.diff(d * tau) > 0.0
     events = sorted(list(pre_events) + list(s_traj.events), key=lambda e: d * e.time)
-    traj = Trajectory("S", params, tau[keep], ys[:, keep], events,
+    meta["stats"] = s_traj.meta["stats"]
+    return Trajectory("S", params, tau[keep], ys[:, keep], events,
                       s_traj.termination, d, meta=meta)
-    return traj
 
 
 def _chart_phase(chart_id: str, u0, params: ProblemParams,

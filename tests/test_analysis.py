@@ -6,10 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from plap.integrate import IntegrationConfig
 from plap.params import (ParameterError, ProblemParams, derive_constants,
                          m_ell_point)
 from plap.trajectories import shoot_regular
 from plap.analysis import (
+    AnalysisError,
     BracketError,
     asymptotic_label,
     classify_regime,
@@ -24,6 +26,35 @@ from plap.analysis import (
 
 
 SEED_ALPHA_C_2_3 = -1.9085247500419618  # find_alpha_c(2, 3.0) by bisection
+
+# find_alpha_c by bisection of the connection function, with both
+# separatrices on RK45
+RECORDED_ALPHA_C = {(2, 3.0): SEED_ALPHA_C_2_3,
+                    (3, 3.0): -1.8388050770759583,
+                    (2, 4.0): -1.4493689287185667,
+                    (2, 2.5): -2.861772686068217}
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """[method, rhs evaluations] of every solve_ivp call made through
+    plap.analysis, counted on the rhs itself."""
+    import plap.analysis as analysis_mod
+    calls = []
+    real = analysis_mod.solve_ivp
+
+    def counted(fun, *args, **kwargs):
+        entry = [kwargs.get("method"), 0]
+        calls.append(entry)
+
+        def rhs(t, u):
+            entry[1] += 1
+            return fun(t, u)
+
+        return real(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(analysis_mod, "solve_ivp", counted)
+    return calls
 
 
 @pytest.fixture
@@ -164,6 +195,55 @@ class TestConnectionFunction:
                 for off in (1e-6, 1e-7, 1e-8)]
         assert max(vals) - min(vals) <= 1e-9
 
+    def test_decay_separatrix_is_integrated_as_stiff(self, solver_calls):
+        # RK45 spent about 7,900 rhs evaluations on this orbit, held to
+        # steps of about 1e-6 by the stiffness near the center manifold
+        phi_of_alpha(2, 3.0, -1.9)
+        (m0, _), (m1, n1) = solver_calls
+        assert (m0, m1) == ("RK45", "LSODA")
+        assert n1 <= 1000
+
+    def test_inadmissible_launch_is_refused_before_integrating(self,
+                                                              solver_calls):
+        # the decay launch of (1, 3, -0.7) has F <= 0, where LSODA never
+        # leaves the launch abscissa
+        with pytest.raises(AnalysisError, match="admissible"):
+            phi_of_alpha(1, 3.0, -0.7)
+        assert len(solver_calls) == 1
+
+    def test_degenerate_decay_point_is_an_analysis_error(self):
+        # alpha = eta = -1 for (N, p) = (1, 3): the center-manifold
+        # coefficients of A' divide by alpha - eta
+        assert derive_constants(ProblemParams(1, 3.0, -1.0, -1)).eta == -1.0
+        with pytest.raises(AnalysisError, match="degenerate"):
+            phi_of_alpha(1, 3.0, -1.0)
+
+    @pytest.mark.parametrize("max_steps", [100, 300, 500])
+    def test_rhs_budget(self, max_steps, solver_calls):
+        # the double-zero solve takes about 280 rhs evaluations and the
+        # decay solve about 230: the budget stops each of them
+        with pytest.raises(AnalysisError, match="budget"):
+            phi_of_alpha(2, 3.0, -1.9, IntegrationConfig(max_steps=max_steps))
+        assert sum(n for _, n in solver_calls) == max_steps + 1
+
+    def test_fixed_seed_grid_ends_within_budget(self):
+        # every draw returns a finite gap or a declared error, about 1 s
+        # for all 408 (launches with F <= 0 are a third of the errors)
+        rng = np.random.default_rng(5)
+        outcomes = {"value": 0, "AnalysisError": 0, "ParameterError": 0}
+        for _ in range(408):
+            N = int(rng.integers(1, 4))
+            p = float(rng.uniform(2.05, 5.0))
+            alpha = float(-rng.uniform(0.05, 6.0))
+            try:
+                value = phi_of_alpha(N, p, alpha)
+            except (AnalysisError, ParameterError) as exc:
+                outcomes[type(exc).__name__] += 1
+                continue
+            assert math.isfinite(value), (N, p, alpha)
+            outcomes["value"] += 1
+        assert all(outcomes.values()), outcomes
+
 
 class TestCriticalExponent:
     def test_one_dimensional_closed_form(self):
@@ -223,6 +303,11 @@ class TestCriticalExponent:
         assert res.bracket == (res.value, res.value)
         assert -1.8 <= res.value <= -1.7
         assert res.phi_at_ends == (0.0, 0.0)
+
+    @pytest.mark.parametrize("N, p", sorted(RECORDED_ALPHA_C))
+    def test_recorded_values(self, N, p):
+        res = find_alpha_c(N, p)
+        assert abs(res.value - RECORDED_ALPHA_C[N, p]) <= 1e-6
 
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ParameterError):

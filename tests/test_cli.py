@@ -220,3 +220,12 @@ class TestReports:
                            "--alpha", "-1.9", "--eps", "-1")
         assert code == 0
         assert json.loads(out)["regime_tag"] == "ent"
+
+    def test_classifier_degenerate_decay_point(self, capsys):
+        # alpha = eta: the connection function is undefined, not a crash
+        code, out, _ = run(capsys, "classify", "--N", "1", "--p", "3",
+                           "--alpha", "-1", "--eps", "-1")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["regime_tag"] == "pom"
+        assert doc["phi_value"] is None

@@ -45,6 +45,22 @@ class TestRegular:
         expected = sol(r[mask])
         assert np.max(np.abs(w[mask] - expected) / np.abs(expected)) <= 1e-6
 
+    def test_result_keeps_stepper_counts(self, monkeypatch):
+        import plap.trajectories as traj_mod
+        inner = []
+        real = traj_mod.integrate_s
+
+        def recorded(*args, **kwargs):
+            inner.append(real(*args, **kwargs))
+            return inner[-1]
+
+        monkeypatch.setattr(traj_mod, "integrate_s", recorded)
+        traj = shoot_regular(ProblemParams(2, 3.0, 1.0, 1), tau_span=10.0)
+        assert len(inner) == 1
+        assert traj.meta["stats"] == inner[0].meta["stats"]
+        assert traj.meta["stats"]["accepted"] > 0
+        assert traj.meta["kind"] == "T_r"  # the launch keys stay
+
     def test_strict_constant_sign_in_single_sign_regime(self):
         traj = shoot_regular(ProblemParams(2, 3.0, 1.0, 1), tau_span=30.0)
         assert np.min(traj.ys[0]) > 0.0 or np.max(traj.ys[0]) < 0.0
