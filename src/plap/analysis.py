@@ -889,22 +889,10 @@ def classify_regime(params: ProblemParams,
     checks: list[tuple[str, str]] = []
     trajs: dict = {}
 
-    def run(kind: str, **kw):
+    def run(kind: str):
         try:
-            if kind == "T_r":
-                t = traj_mod.shoot_regular(params, cfg, tau_span=span,
-                                           consistency_check=False, **kw)
-            elif kind == "T_eps":
-                t = traj_mod.shoot_double_zero(params, config=cfg, tau_span=span,
-                                               consistency_check=False, **kw)
-            elif kind == "T_alpha":
-                t = traj_mod.shoot_T_alpha(params, cfg, tau_span=span,
-                                           consistency_check=False, **kw)
-            elif kind in ("T_eta", "T_u"):
-                t = traj_mod.shoot_T_eta_or_u(params, cfg, tau_span=span,
-                                              consistency_check=False, **kw)
-            else:
-                t = traj_mod.shoot_T_pm(params, config=cfg, tau_span=span, **kw)
+            t = traj_mod.shoot(traj_mod.SpecialTrajectorySpec(kind), params, cfg,
+                               tau_span=span, consistency_check=False)
         except (IntegrationError, ParameterError, AnalysisError) as exc:
             digests[kind] = {"error": str(exc)}
             return None

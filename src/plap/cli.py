@@ -480,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "T_eps: edge radius; T_plus/T_minus: leading amplitude)")
     sp.add_argument("--c", type=float, help="tail coefficient (T_plus/T_minus)")
     sp.add_argument("--offset", type=float, default=1e-7,
-                    help="launch offset from the organizing point")
+                    help="launch offset from the organizing point "
+                    "(T_plus/T_minus ignore it)")
     sp.add_argument("--out", help="CSV output path")
     sp.set_defaults(fn=cmd_shoot)
 

@@ -35,7 +35,7 @@ from scipy.integrate import RK45, solve_ivp
 from scipy.optimize import brentq
 
 from .params import ProblemParams, derive_constants, m_ell_point
-from .systems import PhaseState, ProfileSample, phi_Y, sgn_pow, to_profile
+from .systems import PhaseState, _s_rhs, phi_Y
 
 
 class IntegrationError(RuntimeError):
@@ -194,9 +194,7 @@ def capture_test(state: PhaseState, params: ProblemParams,
                 return pid
             return None
     if math.hypot(y, Y) <= cfg.origin_radius:
-        from .systems import s_field
-
-        fy, fY = s_field(y, Y, params)
+        fy, fY = _s_rhs(params, 1)(y, Y)
         inward = direction * (y * fy + Y * fY) < 0.0
         if inward or (y == 0.0 and Y == 0.0):
             return "origin"
@@ -223,25 +221,19 @@ def _cross_axis(y0: float, Y0: float, tau0: float, direction: int,
     Returns (samples_tau, samples_y, samples_Y, event, ok) where the event
     marks the exact crossing.  ``ok`` is False when the crossing is
     degenerate (y too small for the transversality estimate)."""
-    dc = derive_constants(params)
-    p, al, eps, N = params.p, params.alpha, params.epsilon, float(params.N)
-
-    def f2(Y, y):
-        return -(dc.gamma + N) * Y + eps * (al * y - float(phi_Y(Y, p)))
+    f = _s_rhs(params, 1)
 
     # transversality guard: |dY/dtau| must dominate the band scale
-    if abs(f2(0.0, y0)) < 2.0 * abs(phi_Y(Y0, p)):
+    # |phi(Y0)| = |f(0, Y0)[0]|
+    if abs(f(y0, 0.0)[1]) < 2.0 * abs(f(0.0, Y0)[0]):
         return None, None, None, None, False
-    v0 = f2(Y0, y0)
-    if direction * v0 * (-Y0) < 0.0:
+    if direction * f(y0, Y0)[1] * (-Y0) < 0.0:
         # not actually moving toward the axis (can happen only on re-entry
         # edge cases); report not-ok so the caller resumes normally
         return None, None, None, None, False
 
     def rhs(Y, u):
-        y = u[0]
-        den = f2(Y, y)
-        f1 = -dc.gamma * y - float(phi_Y(Y, p))
+        f1, den = f(u[0], Y)
         return [f1 / den, 1.0 / den]
 
     sol = solve_ivp(rhs, (Y0, -Y0), [y0, tau0], method="RK45",
@@ -472,23 +464,6 @@ def _rk45_segment(fun, t0: float, t_bound: float, y0: float, Y0: float,
         stats["rhs_evals"] += nfev
         stats["accepted"] += n_acc
         stats["rejected"] += n_rej
-
-
-def _s_rhs(params: ProblemParams, direction: int):
-    """The S field on Python floats, signed for the tau direction.
-
-    Bit for bit the numpy field: the float ``**`` equals numpy's
-    power on a 0-d array, and the signs are exact."""
-    dc = derive_constants(params)
-    e = 1.0 / (params.p - 1.0)
-    mg, mgN = -dc.gamma, -(dc.gamma + float(params.N))
-    al, eps = params.alpha, params.epsilon
-
-    def f(y, Y):
-        ph = abs(Y) ** e if Y >= 0.0 else -(abs(Y) ** e)
-        return direction * (mg * y - ph), direction * (mgN * Y + eps * (al * y - ph))
-
-    return f
 
 
 def integrate_s(initial: PhaseState, params: ProblemParams,

@@ -100,13 +100,23 @@ class ProfileSample:
 # vector fields
 
 
-def s_field(y, Y, params: ProblemParams):
-    """Right-hand side of chart S; accepts scalars or arrays."""
+def _s_rhs(params: ProblemParams, direction: int):
+    """The S field on Python floats, signed for the tau direction; the one
+    definition of chart S (``field("S")``, the integrator, its axis
+    crossings and its capture test all evaluate it).
+
+    Bit for bit the numpy evaluation through :func:`phi_Y`: the float
+    ``**`` equals numpy's power on a 0-d array, and the signs are exact."""
     dc = derive_constants(params)
-    ph = phi_Y(Y, params.p)
-    dy = -dc.gamma * y - ph
-    dY = -(dc.gamma + params.N) * Y + params.epsilon * (params.alpha * y - ph)
-    return dy, dY
+    e = 1.0 / (params.p - 1.0)
+    mg, mgN = -dc.gamma, -(dc.gamma + float(params.N))
+    al, eps = params.alpha, params.epsilon
+
+    def f(y, Y):
+        ph = abs(Y) ** e if Y >= 0.0 else -(abs(Y) ** e)
+        return direction * (mg * y - ph), direction * (mgN * Y + eps * (al * y - ph))
+
+    return f
 
 
 def field(chart_id: str, coords, params: ProblemParams) -> np.ndarray:
@@ -128,11 +138,7 @@ def field(chart_id: str, coords, params: ProblemParams) -> np.ndarray:
     eps = params.epsilon
 
     if chart_id == "S":
-        y, Y = a, b
-        ph = phi_Y(Y, p)
-        return np.array(
-            [-dc.gamma * y - ph, -(dc.gamma + N) * Y + eps * (al * y - ph)]
-        )
+        return np.array(_s_rhs(params, 1)(a, b))
 
     if chart_id == "Q":
         zeta, sigma = a, b

@@ -1,12 +1,16 @@
 """Shooting constructions of the distinguished orbits of the profile
 phase plane.
 
-Every construction follows the same pattern: expand the local invariant
-manifold of a degenerate or hyperbolic point in the chart where it is
-regular, step a small offset ``delta`` along the manifold, integrate the
-chart field until the orbit is well inside the (y, Y) plane, then hand
-off to the S-chart integrator with its full event machinery.  The five
-kinds are
+Every construction runs one pipeline.  The launch expands the local
+invariant manifold of a degenerate or hyperbolic point in the chart
+where it is regular (Q, P or R), steps a small offset ``delta`` along
+the manifold, and integrates the chart field (``_chart_phase``) until
+the hand-off event fires: the ordinate y, lifted from the chart point by
+y^{p-2} = ``_q``, reaches a fixed level.  ``_hand_off`` then lifts the
+launch samples to (y, Y), continues from the last one with the S-chart
+integrator and its full event machinery, and joins the two pieces.  A
+manifold launch runs again at delta/2 to report how far the hand-off
+point moves (``meta["offset_consistency"]``).  The seven kinds are
 
 T_r      the regular family w(0) = a > 0, w'(0) = 0: unstable manifold of
          the slope-chart saddle (0, eps alpha / N);
@@ -18,8 +22,9 @@ T_alpha  the algebraic-decay orbit w ~ L r^{-alpha}: center manifold of
 T_eta / T_u  the harmonic-type orbits w ~ c r^{-eta} (p < N: an infinite
          family, a canonical member is returned; p > N: unique);
 T_plus / T_minus (p >= N)  the flat-limit family with w(0) = a finite and
-         a prescribed first-derivative limit, built from the scalar
-         graph-function charts that desingularize the p >= N corner.
+         a prescribed first-derivative limit, launched in chart P from the
+         scalar graph-function charts that desingularize the p >= N
+         corner.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .integrate import (
     Trajectory,
     integrate_s,
 )
-from .systems import PhaseState, field, phi_Y, sgn_pow
+from .systems import PhaseState, field, phi_Y
 
 
 DEFAULT_OFFSET = 1e-7
@@ -63,25 +68,27 @@ class SpecialTrajectorySpec:
 
 
 # ---------------------------------------------------------------------------
-# chart lifts (vectorized versions of systems.invert, restricted to y > 0)
+# the launch pipeline: chart phase -> lift -> S chart -> compose
 
 
-def _lift_Q(zeta, sigma, p):
-    q = sigma * np.sign(zeta) * np.abs(zeta) ** (1.0 - p)
+def _q(chart: str, a, b, p: float):
+    """y^{p-2} at the point (a, b) of chart Q (zeta, sigma), P (zeta, psi)
+    or R (g, s), for scalars or arrays; the point lifts to y > 0 where it
+    is positive."""
+    if chart == "Q":
+        return b * np.sign(a) * np.abs(a) ** (1.0 - p)
+    if chart == "P":
+        return 1.0 / (b * np.sign(a) * np.abs(a) ** (p - 1.0))
+    return b * np.sign(a) * np.abs(a) ** (p - 1.0)
+
+
+def _lift(chart: str, a, b, p: float):
+    """(ok, y, Y) of chart points on the branch y > 0 (a vectorized
+    :func:`systems.invert`); ``ok`` marks the liftable points."""
+    q = _q(chart, a, b, p)
     y = np.where(q > 0.0, np.abs(q), 1.0) ** (1.0 / (p - 2.0))
-    return q > 0.0, y, sigma * y
-
-
-def _lift_P(zeta, psi, p):
-    q = 1.0 / (psi * np.sign(zeta) * np.abs(zeta) ** (p - 1.0))
-    y = np.where(q > 0.0, np.abs(q), 1.0) ** (1.0 / (p - 2.0))
-    return q > 0.0, y, y / psi
-
-
-def _lift_R(g, s, p):
-    q = s * np.sign(g) * np.abs(g) ** (p - 1.0)
-    y = np.where(q > 0.0, np.abs(q), 1.0) ** (1.0 / (p - 2.0))
-    return q > 0.0, y, -s * y
+    Y = b * y if chart == "Q" else y / b if chart == "P" else -b * y
+    return q > 0.0, y, Y
 
 
 def _unit(v):
@@ -89,8 +96,14 @@ def _unit(v):
     return v / float(np.hypot(v[0], v[1]))
 
 
-def _y_handoff(params: ProblemParams, grow: bool) -> float:
-    """Ordinate at which a launch phase hands off to the S-chart.
+def _event(fn, direction: int = 0):
+    """Mark ``fn(t, u)`` as a terminal ``solve_ivp`` event."""
+    fn.terminal, fn.direction = True, direction
+    return fn
+
+
+def _q_hand(params: ProblemParams, grow: bool) -> float:
+    """y^{p-2} at the ordinate where a launch phase hands off to chart S.
 
     Orbits whose lifted ordinate grows from ~0 hand off at a fraction of
     the flat-profile amplitude (or 1); orbits that come down from the
@@ -98,47 +111,83 @@ def _y_handoff(params: ProblemParams, grow: bool) -> float:
     the full profile range."""
     if grow:
         dc = derive_constants(params)
-        return 0.5 * dc.ell if dc.ell is not None else 1.0
-    return 1e3
+        y_hand = 0.5 * dc.ell if dc.ell is not None else 1.0
+    else:
+        y_hand = 1e3
+    return y_hand ** (params.p - 2.0)
 
 
-def _compose(params: ProblemParams, pre_tau, pre_y, pre_Y, pre_events,
-             s_traj: Trajectory, meta: dict) -> Trajectory:
-    """Concatenate lifted launch-phase samples with the S continuation;
-    the result's ``meta`` is the launch's plus the S-chart stepper
-    counts ``meta["stats"]``."""
-    d = s_traj.direction
-    tau = np.concatenate([np.asarray(pre_tau, dtype=float), s_traj.tau])
-    ys = np.hstack([np.vstack([pre_y, pre_Y]), s_traj.ys])
+def _hand_off_event(chart: str, params: ProblemParams, grow: bool):
+    """The terminal event where the lifted ordinate crosses the hand-off
+    level, rising when ``grow`` and falling otherwise."""
+    p, q_hand = params.p, _q_hand(params, grow)
+    return _event(lambda t, u: _q(chart, u[0], u[1], p) - q_hand,
+                  1 if grow else -1)
+
+
+def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
+                 span, goals, stops=(), *, method: str = "RK45",
+                 max_step: float = np.inf):
+    """Integrate a launch chart until a terminal event fires; the last
+    sample of the returned solution is where it fired.
+
+    Chart R runs in its own time nu and carries tau (d tau = g s d nu) as
+    a third component.  Raises :class:`IntegrationError` unless one of the
+    ``goals`` fired, rather than one of the ``stops``, the end of ``span``
+    or a solver failure."""
+    if chart == "R":
+        def rhs(t, u):
+            g, s, _tau = u
+            dg, ds = field("R", (g, s), params)
+            return (dg, ds, g * s)
+    else:
+        def rhs(t, u):
+            return field(chart, u, params)
+
+    sol = solve_ivp(rhs, span, np.asarray(u0, dtype=float), method=method,
+                    rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14),
+                    max_step=max_step, events=[*goals, *stops])
+    if sol.status == -1:
+        raise IntegrationError(f"launch phase in chart {chart} failed: {sol.message}")
+    if sol.status != 1 or not any(te.size for te in sol.t_events[:len(goals)]):
+        raise IntegrationError(
+            f"launch phase in chart {chart} never reached the handoff section")
+    return sol
+
+
+def _launch(phase, offset: float, consistency_check: bool, meta: dict):
+    """Run the manifold launch ``phase(delta)`` at ``offset`` and, when
+    asked, again at offset/2; the distance between the two hand-off points
+    is ``meta["offset_consistency"]``."""
+    sol = phase(offset)
+    if consistency_check:
+        half = phase(offset / 2.0)
+        meta["offset_consistency"] = float(np.hypot(*(sol.y[:2, -1] - half.y[:2, -1])))
+    return sol
+
+
+def _hand_off(chart: str, t, u, params: ProblemParams, cfg: IntegrationConfig,
+              direction: int, tau_span: Optional[float], meta: dict,
+              events=()) -> Trajectory:
+    """Lift the launch samples (chart times ``t``, chart points ``u``; in
+    chart R tau is ``u[2]``) to (y, Y), drop the unliftable ones, continue
+    from the last one with :func:`integrate_s` and join the pieces.
+
+    ``events`` are launch-phase events; the result's ``meta`` is the
+    launch's plus the S-chart stepper counts ``meta["stats"]``."""
+    ok, y, Y = _lift(chart, u[0], u[1], params.p)
+    tau = (u[2] if chart == "R" else t)[ok]
+    y, Y = y[ok], Y[ok]
+    s_traj = integrate_s(PhaseState(float(tau[-1]), float(y[-1]), float(Y[-1])),
+                         params, direction=direction, config=cfg, tau_span=tau_span)
+    tau = np.concatenate([tau[:-1], s_traj.tau])
+    ys = np.hstack([np.vstack([y[:-1], Y[:-1]]), s_traj.ys])
     keep = np.ones(tau.size, dtype=bool)
-    keep[1:] = np.diff(d * tau) > 0.0
-    events = sorted(list(pre_events) + list(s_traj.events), key=lambda e: d * e.time)
+    keep[1:] = np.diff(direction * tau) > 0.0
+    events = sorted([*events, *s_traj.events], key=lambda e: direction * e.time)
     meta["stats"] = s_traj.meta["stats"]
     return Trajectory("S", params, tau[keep], ys[:, keep], events,
-                      s_traj.termination, d, meta=meta)
-
-
-def _chart_phase(chart_id: str, u0, params: ProblemParams,
-                 cfg: IntegrationConfig, t_span, handoff_fn,
-                 max_step=None, extra_events=()):
-    """Integrate a launch chart until the terminal handoff event fires."""
-
-    def rhs(t, u):
-        return field(chart_id, u, params)
-
-    handoff_fn.terminal = True
-    handoff_fn.direction = getattr(handoff_fn, "direction", 0)
-    evs = [handoff_fn, *extra_events]
-    sol = solve_ivp(rhs, t_span, np.asarray(u0, dtype=float), method="RK45",
-                    rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14),
-                    max_step=(max_step if max_step is not None else np.inf),
-                    events=evs, dense_output=True)
-    if not sol.success and sol.status != 1:
-        raise IntegrationError(f"launch phase in chart {chart_id} failed: {sol.message}")
-    if sol.status != 1 or not sol.t_events[0].size:
-        raise IntegrationError(
-            f"launch phase in chart {chart_id} never reached the handoff section")
-    return sol
+                      s_traj.termination, direction, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -170,48 +219,26 @@ def shoot_regular(params: ProblemParams, config: Optional[IntegrationConfig] = N
     sigma_star = eps * al / N
     slope = eps * (al - N) / (N * (N + dc.p_prime))
     sgn_z = 1.0 if sigma_star > 0.0 else -1.0
+    hand = _hand_off_event("Q", params, grow=False)
 
-    y_hand = _y_handoff(params, grow=False)
-    q_hand = y_hand ** (p - 2.0)
-
-    def run_launch(delta):
+    def start(delta):
         zeta0 = sgn_z * delta
-        u0 = (zeta0, sigma_star + slope * zeta0)
+        return (zeta0, sigma_star + slope * zeta0)
 
-        def handoff(t, u):
-            return u[1] * np.sign(u[0]) * abs(u[0]) ** (1.0 - p) - q_hand
-        handoff.direction = -1
-        return u0, _chart_phase("Q", u0, params, cfg, (0.0, 80.0), handoff,
-                                max_step=0.25)
-
-    u0, sol = run_launch(offset)
-    t_sw = float(sol.t_events[0][0])
-    usw = sol.y_events[0][0]
-
+    u0 = start(offset)
     meta: dict = {"kind": "T_r", "a": a, "offset": offset,
-                  "launch_chart": "Q", "launch_coords": tuple(u0)}
-    if consistency_check:
-        _, sol_h = run_launch(offset / 2.0)
-        uh = sol_h.y_events[0][0]
-        meta["offset_consistency"] = float(np.hypot(*(usw - uh)))
-
-    # amplitude carried by the launch point, with the first-order tail
-    # correction int zeta dtau = zeta0/p'
-    ok0, y0, _ = _lift_Q(np.array([u0[0]]), np.array([u0[1]]), p)
-    a_raw = float(y0[0]) * math.exp(u0[0] / dc.p_prime)
-    meta["a_raw"] = a_raw
-
-    mask = sol.t < t_sw
-    z_arr = np.append(sol.y[0][mask], usw[0])
-    s_arr = np.append(sol.y[1][mask], usw[1])
-    t_arr = np.append(sol.t[mask], t_sw)
-    ok, y_arr, Y_arr = _lift_Q(z_arr, s_arr, p)
-    if not np.all(ok):
+                  "launch_chart": "Q", "launch_coords": u0}
+    sol = _launch(lambda delta: _chart_phase("Q", start(delta), params, cfg,
+                                             (0.0, 80.0), [hand], max_step=0.25),
+                  offset, consistency_check, meta)
+    if not np.all(_q("Q", sol.y[0], sol.y[1], p) > 0.0):
         raise IntegrationError("regular launch left the liftable cone")
+    traj = _hand_off("Q", sol.t, sol.y, params, cfg, 1, tau_span, meta)
 
-    s_traj = integrate_s(PhaseState(t_sw, float(y_arr[-1]), float(Y_arr[-1])),
-                         params, direction=1, config=cfg, tau_span=tau_span)
-    traj = _compose(params, t_arr[:-1], y_arr[:-1], Y_arr[:-1], [], s_traj, meta)
+    # amplitude carried by the launch point (the first sample), with the
+    # first-order tail correction int zeta dtau = zeta0/p'
+    a_raw = float(traj.ys[0, 0]) * math.exp(u0[0] / dc.p_prime)
+    meta["a_raw"] = a_raw
     traj.shift_tau(math.log(a / a_raw) / dc.gamma)
     return traj
 
@@ -239,71 +266,36 @@ def shoot_double_zero(params: ProblemParams, r_bar: float = 1.0,
     if not (r_bar > 0.0):
         raise ParameterError("r_bar must be positive")
     cfg = config or IntegrationConfig()
-    dc = derive_constants(params)
+    derive_constants(params)
     p, al, eps, N = params.p, params.alpha, params.epsilon, float(params.N)
 
     v = _unit(((2.0 * p - 3.0) / (p - 1.0), eps * (N - al)))
     d = -float(eps)
-    dir_nu = -eps  # nu direction away from the saddle
-    nu_max = 80.0 * (p - 1.0) / (p - 2.0) + 100.0
-
-    y_hand = _y_handoff(params, grow=True)
-    q_hand = y_hand ** (p - 2.0)
-
-    def rhs(nu, u):
-        g, s, _tau = u
-        dg, ds = field("R", (g, s), params)
-        return (dg, ds, g * s)
-
-    def handoff(nu, u):
-        return u[1] * np.sign(u[0]) * abs(u[0]) ** (p - 1.0) - q_hand
-    handoff.terminal = True
-    handoff.direction = 1
-
+    nu_span = (0.0, -eps * (80.0 * (p - 1.0) / (p - 2.0) + 100.0))
     # the inverse-slope chart is singular where w' = 0; orbits whose first
     # extremum arrives below the handoff amplitude (small limit cycles)
     # must leave the chart before |g| blows up there
-    def chart_exit(nu, u):
-        return abs(u[0]) - 1e6
-    chart_exit.terminal = True
-    chart_exit.direction = 1
+    goals = [_hand_off_event("R", params, grow=True),
+             _event(lambda nu, u: abs(u[0]) - 1e6, 1)]
 
-    def run_launch(delta):
-        u0 = np.array([d * delta * v[0], -eps + d * delta * v[1], 0.0])
-        sol = solve_ivp(rhs, (0.0, dir_nu * nu_max), u0, method="RK45",
-                        rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14),
-                        events=[handoff, chart_exit])
-        hits = [(dir_nu * te[0], ye[0]) for te, ye in
-                zip(sol.t_events, sol.y_events) if te.size]
-        if sol.status != 1 or not hits:
-            raise IntegrationError("double-zero launch never left the saddle region")
-        return u0, sol, min(hits, key=lambda h: h[0])[1]
+    def start(delta):
+        return (d * delta * v[0], -eps + d * delta * v[1], 0.0)
 
-    u0, sol, usw = run_launch(offset)
+    u0 = start(offset)
     meta: dict = {"kind": "T_eps", "r_bar": r_bar, "offset": offset,
                   "launch_chart": "R", "launch_coords": (float(u0[0]), float(u0[1]))}
-    if consistency_check:
-        _, _, uh = run_launch(offset / 2.0)
-        meta["offset_consistency"] = float(np.hypot(usw[0] - uh[0], usw[1] - uh[1]))
+    sol = _launch(lambda delta: _chart_phase("R", start(delta), params, cfg,
+                                             nu_span, goals),
+                  offset, consistency_check, meta)
 
     tau_edge_est = -float(u0[0]) * (p - 1.0) / (p - 2.0)
     shift = math.log(r_bar) - tau_edge_est
     meta["tau_bar"] = math.log(r_bar)
-
-    g_arr = np.append(sol.y[0], usw[0])
-    s_arr = np.append(sol.y[1], usw[1])
-    t_arr = np.append(sol.y[2], usw[2])
-    ok, y_arr, Y_arr = _lift_R(g_arr, s_arr, p)
-    g_arr, s_arr, t_arr = g_arr[ok], s_arr[ok], t_arr[ok]
-    y_arr, Y_arr = y_arr[ok], Y_arr[ok]
-
-    direction = -eps  # tau direction away from the edge
-    s_traj = integrate_s(PhaseState(float(t_arr[-1]), float(y_arr[-1]), float(Y_arr[-1])),
-                         params, direction=direction, config=cfg, tau_span=tau_span)
     edge_event = Event("double_zero_capture", tau_edge_est,
                        PhaseState(tau_edge_est, 0.0, 0.0))
-    traj = _compose(params, t_arr[:-1], y_arr[:-1], Y_arr[:-1], [edge_event],
-                    s_traj, meta)
+    # tau runs away from the edge
+    traj = _hand_off("R", sol.t, sol.y, params, cfg, -eps, tau_span, meta,
+                     [edge_event])
     traj.shift_tau(shift)
     traj.meta["tau_edge_estimate"] = tau_edge_est + shift
     return traj
@@ -330,7 +322,7 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
     """
     cfg = config or IntegrationConfig()
     dc = derive_constants(params)
-    p, al, eps, N = params.p, params.alpha, params.epsilon, float(params.N)
+    p, al, eps = params.p, params.alpha, params.epsilon
 
     if al > -dc.gamma:
         direction = -1
@@ -343,24 +335,8 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
     v = _unit(((p - 1.0) * (dc.eta - al), eps * al * al))
     s_sign = -1.0 if al > 0.0 else 1.0
     d = s_sign * math.copysign(1.0, v[1])
-
-    y_hand = _y_handoff(params, grow=True)
-    q_hand = y_hand ** (p - 2.0)
     nu_max = 1e15
-
-    def rhs(nu, u):
-        g, s, _tau = u
-        dg, ds = field("R", (g, s), params)
-        return (dg, ds, g * s)
-
-    def handoff(nu, u):
-        return u[1] * np.sign(u[0]) * abs(u[0]) ** (p - 1.0) - q_hand
-    handoff.terminal = True
-    handoff.direction = 1
-
-    def g_blowup(nu, u):
-        return abs(u[0]) - 1e8
-    g_blowup.terminal = True
+    g_blowup = _event(lambda nu, u: abs(u[0]) - 1e8)
 
     meta: dict = {"kind": "T_alpha", "offset": offset, "launch_chart": "R",
                   "decay_end": float(-direction) * math.inf}
@@ -375,79 +351,50 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
     away_rate = direction * (-eps) / (p - 1.0)
 
     if away_rate < 0.0:
-        def run_launch(delta):
-            u0 = np.array([A[0] + d * delta * v[0], A[1] + d * delta * v[1], 0.0])
-            # the transverse mode makes the slow center traverse stiff for
-            # an explicit pair; LSODA switches to BDF there
-            sol = solve_ivp(rhs, (0.0, direction * nu_max), u0, method="LSODA",
-                            rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14),
-                            events=[handoff, g_blowup])
-            if sol.status != 1 or not sol.t_events[0].size:
-                raise IntegrationError(
-                    "algebraic-decay launch never reached the handoff section")
-            return u0, sol
+        hand = _hand_off_event("R", params, grow=True)
 
-        u0, sol = run_launch(offset)
-        usw = sol.y_events[0][0]
+        def start(delta):
+            return (A[0] + d * delta * v[0], A[1] + d * delta * v[1], 0.0)
+
+        u0 = start(offset)
         meta["launch_variant"] = "manifold"
         meta["launch_coords"] = (float(u0[0]), float(u0[1]))
-        if consistency_check:
-            _, sol_h = run_launch(offset / 2.0)
-            uh = sol_h.y_events[0][0]
-            meta["offset_consistency"] = float(np.hypot(usw[0] - uh[0], usw[1] - uh[1]))
+        # the transverse mode makes the slow center traverse stiff for an
+        # explicit pair; LSODA switches to BDF there
+        sol = _launch(lambda delta: _chart_phase(
+            "R", start(delta), params, cfg, (0.0, direction * nu_max), [hand],
+            [g_blowup], method="LSODA"), offset, consistency_check, meta)
+        return _hand_off("R", sol.t, sol.y, params, cfg, direction, tau_span, meta)
 
-        g_arr = np.append(sol.y[0], usw[0])
-        s_arr = np.append(sol.y[1], usw[1])
-        t_arr = np.append(sol.y[2], usw[2])
-        ok, y_arr, Y_arr = _lift_R(g_arr, s_arr, p)
-        t_arr = t_arr[ok]
-        y_arr, Y_arr = y_arr[ok], Y_arr[ok]
-    else:
-        meta["launch_variant"] = "seeded"
-        meta["offset_consistency"] = 0.0  # the offset only truncates the tail
+    meta["launch_variant"] = "seeded"
+    meta["offset_consistency"] = 0.0  # the offset only truncates the tail
+    near_A = _event(lambda nu, u: math.hypot(u[0] - A[0], u[1] - A[1]) - offset, -1)
+    s_flip = _event(lambda nu, u: u[1])
 
-        def near_A(nu, u):
-            return math.hypot(u[0] - A[0], u[1] - A[1]) - offset
-        near_A.terminal = True
-        near_A.direction = -1
-
-        def s_flip(nu, u):
-            return u[1]
-        s_flip.terminal = True
-
-        # a macroscopic seed may sit outside the backward basin of the
-        # stationary point (the backward flow can spiral into the axis);
-        # shrink the seed geometrically until the tail collapses
-        s_mac = s_sign * q_hand * abs(al) ** (p - 1.0)  # lift ordinate ~ y_hand
-        sol = None
-        for _ in range(24):
-            g_seed = A[0] + (v[0] / v[1]) * s_mac
-            u_seed = np.array([g_seed, s_mac, 0.0])
-            trial = solve_ivp(rhs, (0.0, -direction * nu_max), u_seed,
-                              method="LSODA",
-                              rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14),
-                              events=[near_A, g_blowup, s_flip])
-            if trial.status == 1 and trial.t_events[0].size:
-                sol = trial
-                break
+    # a macroscopic seed may sit outside the backward basin of the
+    # stationary point (the backward flow can spiral into the axis);
+    # shrink the seed geometrically until the tail collapses; the first
+    # seed lifts to about the hand-off ordinate
+    s_mac = s_sign * _q_hand(params, grow=True) * abs(al) ** (p - 1.0)
+    sol = None
+    for _ in range(24):
+        g_seed = A[0] + (v[0] / v[1]) * s_mac
+        try:
+            sol = _chart_phase("R", (g_seed, s_mac, 0.0), params, cfg,
+                               (0.0, -direction * nu_max), [near_A],
+                               [g_blowup, s_flip], method="LSODA")
+            break
+        except IntegrationError:
             s_mac *= 0.5
             if abs(s_mac) < 1e3 * offset:
                 break
-        if sol is None:
-            raise IntegrationError(
-                "algebraic-decay tail did not collapse onto the stationary point")
-        meta["launch_coords"] = (float(g_seed), float(s_mac))
-        # tail in backward order; reverse into forward (integration) order
-        g_arr = sol.y[0][::-1]
-        s_arr = sol.y[1][::-1]
-        t_arr = sol.y[2][::-1]
-        ok, y_arr, Y_arr = _lift_R(g_arr, s_arr, p)
-        t_arr = t_arr[ok]
-        y_arr, Y_arr = y_arr[ok], Y_arr[ok]
-
-    s_traj = integrate_s(PhaseState(float(t_arr[-1]), float(y_arr[-1]), float(Y_arr[-1])),
-                         params, direction=direction, config=cfg, tau_span=tau_span)
-    return _compose(params, t_arr[:-1], y_arr[:-1], Y_arr[:-1], [], s_traj, meta)
+    if sol is None:
+        raise IntegrationError(
+            "algebraic-decay tail did not collapse onto the stationary point")
+    meta["launch_coords"] = (float(g_seed), float(s_mac))
+    # tail in backward order; reverse into forward (integration) order
+    return _hand_off("R", sol.t[::-1], sol.y[:, ::-1], params, cfg, direction,
+                     tau_span, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -490,48 +437,27 @@ def shoot_T_eta_or_u(params: ProblemParams, config: Optional[IntegrationConfig] 
         u1 = np.array([1.0, 0.0])
         u2 = _unit(v2 * math.copysign(1.0, v2[1]))
         step = _unit(u1 + u2)
+    hand = _hand_off_event("P", params, grow=False)
 
-    y_hand = _y_handoff(params, grow=False)
-    q_hand = y_hand ** (p - 2.0)
+    def start(delta):
+        return (eta + delta * step[0], delta * step[1])
 
-    def handoff(t, u):
-        return 1.0 / (u[1] * np.sign(u[0]) * abs(u[0]) ** (p - 1.0)) - q_hand
-    handoff.direction = -1
-
-    def run_launch(delta):
-        u0 = (eta + delta * step[0], delta * step[1])
-        return u0, _chart_phase("P", u0, params, cfg, (0.0, 80.0), handoff,
-                                max_step=0.25)
-
-    u0, sol = run_launch(offset)
-    t_sw = float(sol.t_events[0][0])
-    usw = sol.y_events[0][0]
+    u0 = start(offset)
     meta: dict = {"kind": kind, "offset": offset, "launch_chart": "P",
-                  "launch_coords": tuple(u0), "c": 1.0}
-    if consistency_check:
-        _, sol_h = run_launch(offset / 2.0)
-        uh = sol_h.y_events[0][0]
-        meta["offset_consistency"] = float(np.hypot(*(usw - uh)))
+                  "launch_coords": u0, "c": 1.0}
+    sol = _launch(lambda delta: _chart_phase("P", start(delta), params, cfg,
+                                             (0.0, 80.0), [hand], max_step=0.25),
+                  offset, consistency_check, meta)
+    traj = _hand_off("P", sol.t, sol.y, params, cfg, 1, tau_span, meta)
 
-    mask = sol.t < t_sw
-    z_arr = np.append(sol.y[0][mask], usw[0])
-    ps_arr = np.append(sol.y[1][mask], usw[1])
-    t_arr = np.append(sol.t[mask], t_sw)
-    ok, y_arr, Y_arr = _lift_P(z_arr, ps_arr, p)
-    z_arr, ps_arr, t_arr = z_arr[ok], ps_arr[ok], t_arr[ok]
-    y_arr, Y_arr = y_arr[ok], Y_arr[ok]
-
-    # c = lim y e^{(gamma+eta) tau}; the drift is d/dtau ln(.) = eta - zeta,
-    # integrable over the launch tail: for the saddle it sums to
-    # (zeta0 - eta)/(N - eta) + O(offset^2)
-    c_raw = float(y_arr[0]) * math.exp((dc.gamma + eta) * float(t_arr[0]))
+    # c = lim y e^{(gamma+eta) tau}, read at the launch point (the first
+    # sample); the drift is d/dtau ln(.) = eta - zeta, integrable over the
+    # launch tail: for the saddle it sums to (zeta0 - eta)/(N - eta)
+    # + O(offset^2)
+    c_raw = float(traj.ys[0, 0]) * math.exp((dc.gamma + eta) * float(traj.tau[0]))
     if eta < 0.0:
-        c_raw *= math.exp((float(z_arr[0]) - eta) / (N - eta))
+        c_raw *= math.exp((float(u0[0]) - eta) / (N - eta))
     meta["c_raw"] = c_raw
-
-    s_traj = integrate_s(PhaseState(float(t_arr[-1]), float(y_arr[-1]), float(Y_arr[-1])),
-                         params, direction=1, config=cfg, tau_span=tau_span)
-    traj = _compose(params, t_arr[:-1], y_arr[:-1], Y_arr[:-1], [], s_traj, meta)
     traj.shift_tau(-math.log(c_raw) / (dc.gamma + eta))
     return traj
 
@@ -580,9 +506,8 @@ def _flat_chart_ode_pgtN(params: ProblemParams, c1: float):
 
 def _run_flat_launch_pgtN(params: ProblemParams, c1: float, tau0: float,
                           cfg: IntegrationConfig):
-    """Integrate the p > N corner chart to zeta0 = c1 e^{|eta| tau0}, lift
-    to the (zeta, psi) chart, and integrate the projective field a short
-    way to measure the r -> 0 limits (a1, c1_meas)."""
+    """Integrate the p > N corner chart to zeta0 = c1 e^{|eta| tau0} and
+    return the chart-P launch point (zeta0, psi0)."""
     dc = derive_constants(params)
     p = params.p
     eta = dc.eta
@@ -598,16 +523,15 @@ def _run_flat_launch_pgtN(params: ProblemParams, c1: float, tau0: float,
     return zeta0, psi0
 
 
-def _measure_flat_limits(t_arr, y_arr, Y_arr, params: ProblemParams):
-    """(a, c) limits measured at the smallest-r samples: a from
+def _measure_flat_limits(tau: float, y: float, Y: float, params: ProblemParams):
+    """(a, c) limits measured at the S point (tau, y, Y) near r = 0: a from
     w + (c/|eta|) r^{|eta|} (the exact first-order tail), c from
     -r^{eta+1} w'."""
     dc = derive_constants(params)
-    p = params.p
     eta = dc.eta
-    r = math.exp(float(t_arr[0]))
-    w = r ** dc.gamma * float(y_arr[0])
-    dw = -(r ** (dc.gamma - 1.0)) * float(phi_Y(float(Y_arr[0]), p))
+    r = math.exp(tau)
+    w = r ** dc.gamma * y
+    dw = -(r ** (dc.gamma - 1.0)) * float(phi_Y(Y, params.p))
     c_meas = -(r ** (eta + 1.0)) * dw
     a_meas = w + (c_meas / abs(eta)) * r ** abs(eta)
     return a_meas, c_meas
@@ -615,8 +539,7 @@ def _measure_flat_limits(t_arr, y_arr, Y_arr, params: ProblemParams):
 
 def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: float = 1.0,
                config: Optional[IntegrationConfig] = None,
-               *, offset: float = DEFAULT_OFFSET,
-               tau_span: Optional[float] = None) -> Trajectory:
+               *, tau_span: Optional[float] = None) -> Trajectory:
     """Construct the flat-limit orbit for p >= N.
 
     p = N: the family is parameterized by k = a > 0 and satisfies
@@ -630,7 +553,10 @@ def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: float = 1.0,
     parameter c1, and a tau translation (the scaling map) adjusts (a, c)
     along the one-parameter orbit family: c scales as mu^{1 - |eta|/gamma}
     when a scales as mu.  A short fixed-point iteration on c1 meets both
-    requested limits.
+    requested limits, measured at the launch point.
+
+    The launch starts on the corner chart's graph, not at an offset from
+    a stationary point, so there is no offset to choose or check.
     """
     if params.p < params.N:
         raise ParameterError("the flat-limit family requires p >= N")
@@ -639,13 +565,6 @@ def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: float = 1.0,
     cfg = config or IntegrationConfig()
     dc = derive_constants(params)
     p, N = params.p, float(params.N)
-
-    y_hand = 1e3
-    q_hand = y_hand ** (p - 2.0)
-
-    def handoff(t, u):
-        return 1.0 / (u[1] * np.sign(u[0]) * abs(u[0]) ** (p - 1.0)) - q_hand
-    handoff.direction = -1
 
     if params.p == params.N:
         k = a
@@ -659,10 +578,8 @@ def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: float = 1.0,
         V0 = float(sol_v.y[0, -1])
         psi0 = V0 * math.exp(-N / zeta0) / zeta0
         u0 = (zeta0, psi0)
-        sol = _chart_phase("P", u0, params, cfg, (tau0, tau0 + 80.0), handoff,
-                           max_step=0.25)
-        meta: dict = {"kind": "T_plus", "k": k, "offset": offset,
-                      "launch_chart": "P", "launch_coords": u0}
+        meta: dict = {"kind": "T_plus", "k": k, "launch_chart": "P",
+                      "launch_coords": u0}
         shift = 0.0
     else:
         eta = dc.eta
@@ -676,39 +593,21 @@ def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: float = 1.0,
         a1 = a
         for _ in range(6):
             zeta0, psi0 = _run_flat_launch_pgtN(params, c1, tau0, cfg)
-            sol_pre = solve_ivp(lambda t, u: field("P", u, params),
-                                (tau0, tau0 + 2.0), [zeta0, psi0], method="RK45",
-                                rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14))
-            okp, yp, Yp = _lift_P(sol_pre.y[0][:1], sol_pre.y[1][:1], p)
-            a1, c1_meas = _measure_flat_limits(sol_pre.t[:1], yp, Yp, params)
+            _, yp, Yp = _lift("P", np.array([zeta0]), np.array([psi0]), p)
+            a1, c1_meas = _measure_flat_limits(tau0, float(yp[0]), float(Yp[0]), params)
             c1_new = c * (a1 / a) ** expo * (c1 / c1_meas)
             if abs(c1_new - c1) <= 1e-12 * abs(c1):
                 c1 = c1_new
                 break
             c1 = c1_new
-        zeta0, psi0 = _run_flat_launch_pgtN(params, c1, tau0, cfg)
-        u0 = (zeta0, psi0)
-        sol = _chart_phase("P", u0, params, cfg, (tau0, tau0 + 80.0), handoff,
-                           max_step=0.25)
+        u0 = _run_flat_launch_pgtN(params, c1, tau0, cfg)
         meta = {"kind": "T_plus" if c > 0.0 else "T_minus", "a": a, "c": c,
-                "offset": offset, "launch_chart": "P", "launch_coords": u0,
-                "chart_parameter": c1}
-        mu = a / a1
-        shift = math.log(mu) / dc.gamma
+                "launch_chart": "P", "launch_coords": u0, "chart_parameter": c1}
+        shift = math.log(a / a1) / dc.gamma
 
-    t_sw = float(sol.t_events[0][0])
-    usw = sol.y_events[0][0]
-    mask = sol.t < t_sw
-    z_arr = np.append(sol.y[0][mask], usw[0])
-    ps_arr = np.append(sol.y[1][mask], usw[1])
-    t_arr = np.append(sol.t[mask], t_sw)
-    ok, y_arr, Y_arr = _lift_P(z_arr, ps_arr, p)
-    t_arr = t_arr[ok]
-    y_arr, Y_arr = y_arr[ok], Y_arr[ok]
-
-    s_traj = integrate_s(PhaseState(float(t_arr[-1]), float(y_arr[-1]), float(Y_arr[-1])),
-                         params, direction=1, config=cfg, tau_span=tau_span)
-    traj = _compose(params, t_arr[:-1], y_arr[:-1], Y_arr[:-1], [], s_traj, meta)
+    sol = _chart_phase("P", u0, params, cfg, (tau0, tau0 + 80.0),
+                       [_hand_off_event("P", params, grow=False)], max_step=0.25)
+    traj = _hand_off("P", sol.t, sol.y, params, cfg, 1, tau_span, meta)
     if shift:
         traj.shift_tau(shift)
     return traj
@@ -720,8 +619,21 @@ def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: float = 1.0,
 
 def shoot(spec: SpecialTrajectorySpec, params: ProblemParams,
           config: Optional[IntegrationConfig] = None, **kwargs) -> Trajectory:
-    """Dispatch a :class:`SpecialTrajectorySpec` to its construction."""
+    """Dispatch a :class:`SpecialTrajectorySpec` to its construction.
+
+    Every kind takes the same keywords (``tau_span``, ``consistency_check``);
+    ``spec.offset`` and ``consistency_check`` reach only the kinds that
+    launch at an offset from a stationary point, not T_plus / T_minus."""
     kind = spec.kind
+    if kind in ("T_plus", "T_minus"):
+        a = spec.extra[0] if len(spec.extra) > 0 else 1.0
+        c = spec.extra[1] if len(spec.extra) > 1 else (1.0 if kind == "T_plus" else -1.0)
+        if kind == "T_minus" and c > 0.0:
+            raise ParameterError("T_minus requires c < 0")
+        if kind == "T_plus" and c < 0.0:
+            raise ParameterError("T_plus requires c > 0")
+        kwargs.pop("consistency_check", None)
+        return shoot_T_pm(params, a, c, config, **kwargs)
     if kind == "T_r":
         a = spec.extra[0] if spec.extra else 1.0
         return shoot_regular(params, config, a=a, offset=spec.offset, **kwargs)
@@ -730,17 +642,8 @@ def shoot(spec: SpecialTrajectorySpec, params: ProblemParams,
         return shoot_double_zero(params, r_bar, config, offset=spec.offset, **kwargs)
     if kind == "T_alpha":
         return shoot_T_alpha(params, config, offset=spec.offset, **kwargs)
-    if kind in ("T_eta", "T_u"):
-        traj = shoot_T_eta_or_u(params, config, offset=spec.offset, **kwargs)
-        if traj.meta["kind"] != kind:
-            raise ParameterError(
-                f"{kind} is inadmissible here: the regime provides {traj.meta['kind']}")
-        return traj
-    # T_plus / T_minus
-    a = spec.extra[0] if len(spec.extra) > 0 else 1.0
-    c = spec.extra[1] if len(spec.extra) > 1 else (1.0 if kind == "T_plus" else -1.0)
-    if kind == "T_minus" and c > 0.0:
-        raise ParameterError("T_minus requires c < 0")
-    if kind == "T_plus" and c < 0.0:
-        raise ParameterError("T_plus requires c > 0")
-    return shoot_T_pm(params, a, c, config, offset=spec.offset, **kwargs)
+    traj = shoot_T_eta_or_u(params, config, offset=spec.offset, **kwargs)
+    if traj.meta["kind"] != kind:
+        raise ParameterError(
+            f"{kind} is inadmissible here: the regime provides {traj.meta['kind']}")
+    return traj

@@ -228,10 +228,84 @@ class TestDispatch:
             SpecialTrajectorySpec(kind="T_r", offset=0.0)
 
     def test_dispatch_reaches_every_kind(self):
-        params = ProblemParams(2, 3.0, 1.0, 1)
-        t = shoot(SpecialTrajectorySpec(kind="T_r"), params, tau_span=5.0,
-                  consistency_check=False)
-        assert t.meta["kind"] == "T_r"
-        t = shoot(SpecialTrajectorySpec(kind="T_eps"), params, tau_span=5.0,
-                  consistency_check=False)
-        assert t.meta["kind"] == "T_eps"
+        # every kind takes the same keywords; the flat-limit launch of
+        # T_plus / T_minus has no offset
+        for kind, params in [("T_r", (2, 3.0, 1.0, 1)), ("T_eps", (2, 3.0, 1.0, 1)),
+                             ("T_alpha", (1, 3.0, -2.53, -1)),
+                             ("T_eta", (4, 3.0, 1.0, 1)), ("T_u", (2, 3.0, 1.0, 1)),
+                             ("T_plus", (1, 3.0, 1.0, 1)),
+                             ("T_minus", (2, 3.0, 1.0, 1))]:
+            t = shoot(SpecialTrajectorySpec(kind=kind), ProblemParams(*params),
+                      tau_span=5.0, consistency_check=False)
+            assert t.meta["kind"] == kind
+            assert "offset_consistency" not in t.meta
+            assert ("offset" in t.meta) == (kind not in ("T_plus", "T_minus"))
+
+
+# Launch fingerprints, recorded before the shootings shared one launch
+# pipeline: the seven kinds of the benchmark's ``plap shoot`` runs (default
+# span), the seeded T_alpha variant and the T_eps launch that leaves its
+# chart at |g| = 1e6 instead of reaching the hand-off level.
+# (kind, (N, p, alpha, eps), tau_span, termination, event kinds, samples,
+#  first (tau, y, Y), last (tau, y, Y), offset_consistency)
+LAUNCH_PINS = [
+    ("T_r", (2, 3.0, 2.0, 1), None, "captured:origin", ["double_zero_capture"], 257,
+     (-10.745397122861101, 100000000000000.02, 100000000000000.02),
+     (0.7304111535421445, 1.0000000000021017e-06, 1.0000000000000857e-06),
+     6.938893903907228e-18),
+    ("T_eps", (2, 3.0, 1.0, 1), None, "escape",
+     ["double_zero_capture", "escape_to_infinity"], 427,
+     (-1.6641005886756875e-07, 6.923077307100137e-15, 6.923077691123372e-15),
+     (-6.336842466643373, 42391311.144646406, 999999999101.489),
+     3.786412597219268e-09),
+    ("T_alpha", (1, 3.0, -2.53, -1), None, "captured:M_ell", ["stationary_capture"], 824,
+     (0.0, 1.4094976222207906e-08, -1.271656549156323e-15),
+     (-40.2786800901344, 0.013055543116470959, -0.00153402352690183),
+     9.8704780381933e-11),
+    ("T_eta", (4, 3.0, 1.0, 1), None, "origin_flagged", [], 402,
+     (-5.106349792861578, 57784103.79764854, 834750903891954.2),
+     (1.7418270845536448, 0.0009989980761643377, 1e-06),
+     1.4857526578524904e-07),
+    ("T_u", (2, 3.0, 1.0, 1), None, "origin_flagged", ["Y_zero_crossing"], 429,
+     (-7.004856863968591, 40311290.74149282, -406250020155645.06),
+     (1.6355377009100263, 0.0009969565753701435, 1.0000000000000012e-06),
+     3.542091048089028e-14),
+    ("T_plus", (1, 3.0, 1.0, 1), None, "origin_flagged",
+     ["Y_zero_crossing", "y_zero_crossing"], 427,
+     (-16.000000168802735, 7.016738675801294e+20, 6.2351532908539e+27),
+     (1.7282043523963682, -0.000995950393240246, -1.000000000000002e-06),
+     None),
+    ("T_minus", (2, 3.0, 1.0, 1), None, "origin_flagged", ["Y_zero_crossing"], 476,
+     (-15.998657699146243, 6.993228949413676e+20, -5.503560981607365e+34),
+     (1.9964732126629532, 0.0009969434216708067, 1.000000000000003e-06),
+     None),
+    ("T_alpha", (1, 3.0, -4.0, -1), 30.0, "time_span",
+     ["Y_zero_crossing", "y_zero_crossing"], 3618,
+     (-11.785508932502415, 5.852055648029697e-09, -5.479450388392606e-16),
+     (30.0, 0.004542514919814167, -0.024440201356902225),
+     0.0),
+    ("T_eps", (1, 3.0, -4.0, -1), 30.0, "time_span",
+     ["Y_zero_crossing", "double_zero_capture", "y_zero_crossing"], 2955,
+     (5.7469577113269076e-08, 8.256879943079212e-16, -8.256879152213548e-16),
+     (30.654276777394006, 0.025004206368212167, 0.0056531543662073315),
+     0.012202438898384571),
+]
+
+
+@pytest.mark.parametrize("kind, params, span, termination, kinds, n, first, last, "
+                         "consistency", LAUNCH_PINS)
+def test_launch_fingerprint(kind, params, span, termination, kinds, n, first,
+                            last, consistency):
+    traj = shoot(SpecialTrajectorySpec(kind), ProblemParams(*params), tau_span=span)
+    assert traj.termination == termination
+    assert sorted({e.kind for e in traj.events}) == kinds
+    assert traj.n_samples == n
+    got_first = (traj.tau[0], *traj.ys[:, 0])
+    got_last = (traj.tau[-1], *traj.ys[:, -1])
+    assert got_first == pytest.approx(first, rel=1e-9, abs=1e-15)
+    assert got_last == pytest.approx(last, rel=1e-9, abs=1e-15)
+    if consistency is None:
+        assert "offset_consistency" not in traj.meta
+    else:
+        assert traj.meta["offset_consistency"] == pytest.approx(
+            consistency, rel=1e-6, abs=1e-15)
