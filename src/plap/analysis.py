@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field as dc_field
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -87,9 +87,6 @@ ASYMPTOTIC_LABELS = (
     "escape",
     "undetermined",
 )
-
-THEOREM_TAGS = ("pin", "osc", "mel", "int", "pom", "clin", "sou", "orb", "ent")
-
 
 # ---------------------------------------------------------------------------
 # stationary points
@@ -540,12 +537,9 @@ def detect_limit_cycle(trajectory: Trajectory, params: ProblemParams,
     sel = (tau >= min(0.0, d * t1)) & (tau <= max(0.0, d * t1))
     orbit = orbit_traj.ys[:, sel]
     fl = _floquet_mean(orbit_traj, 0.0, t1, params)
-    if d == 1:
-        stability = "attracting" if fl < 0.0 else ("repelling" if fl > 0.0 else "undetermined")
-    else:
-        # the trajectory converged to it backward: repelling forward unless
-        # the divergence says otherwise
-        stability = "repelling" if fl > 0.0 else ("attracting" if fl < 0.0 else "undetermined")
+    # the sign of the mean divergence decides forward-time stability,
+    # whichever direction the trajectory approached the cycle from
+    stability = "attracting" if fl < 0.0 else ("repelling" if fl > 0.0 else "undetermined")
     section = ("positive Y-axis" if center == "origin"
                else f"vertical ray below {center}")
     return CycleInfo(section=section, fixed_point=Y_fix, period_tau=period,
@@ -856,14 +850,112 @@ def _tag_and_phi(params: ProblemParams, cfg: IntegrationConfig,
     return "clin", phi
 
 
-def _traj_digest(traj: Trajectory, params: ProblemParams) -> dict:
-    return {
-        "termination": traj.termination,
-        "direction": traj.direction,
-        "label": asymptotic_label(traj, params),
-        "sign_changes": count_sign_changes(traj),
-        "tau_range": (float(traj.tau.min()), float(traj.tau.max())),
-    }
+class _Theorem(NamedTuple):
+    """A row of the clause table.  A clause (text, read, test[, applies])
+    is graded where ``applies(params)`` holds: ``test`` decides it from an
+    orbit's digest, the cycle searched for from an orbit (None if none
+    was found) or, when ``read`` is None, the report.  A failed orbit or
+    a None result leaves it untested."""
+
+    shoots: tuple  # orbits shot beyond T_r and T_eps
+    cycles: tuple  # (orbit, source) pairs searched for a limit cycle
+    clauses: tuple  # in report order
+    phi: bool = False  # the report carries phi(alpha)
+    bracket: bool = False  # the report carries the critical bracket
+
+
+_FOUND = lambda cyc: cyc is not None
+_BUILT = lambda d: True
+_NO_ZERO = lambda d: d["sign_changes"] == 0
+_TO_FLAT = lambda d: d["label"] in ("A_gamma", "M_ell")
+_OSCILLATES = lambda d: d["label"] == "oscillating_sign"
+
+
+def _m_ell_is(*types: str) -> Callable:
+    return lambda r: any(sp.point_id == "M_ell" and sp.local_type in types
+                         for sp in r.stationary_points)
+
+
+def _zeros_at_most(n: int) -> Callable:
+    def test(r):
+        zeros = [d["sign_changes"] for d in r.trajectories.values() if "error" not in d]
+        return all(z <= n for z in zeros) if zeros else None
+    return test
+
+
+_THEOREMS = {
+    "pin": _Theorem((), (), (
+        ("regular orbit keeps a strict constant sign", "T_r", _NO_ZERO,
+         lambda pr: pr.alpha < pr.N),
+        ("regular orbit keeps a strict constant sign with compact support", "T_r",
+         lambda d: _NO_ZERO(d) and d["termination"] == "captured:origin",
+         lambda pr: pr.alpha == pr.N),
+        ("regular orbit has at least one simple zero", "T_r",
+         lambda d: d["sign_changes"] >= 1, lambda pr: pr.alpha > pr.N),
+        ("compact-support orbit constructed", "T_eps", _BUILT),
+        ("no stationary pair off the origin", None, lambda r: r.constants.ell is None),
+    )),
+    "mel": _Theorem(("T_alpha",), (), (
+        ("regular orbit keeps a strict constant sign", "T_r", _NO_ZERO),
+        ("regular orbit approaches the flat profile", "T_r", _TO_FLAT),
+        ("algebraic-decay orbit approaches the flat profile", "T_alpha", _TO_FLAT),
+        ("every orbit has at most one simple zero", None, _zeros_at_most(1)),
+    )),
+    "osc": _Theorem((), (("T_r", "O_r"), ("T_eps", "O_eps")), (
+        ("regular orbit oscillates in sign", "T_r", _OSCILLATES),
+        ("regular orbit has a limit cycle around the origin", "O_r", _FOUND),
+        ("compact-support orbit has a limit cycle (unique hole solution)", "O_eps",
+         _FOUND),
+        ("detected cycles attract in forward time", None,
+         lambda r: all(c.floquet_mean <= 1e-6 for c in r.cycles) if r.cycles else None),
+    )),
+    "int": _Theorem(("T_alpha",), (), (
+        ("regular orbit keeps a strict constant sign", "T_r", _NO_ZERO),
+        ("regular orbit approaches the flat profile", "T_r", _TO_FLAT),
+        ("hole orbit approaches the flat profile", "T_eps", _TO_FLAT),
+        ("algebraic-decay orbit constructed", "T_alpha", _BUILT),
+        ("flat point is a sink node", None, _m_ell_is("sink_node")),
+    )),
+    "pom": _Theorem(("T_alpha",), (), (
+        ("regular orbit has exactly one simple zero", "T_r",
+         lambda d: d["sign_changes"] == 1),
+        ("hole orbit approaches the flat profile", "T_eps", _TO_FLAT),
+        ("every orbit has at most two simple zeros", None, _zeros_at_most(2)),
+        ("flat point is a sink", None, _m_ell_is("sink_node", "sink_spiral")),
+    ), phi=True),
+    "sou": _Theorem(("T_alpha",), (("T_r", "O_r"), ("T_eps", "O_eps")), (
+        ("algebraic-decay orbit converges to the flat point backward", "T_alpha",
+         _TO_FLAT),
+        ("regular orbit oscillates in sign", "T_r", _OSCILLATES),
+        ("regular orbit has a limit cycle around the origin", "O_r", _FOUND),
+        ("hole orbit leaves the flat quadrant and cycles around the origin", "O_eps",
+         _FOUND),
+        ("flat point is a source or weak source", None,
+         _m_ell_is("source_node", "source_spiral", "weak_source")),
+    ), phi=True, bracket=True),
+    "orb": _Theorem(("T_alpha",), (("T_alpha", "O_alpha"), ("T_eps", "O_eps")), (
+        ("algebraic-decay orbit has a backward limit cycle around the flat point",
+         "O_alpha", _FOUND),
+        ("regular orbit oscillates in sign", "T_r", _OSCILLATES),
+        ("hole orbit cycles around the origin", "O_eps", _FOUND),
+        ("flat point is a sink", None, _m_ell_is("sink_node", "sink_spiral")),
+    ), phi=True, bracket=True),
+    "clin": _Theorem((), (("T_r", "O_r"),), (
+        ("connection gap vanishes at the critical exponent", None,
+         lambda r: None if r.phi_value is None else abs(r.phi_value) <= 1e-3),
+        ("regular orbit oscillates in sign", "T_r", _OSCILLATES),
+        ("regular orbit has a limit cycle surrounding all stationary points", "O_r",
+         _FOUND),
+    ), phi=True, bracket=True),
+    "ent": _Theorem((), (("T_r", "O_r"),), (
+        ("regular orbit has at least two simple zeros", "T_r",
+         lambda d: d["sign_changes"] >= 2),
+        ("hole orbit stays near the flat point (converges or cycles)", "T_eps",
+         lambda d: d["label"] in ("A_gamma", "M_ell", "cycle")),
+    ), phi=True, bracket=True),
+}
+
+THEOREM_TAGS = tuple(_THEOREMS)
 
 
 def classify_regime(params: ProblemParams,
@@ -878,180 +970,46 @@ def classify_regime(params: ProblemParams,
     infinitely many zeros are certified only through a detected cycle).
     """
     cfg = config or IntegrationConfig()
-    dc = derive_constants(params)
-    p, al, eps, N = params.p, params.alpha, params.epsilon, float(params.N)
     span = min(tau_budget, cfg.max_time_span)
-
     tag, phi_value = _tag_and_phi(params, cfg)
-    spoints = classify_stationary_points(params)
-    digests: dict = {}
-    cycles: list[CycleInfo] = []
-    checks: list[tuple[str, str]] = []
-    trajs: dict = {}
-
-    def run(kind: str):
+    theorem = _THEOREMS[tag]
+    if theorem.phi and phi_value is None:
         try:
-            t = traj_mod.shoot(traj_mod.SpecialTrajectorySpec(kind), params, cfg,
-                               tau_span=span, consistency_check=False)
+            phi_value = phi_of_alpha(params.N, params.p, params.alpha, cfg)
+        except (AnalysisError, ParameterError):
+            pass
+    bracket = critical_bracket(params.N, params.p) if theorem.bracket else None
+    report = RegimeReport(params, derive_constants(params), tag,
+                          classify_stationary_points(params), {}, [], [],
+                          phi_value, bracket)
+
+    trajs: dict = {}
+    seen: dict = {None: report}  # what a clause can read
+    for kind in ("T_r", "T_eps", *theorem.shoots):
+        try:
+            t = trajs[kind] = traj_mod.shoot(traj_mod.SpecialTrajectorySpec(kind),
+                                             params, cfg, tau_span=span,
+                                             consistency_check=False)
         except (IntegrationError, ParameterError, AnalysisError) as exc:
-            digests[kind] = {"error": str(exc)}
-            return None
-        trajs[kind] = t
-        digests[kind] = _traj_digest(t, params)
-        return t
-
-    def grade(desc: str, outcome: Optional[bool]):
-        checks.append((desc, "untested" if outcome is None
-                       else ("pass" if outcome else "fail")))
-
-    t_r = run("T_r")
-    t_eps = run("T_eps")
-
-    def label_of(t):
-        return None if t is None else digests[t.meta["kind"]]["label"]
-
-    def zeros_of(t):
-        return None if t is None else digests[t.meta["kind"]]["sign_changes"]
-
-    def cycle_from(t, name):
-        if t is None:
-            return None
-        cyc = detect_limit_cycle(t, params, cfg)
-        if cyc is not None:
-            cyc.meta["source"] = name
-            cycles.append(cyc)
-        return cyc
-
-    if tag == "pin":
-        if al < N:
-            grade("regular orbit keeps a strict constant sign",
-                  None if t_r is None else zeros_of(t_r) == 0)
-        elif al == N:
-            grade("regular orbit keeps a strict constant sign with compact support",
-                  None if t_r is None else zeros_of(t_r) == 0
-                  and t_r.termination == "captured:origin")
-        else:
-            grade("regular orbit has at least one simple zero",
-                  None if t_r is None else zeros_of(t_r) >= 1)
-        grade("compact-support orbit constructed",
-              None if t_eps is None else True)
-        grade("no stationary pair off the origin",
-              dc.ell is None)
-
-    elif tag == "mel":
-        grade("regular orbit keeps a strict constant sign",
-              None if t_r is None else zeros_of(t_r) == 0)
-        grade("regular orbit approaches the flat profile",
-              None if t_r is None else label_of(t_r) in ("A_gamma", "M_ell"))
-        t_a = run("T_alpha")
-        grade("algebraic-decay orbit approaches the flat profile",
-              None if t_a is None else label_of(t_a) in ("A_gamma", "M_ell"))
-        grade("every orbit has at most one simple zero",
-              all(zeros_of(t) <= 1 for t in (t_r, t_eps, t_a) if t is not None)
-              if any(t is not None for t in (t_r, t_eps, t_a)) else None)
-
-    elif tag == "osc":
-        grade("regular orbit oscillates in sign",
-              None if t_r is None else label_of(t_r) == "oscillating_sign")
-        cyc_r = cycle_from(t_r, "O_r")
-        grade("regular orbit has a limit cycle around the origin",
-              None if t_r is None else cyc_r is not None)
-        cyc_e = cycle_from(t_eps, "O_eps")
-        grade("compact-support orbit has a limit cycle (unique hole solution)",
-              None if t_eps is None else cyc_e is not None)
-        grade("detected cycles attract in forward time",
-              all(c.floquet_mean <= 1e-6 for c in cycles) if cycles else None)
-
-    elif tag == "int":
-        grade("regular orbit keeps a strict constant sign",
-              None if t_r is None else zeros_of(t_r) == 0)
-        grade("regular orbit approaches the flat profile",
-              None if t_r is None else label_of(t_r) in ("A_gamma", "M_ell"))
-        grade("hole orbit approaches the flat profile",
-              None if t_eps is None else label_of(t_eps) in ("A_gamma", "M_ell"))
-        t_a = run("T_alpha")
-        grade("algebraic-decay orbit constructed",
-              None if t_a is None else True)
-        grade("flat point is a sink node",
-              any(sp.point_id == "M_ell" and sp.local_type == "sink_node"
-                  for sp in spoints))
-
-    elif tag == "pom":
-        grade("regular orbit has exactly one simple zero",
-              None if t_r is None else zeros_of(t_r) == 1)
-        grade("hole orbit approaches the flat profile",
-              None if t_eps is None else label_of(t_eps) in ("A_gamma", "M_ell"))
-        t_a = run("T_alpha")
-        grade("every orbit has at most two simple zeros",
-              all(zeros_of(t) <= 2 for t in (t_r, t_eps, t_a) if t is not None)
-              if any(t is not None for t in (t_r, t_eps, t_a)) else None)
-        grade("flat point is a sink",
-              any(sp.point_id == "M_ell" and sp.local_type in ("sink_node", "sink_spiral")
-                  for sp in spoints))
-
-    elif tag == "sou":
-        t_a = run("T_alpha")
-        grade("algebraic-decay orbit converges to the flat point backward",
-              None if t_a is None else label_of(t_a) in ("A_gamma", "M_ell"))
-        grade("regular orbit oscillates in sign",
-              None if t_r is None else label_of(t_r) == "oscillating_sign")
-        cyc_r = cycle_from(t_r, "O_r")
-        grade("regular orbit has a limit cycle around the origin",
-              None if t_r is None else cyc_r is not None)
-        cyc_e = cycle_from(t_eps, "O_eps")
-        grade("hole orbit leaves the flat quadrant and cycles around the origin",
-              None if t_eps is None else cyc_e is not None)
-        grade("flat point is a source or weak source",
-              any(sp.point_id == "M_ell" and
-                  sp.local_type in ("source_node", "source_spiral", "weak_source")
-                  for sp in spoints))
-
-    elif tag == "orb":
-        t_a = run("T_alpha")
-        cyc_a = cycle_from(t_a, "O_alpha")
-        grade("algebraic-decay orbit has a backward limit cycle around the flat point",
-              None if t_a is None else cyc_a is not None)
-        grade("regular orbit oscillates in sign",
-              None if t_r is None else label_of(t_r) == "oscillating_sign")
-        cyc_e = cycle_from(t_eps, "O_eps")
-        grade("hole orbit cycles around the origin",
-              None if t_eps is None else cyc_e is not None)
-        grade("flat point is a sink",
-              any(sp.point_id == "M_ell" and sp.local_type in ("sink_node", "sink_spiral")
-                  for sp in spoints))
-
-    elif tag == "clin":
-        grade("connection gap vanishes at the critical exponent", None)
-        grade("regular orbit oscillates in sign",
-              None if t_r is None else label_of(t_r) == "oscillating_sign")
-        cyc_r = cycle_from(t_r, "O_r")
-        grade("regular orbit has a limit cycle surrounding all stationary points",
-              None if t_r is None else cyc_r is not None)
-
-    else:  # ent
-        grade("regular orbit has at least two simple zeros",
-              None if t_r is None else zeros_of(t_r) >= 2)
-        grade("hole orbit stays near the flat point (converges or cycles)",
-              None if t_eps is None else
-              label_of(t_eps) in ("A_gamma", "M_ell", "cycle"))
-        cycle_from(t_r, "O_r")
-
-    # the connection function, when defined
-    alpha_c_bracket = None
-    if eps == -1 and al < 0.0 and dc.beta > 0.0:
-        if phi_value is None:
-            try:
-                phi_value = phi_of_alpha(params.N, p, al, cfg)
-            except (AnalysisError, ParameterError):
-                phi_value = None
-        if tag in ("sou", "orb", "clin", "ent"):
-            lo, hi = critical_bracket(params.N, p)
-            alpha_c_bracket = (lo, hi)
-            if tag == "clin" and phi_value is not None:
-                checks[0] = (checks[0][0],
-                             "pass" if abs(phi_value) <= 1e-3 else "fail")
-
-    return RegimeReport(params=params, constants=dc, theorem_tag=tag,
-                        stationary_points=spoints, trajectories=digests,
-                        cycles=cycles, checks=checks,
-                        phi_value=phi_value, alpha_c_bracket=alpha_c_bracket)
+            report.trajectories[kind] = {"error": str(exc)}
+            continue
+        report.trajectories[kind] = seen[kind] = {
+            "termination": t.termination,
+            "direction": t.direction,
+            "label": asymptotic_label(t, params),
+            "sign_changes": count_sign_changes(t),
+            "tau_range": (float(t.tau.min()), float(t.tau.max())),
+        }
+    for kind, source in theorem.cycles:
+        if kind in trajs:
+            seen[source] = cyc = detect_limit_cycle(trajs[kind], params, cfg)
+            if cyc is not None:
+                cyc.meta["source"] = source
+                report.cycles.append(cyc)
+    for text, read, test, *applies in theorem.clauses:
+        if not all(a(params) for a in applies):
+            continue
+        outcome = test(seen[read]) if read in seen else None
+        report.checks.append((text, "untested" if outcome is None
+                              else ("pass" if outcome else "fail")))
+    return report

@@ -26,7 +26,7 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -135,7 +135,7 @@ def _build_config(args) -> IntegrationConfig:
     overrides: dict = {}
     cfg_file = os.environ.get("PLAP_CONFIG")
     if cfg_file:
-        valid = {f.name: f.type for f in dataclasses.fields(IntegrationConfig)}
+        valid = get_type_hints(IntegrationConfig)
         for line in Path(cfg_file).read_text().splitlines():
             line = line.split("#", 1)[0].strip()
             if not line:
@@ -148,11 +148,15 @@ def _build_config(args) -> IntegrationConfig:
             if key not in valid:
                 raise ParameterError(f"unknown config key {key!r} in {cfg_file}")
             try:
-                overrides[key] = float(val.strip())
+                value = float(val.strip())
             except ValueError:
                 raise ParameterError(f"config key {key!r} in {cfg_file} "
                                      f"needs a number, got {val.strip()!r}"
                                      ) from None
+            if valid[key] is int and not value.is_integer():
+                raise ParameterError(f"config key {key!r} in {cfg_file} "
+                                     f"needs a whole number, got {val.strip()!r}")
+            overrides[key] = valid[key](value)
     if getattr(args, "tol", None) is not None:
         overrides["rel_tol"] = args.tol
         overrides.setdefault("abs_tol", min(1e-10, args.tol))
@@ -270,10 +274,9 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def _emit(traj: Trajectory, args, command: str, params: ProblemParams,
-          cfg: IntegrationConfig, t_start: float) -> int:
-    out = Path(args.out) if args.out else Path(f"{command}.csv")
-    files = _write_trajectory_csv(traj, out)
+def _write_manifest(command: str, params: ProblemParams, cfg: IntegrationConfig,
+                    files: list[Path], t_start: float) -> Path:
+    """Write the run's manifest beside its first output; return its path."""
     manifest = RunManifest(
         command=command,
         params=_params_dict(params),
@@ -282,8 +285,16 @@ def _emit(traj: Trajectory, args, command: str, params: ProblemParams,
         outputs=[{"path": str(f), "sha256": _sha256(f)} for f in files],
         wall_time=time.monotonic() - t_start,
     )
-    mpath = out.parent / (out.stem + ".manifest.json")
+    mpath = files[0].parent / (files[0].stem + ".manifest.json")
     manifest.write(mpath)
+    return mpath
+
+
+def _emit(traj: Trajectory, args, command: str, params: ProblemParams,
+          cfg: IntegrationConfig, t_start: float) -> int:
+    out = Path(args.out) if args.out else Path(f"{command}.csv")
+    files = _write_trajectory_csv(traj, out)
+    mpath = _write_manifest(command, params, cfg, files, t_start)
     print(f"wrote {', '.join(str(f) for f in files)} and {mpath}")
     print(f"termination: {traj.termination}  samples: {traj.tau.size}  "
           f"events: {len(traj.events)}")
@@ -356,16 +367,7 @@ def cmd_portrait(args) -> int:
                                      direction=direction, config=cfg))
     out = Path(args.out) if args.out else Path("portrait.svg")
     _write_portrait_svg(trajs, params, out)
-    manifest = RunManifest(
-        command="portrait",
-        params=_params_dict(params),
-        config_hash=_config_hash(cfg),
-        tool_version=__version__,
-        outputs=[{"path": str(out), "sha256": _sha256(out)}],
-        wall_time=time.monotonic() - t_start,
-    )
-    mpath = out.parent / (out.stem + ".manifest.json")
-    manifest.write(mpath)
+    mpath = _write_manifest("portrait", params, cfg, [out], t_start)
     print(f"wrote {out} and {mpath} ({len(trajs)} arcs)")
     return 0
 

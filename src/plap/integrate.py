@@ -35,7 +35,7 @@ from scipy.integrate import RK45, solve_ivp
 from scipy.optimize import brentq
 
 from .params import ProblemParams, derive_constants, m_ell_point
-from .systems import PhaseState, _s_rhs, phi_Y
+from .systems import PhaseState, _s_rhs, field, phi_Y
 
 
 class IntegrationError(RuntimeError):
@@ -104,28 +104,11 @@ class Trajectory:
     events: list[Event]
     termination: str
     direction: int
-    asymptotic_label_start: Optional[str] = None
-    asymptotic_label_end: Optional[str] = None
     meta: dict = dc_field(default_factory=dict)
 
     @property
     def n_samples(self) -> int:
         return self.tau.size
-
-    def initial_state(self) -> PhaseState:
-        return PhaseState(float(self.tau[0]), float(self.ys[0, 0]), float(self.ys[1, 0]))
-
-    def terminal_state(self) -> PhaseState:
-        return PhaseState(float(self.tau[-1]), float(self.ys[0, -1]), float(self.ys[1, -1]))
-
-    def state_at(self, tau: float) -> PhaseState:
-        """Linear interpolation between stored samples (samples are dense:
-        spacing bounded by the configured max step)."""
-        t = self.direction * np.asarray(self.tau)
-        x = self.direction * tau
-        y = float(np.interp(x, t, self.ys[0]))
-        Y = float(np.interp(x, t, self.ys[1]))
-        return PhaseState(tau, y, Y)
 
     def profile(self):
         """Arrays (r, w, dw) for S-chart trajectories."""
@@ -663,74 +646,30 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
 
 
 # ---------------------------------------------------------------------------
-# generic chart integration (used by the shooting constructions)
-
-
-@dataclass(frozen=True)
-class EventSpec:
-    """A caller-supplied event: fn(t, u) with sign change at the event."""
-
-    kind: str
-    fn: Callable
-    terminal: bool = False
-    direction: int = 0
-
-
-def integrate_chart(chart_id: str, coords0, params: ProblemParams,
-                    rhs: Callable, t_span, config: Optional[IntegrationConfig] = None,
-                    event_specs: Sequence[EventSpec] = (),
-                    max_step: Optional[float] = None,
-                    t0: float = 0.0) -> Trajectory:
-    """Plain RK45 integration of an arbitrary 2D chart field ``rhs(t, u)``.
-
-    Samples are the accepted steps; events are located by the solver.  The
-    returned Trajectory carries chart coordinates in ``ys`` and the chart
-    time in ``tau``.
-    """
-    cfg = config or IntegrationConfig()
-    fns = []
-    for spec in event_specs:
-        g = spec.fn
-        g.terminal = spec.terminal
-        if spec.direction:
-            g.direction = spec.direction
-        fns.append(g)
-    sol = solve_ivp(rhs, t_span, np.asarray(coords0, dtype=float), method="RK45",
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    max_step=(max_step if max_step is not None else np.inf),
-                    events=fns, dense_output=True)
-    if not sol.success and sol.status != 1:
-        raise IntegrationError(f"chart {chart_id} integration failed: {sol.message}")
-    events = []
-    for spec, te, ue in zip(event_specs, sol.t_events, sol.y_events):
-        for t_e, u_e in zip(te, ue):
-            events.append(Event(spec.kind, float(t_e),
-                                PhaseState(float(t_e), float(u_e[0]), float(u_e[1]))))
-    events.sort(key=lambda e: e.time if t_span[1] >= t_span[0] else -e.time)
-    direction = 1 if t_span[1] >= t_span[0] else -1
-    traj = Trajectory(chart_id, params, sol.t + t0, sol.y, events,
-                      "event" if sol.status == 1 else "time_span", direction)
-    traj.meta["ode_solution"] = sol
-    return traj
+# chart dispatch
 
 
 def integrate(chart_id: str, initial, params: ProblemParams,
               direction: int = 1,
               config: Optional[IntegrationConfig] = None,
               **kwargs) -> Trajectory:
-    """Chart dispatcher.  For chart S, ``initial`` is a PhaseState and the
-    full event machinery applies.  Other charts integrate their printed
-    fields without axis handling (their fields are smooth on their
-    domains); ``kwargs`` pass through to :func:`integrate_chart`."""
-    from .systems import field as chart_field
-
+    """Chart dispatcher.  For chart S, ``initial`` is a PhaseState, the
+    full event machinery applies and ``kwargs`` pass through to
+    :func:`integrate_s`.  Other charts integrate their printed fields with
+    plain RK45 over ``t_span`` (default: ``max_time_span`` in
+    ``direction``), without axis handling or events (their fields are
+    smooth on their domains); the samples are the chart coordinates."""
     if chart_id == "S":
         return integrate_s(initial, params, direction, config, **kwargs)
     cfg = config or IntegrationConfig()
     span = kwargs.pop("t_span", (0.0, direction * cfg.max_time_span))
-
-    def rhs(t, u):
-        return chart_field(chart_id, u, params)
-
+    if kwargs:
+        raise TypeError(f"chart {chart_id} takes only t_span, got {sorted(kwargs)}")
     coords = initial.coords if hasattr(initial, "coords") else initial
-    return integrate_chart(chart_id, coords, params, rhs, span, cfg, **kwargs)
+    sol = solve_ivp(lambda t, u: field(chart_id, u, params), span,
+                    np.asarray(coords, dtype=float), method="RK45",
+                    rtol=cfg.rel_tol, atol=cfg.abs_tol)
+    if not sol.success:
+        raise IntegrationError(f"chart {chart_id} integration failed: {sol.message}")
+    return Trajectory(chart_id, params, sol.t, sol.y, [], "time_span",
+                      1 if span[1] >= span[0] else -1)

@@ -44,7 +44,7 @@ from .integrate import (
     Trajectory,
     integrate_s,
 )
-from .systems import PhaseState, field, phi_Y
+from .systems import ChartDomainError, PhaseState, field, phi_Y
 
 
 DEFAULT_OFFSET = 1e-7
@@ -144,9 +144,13 @@ def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
         def rhs(t, u):
             return field(chart, u, params)
 
-    sol = solve_ivp(rhs, span, np.asarray(u0, dtype=float), method=method,
-                    rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14),
-                    max_step=max_step, events=[*goals, *stops])
+    try:
+        sol = solve_ivp(rhs, span, np.asarray(u0, dtype=float), method=method,
+                        rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14),
+                        max_step=max_step, events=[*goals, *stops])
+    except ChartDomainError as exc:
+        raise IntegrationError(f"launch phase in chart {chart} left the chart: "
+                               f"{exc}") from None
     if sol.status == -1:
         raise IntegrationError(f"launch phase in chart {chart} failed: {sol.message}")
     if sol.status != 1 or not any(te.size for te in sol.t_events[:len(goals)]):
@@ -488,39 +492,42 @@ def _flat_chart_ode_pN(params: ProblemParams, k: float):
 
 def _flat_chart_ode_pgtN(params: ProblemParams, c1: float):
     """p > N corner chart: v = c (|c|^{p-2} c psi)^{1/kappa} / zeta -> 1;
-    v as a graph over zeta solves dv/dzeta = H(zeta, v)."""
+    v as a graph over zeta solves dv/dzeta = H(zeta, v), and psi = W zeta.
+    Returns (H, W); both raise :class:`IntegrationError` where W overflows
+    (kappa = N/|eta| is large for p just above N)."""
     p, al, eps = params.p, params.alpha, params.epsilon
     dc = derive_constants(params)
     eta = dc.eta
     kap = params.N / abs(eta)
 
+    def W(zeta, v):
+        try:
+            return abs(c1) ** (1.0 - p - kap) * abs(zeta) ** (kap - 1.0) * v ** kap
+        except OverflowError:
+            raise IntegrationError(f"flat-limit corner chart overflows at "
+                                   f"zeta = {zeta} (kappa = {kap})") from None
+
     def H(zeta, v):
         v = float(v[0]) if np.ndim(v) else float(v)
-        W = abs(c1) ** (1.0 - p - kap) * abs(zeta) ** (kap - 1.0) * v ** kap
-        num = (p - 1.0) * (kap + 1.0) - (kap + p - 1.0) * eps * (zeta - al) * W
-        den = (p - 1.0) * (zeta - eta) + eps * (al - zeta) * W * zeta
+        Wv = W(zeta, v)
+        num = (p - 1.0) * (kap + 1.0) - (kap + p - 1.0) * eps * (zeta - al) * Wv
+        den = (p - 1.0) * (zeta - eta) + eps * (al - zeta) * Wv * zeta
         return -(v / kap) * num / den
 
-    return H, kap
+    return H, W
 
 
 def _run_flat_launch_pgtN(params: ProblemParams, c1: float, tau0: float,
                           cfg: IntegrationConfig):
     """Integrate the p > N corner chart to zeta0 = c1 e^{|eta| tau0} and
     return the chart-P launch point (zeta0, psi0)."""
-    dc = derive_constants(params)
-    p = params.p
-    eta = dc.eta
-    H, kap = _flat_chart_ode_pgtN(params, c1)
-    zeta0 = c1 * math.exp(abs(eta) * tau0)
+    H, W = _flat_chart_ode_pgtN(params, c1)
+    zeta0 = c1 * math.exp(abs(derive_constants(params).eta) * tau0)
     sol_v = solve_ivp(H, (0.0, zeta0), [1.0], method="RK45",
                       rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14))
     if not sol_v.success:
         raise IntegrationError("flat-limit corner chart integration failed")
-    v0 = float(sol_v.y[0, -1])
-    W0 = abs(c1) ** (1.0 - p - kap) * abs(zeta0) ** (kap - 1.0) * v0 ** kap
-    psi0 = W0 * zeta0
-    return zeta0, psi0
+    return zeta0, W(zeta0, float(sol_v.y[0, -1])) * zeta0
 
 
 def _measure_flat_limits(tau: float, y: float, Y: float, params: ProblemParams):
@@ -595,6 +602,9 @@ def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: float = 1.0,
             zeta0, psi0 = _run_flat_launch_pgtN(params, c1, tau0, cfg)
             _, yp, Yp = _lift("P", np.array([zeta0]), np.array([psi0]), p)
             a1, c1_meas = _measure_flat_limits(tau0, float(yp[0]), float(Yp[0]), params)
+            if not a1 > 0.0:
+                raise IntegrationError(f"flat-limit fixed point measured w(0) = {a1} "
+                                       f"<= 0 at the launch point")
             c1_new = c * (a1 / a) ** expo * (c1 / c1_meas)
             if abs(c1_new - c1) <= 1e-12 * abs(c1):
                 c1 = c1_new

@@ -314,6 +314,149 @@ class TestCriticalExponent:
             find_alpha_c(2, 3.0, tol=0.0)
 
 
+# classify_regime(params, IntegrationConfig(max_steps=...), tau_budget=40)
+# recorded from the per-tag grader: tag, (clause, status) list, digest
+# kinds in order, cycle sources, and whether phi_value / alpha_c_bracket
+# is None.  None is the default config; 300 starves the shootings, so some
+# fail and their clauses read "untested".
+GRADER_PINS = {
+    ((2, 3.0, 1.0, 1), None): (
+        'pin', [
+            ('regular orbit keeps a strict constant sign', 'pass'),
+            ('compact-support orbit constructed', 'pass'),
+            ('no stationary pair off the origin', 'pass'),
+        ], ('T_r', 'T_eps'), (), True, True),
+    ((2, 3.0, -6.0, 1), None): (
+        'mel', [
+            ('regular orbit keeps a strict constant sign', 'pass'),
+            ('regular orbit approaches the flat profile', 'pass'),
+            ('algebraic-decay orbit approaches the flat profile', 'pass'),
+            ('every orbit has at most one simple zero', 'pass'),
+        ], ('T_r', 'T_eps', 'T_alpha'), (), True, True),
+    ((1, 3.0, -4.0, -1), None): (
+        'osc', [
+            ('regular orbit oscillates in sign', 'pass'),
+            ('regular orbit has a limit cycle around the origin', 'pass'),
+            ('compact-support orbit has a limit cycle (unique hole solution)', 'pass'),
+            ('detected cycles attract in forward time', 'pass'),
+        ], ('T_r', 'T_eps'), ('O_r', 'O_eps'), True, True),
+    ((1, 3.0, 0.7, -1), None): (
+        'int', [
+            ('regular orbit keeps a strict constant sign', 'pass'),
+            ('regular orbit approaches the flat profile', 'pass'),
+            ('hole orbit approaches the flat profile', 'pass'),
+            ('algebraic-decay orbit constructed', 'pass'),
+            ('flat point is a sink node', 'pass'),
+        ], ('T_r', 'T_eps', 'T_alpha'), (), True, True),
+    ((1, 3.0, -0.7, -1), None): (
+        'pom', [
+            ('regular orbit has exactly one simple zero', 'pass'),
+            ('hole orbit approaches the flat profile', 'pass'),
+            ('every orbit has at most two simple zeros', 'pass'),
+            ('flat point is a sink', 'pass'),
+        ], ('T_r', 'T_eps', 'T_alpha'), (), True, True),
+    ((1, 3.0, -2.53, -1), None): (
+        'sou', [
+            ('algebraic-decay orbit converges to the flat point backward', 'pass'),
+            ('regular orbit oscillates in sign', 'pass'),
+            ('regular orbit has a limit cycle around the origin', 'pass'),
+            ('hole orbit leaves the flat quadrant and cycles around the origin', 'pass'),
+            ('flat point is a source or weak source', 'pass'),
+        ], ('T_r', 'T_eps', 'T_alpha'), ('O_r', 'O_eps'), False, False),
+    ((1, 3.0, -2.1, -1), None): (
+        'orb', [
+            ('algebraic-decay orbit has a backward limit cycle around the flat point', 'pass'),
+            ('regular orbit oscillates in sign', 'pass'),
+            ('hole orbit cycles around the origin', 'pass'),
+            ('flat point is a sink', 'pass'),
+        ], ('T_r', 'T_eps', 'T_alpha'), ('O_alpha', 'O_eps'), False, False),
+    ((1, 3.0, -2.0, -1), None): (
+        'clin', [
+            ('connection gap vanishes at the critical exponent', 'pass'),
+            ('regular orbit oscillates in sign', 'pass'),
+            ('regular orbit has a limit cycle surrounding all stationary points', 'pass'),
+        ], ('T_r', 'T_eps'), ('O_r',), False, False),
+    ((1, 3.0, -1.9, -1), None): (
+        'ent', [
+            ('regular orbit has at least two simple zeros', 'pass'),
+            ('hole orbit stays near the flat point (converges or cycles)', 'pass'),
+        ], ('T_r', 'T_eps'), (), False, False),
+    ((2, 3.0, 2.0, 1), None): (
+        'pin', [
+            ('regular orbit keeps a strict constant sign with compact support', 'pass'),
+            ('compact-support orbit constructed', 'pass'),
+            ('no stationary pair off the origin', 'pass'),
+        ], ('T_r', 'T_eps'), (), True, True),
+    ((2, 3.0, 3.0, 1), None): (
+        'pin', [
+            ('regular orbit has at least one simple zero', 'pass'),
+            ('compact-support orbit constructed', 'pass'),
+            ('no stationary pair off the origin', 'pass'),
+        ], ('T_r', 'T_eps'), (), True, True),
+    ((2, 3.0, 1.0, 1), 300): (
+        'pin', [
+            ('regular orbit keeps a strict constant sign', 'pass'),
+            ('compact-support orbit constructed', 'pass'),
+            ('no stationary pair off the origin', 'pass'),
+        ], ('T_r', 'T_eps'), (), True, True),
+    ((2, 3.0, -6.0, 1), 300): (
+        'mel', [
+            ('regular orbit keeps a strict constant sign', 'untested'),
+            ('regular orbit approaches the flat profile', 'untested'),
+            ('algebraic-decay orbit approaches the flat profile', 'pass'),
+            ('every orbit has at most one simple zero', 'pass'),
+        ], ('T_r', 'T_eps', 'T_alpha'), (), True, True),
+    ((1, 3.0, -4.0, -1), 300): (
+        'osc', [
+            ('regular orbit oscillates in sign', 'untested'),
+            ('regular orbit has a limit cycle around the origin', 'untested'),
+            ('compact-support orbit has a limit cycle (unique hole solution)', 'untested'),
+            ('detected cycles attract in forward time', 'untested'),
+        ], ('T_r', 'T_eps'), (), True, True),
+    ((1, 3.0, 0.7, -1), 300): (
+        'int', [
+            ('regular orbit keeps a strict constant sign', 'pass'),
+            ('regular orbit approaches the flat profile', 'pass'),
+            ('hole orbit approaches the flat profile', 'pass'),
+            ('algebraic-decay orbit constructed', 'untested'),
+            ('flat point is a sink node', 'pass'),
+        ], ('T_r', 'T_eps', 'T_alpha'), (), True, True),
+    ((1, 3.0, -0.7, -1), 300): (
+        'pom', [
+            ('regular orbit has exactly one simple zero', 'pass'),
+            ('hole orbit approaches the flat profile', 'pass'),
+            ('every orbit has at most two simple zeros', 'pass'),
+            ('flat point is a sink', 'pass'),
+        ], ('T_r', 'T_eps', 'T_alpha'), (), True, True),
+    ((1, 3.0, -2.53, -1), 300): (
+        'sou', [
+            ('algebraic-decay orbit converges to the flat point backward', 'pass'),
+            ('regular orbit oscillates in sign', 'untested'),
+            ('regular orbit has a limit cycle around the origin', 'untested'),
+            ('hole orbit leaves the flat quadrant and cycles around the origin', 'untested'),
+            ('flat point is a source or weak source', 'pass'),
+        ], ('T_r', 'T_eps', 'T_alpha'), (), True, False),
+    ((1, 3.0, -2.1, -1), 300): (
+        'orb', [
+            ('algebraic-decay orbit has a backward limit cycle around the flat point', 'untested'),
+            ('regular orbit oscillates in sign', 'untested'),
+            ('hole orbit cycles around the origin', 'untested'),
+            ('flat point is a sink', 'pass'),
+        ], ('T_r', 'T_eps', 'T_alpha'), (), True, False),
+    ((1, 3.0, -2.0, -1), 300): (
+        'clin', [
+            ('connection gap vanishes at the critical exponent', 'pass'),
+            ('regular orbit oscillates in sign', 'untested'),
+            ('regular orbit has a limit cycle surrounding all stationary points', 'untested'),
+        ], ('T_r', 'T_eps'), (), False, False),
+    ((1, 3.0, -1.9, -1), 300): (
+        'ent', [
+            ('regular orbit has at least two simple zeros', 'untested'),
+            ('hole orbit stays near the flat point (converges or cycles)', 'pass'),
+        ], ('T_r', 'T_eps'), (), True, False),
+}
+
+
 class TestRegimeClassifier:
     def test_tag_table(self):
         cases = {
@@ -382,6 +525,19 @@ class TestRegimeClassifier:
         periods = [c.period_tau for c in rep.cycles]
         assert periods == pytest.approx([1.5007691155821656, 1.5007691155505003],
                                         rel=0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("case, max_steps", list(GRADER_PINS))
+    def test_grader_pinned(self, case, max_steps):
+        cfg = IntegrationConfig(max_steps=max_steps) if max_steps else None
+        rep = classify_regime(ProblemParams(*case), config=cfg, tau_budget=40.0)
+        tag, checks, kinds, sources, phi_none, bracket_none = \
+            GRADER_PINS[case, max_steps]
+        assert rep.theorem_tag == tag
+        assert rep.checks == checks
+        assert tuple(rep.trajectories) == kinds
+        assert tuple(c.meta["source"] for c in rep.cycles) == sources
+        assert (rep.phi_value is None) == phi_none
+        assert (rep.alpha_c_bracket is None) == bracket_none
 
     def test_source_regime_report(self):
         rep = classify_regime(ProblemParams(1, 3.0, -2.53, -1))

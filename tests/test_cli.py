@@ -1,6 +1,7 @@
 """Command-line surface: JSON/CSV/SVG emission, manifests, exit codes,
 and determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -8,7 +9,8 @@ import os
 import numpy as np
 import pytest
 
-from plap.cli import RECIPE_DIR, main
+from plap.cli import RECIPE_DIR, _build_config, main
+from plap.params import ParameterError
 
 
 def run(capsys, *argv):
@@ -100,6 +102,23 @@ class TestShoot:
         assert (tmp_path / "a.events.csv").read_bytes() == \
             (tmp_path / "b.events.csv").read_bytes()
 
+    @pytest.mark.parametrize("kind, N, p, alpha, eps, code, message", [
+        # the p > N corner chart overflows (kappa = N/|eta| is about 178)
+        ("T_minus", 3, 3.0343, 3.0159, 1, 1, "corner chart overflows"),
+        # the chart-parameter fixed point measures w(0) < 0
+        ("T_minus", 3, 3.2934, 3.1684, -1, 1, "w(0)"),
+        # the first seeded launch leaves chart R; a smaller seed succeeds
+        ("T_alpha", 3, 2.6018, 2.1499, 1, 0, ""),
+    ])
+    def test_launch_failures_are_declared(self, capsys, tmp_path, kind, N, p,
+                                          alpha, eps, code, message):
+        got, _, err = run(capsys, "shoot", "--kind", kind, "--N", str(N),
+                          "--p", str(p), "--alpha", str(alpha), "--eps", str(eps),
+                          "--out", str(tmp_path / "x.csv"))
+        assert got == code
+        assert message in err
+        assert len(err.splitlines()) == code  # one "error:" line on failure
+
 
 class TestIntegrate:
     def test_explicit_state(self, capsys, tmp_path):
@@ -136,6 +155,28 @@ class TestIntegrate:
         assert code == 2
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value, max_steps", [("300", 300), ("1e6", 10 ** 6),
+                                                  ("2.5", None), ("inf", None)])
+    def test_max_steps_is_whole(self, tmp_path, monkeypatch, value, max_steps):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"max_steps = {value}\n")
+        monkeypatch.setenv("PLAP_CONFIG", str(cfg))
+        if max_steps is None:
+            with pytest.raises(ParameterError, match="needs a whole number"):
+                _build_config(argparse.Namespace())
+        else:
+            got = _build_config(argparse.Namespace()).max_steps
+            assert got == max_steps and type(got) is int
+
+    def test_max_steps_budget_message(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("max_steps = 300\n")
+        monkeypatch.setenv("PLAP_CONFIG", str(cfg))
+        code, _, err = run(capsys, "classify", "--N", "2", "--p", "3",
+                           "--alpha", "-1.8", "--eps", "-1")
+        assert code == 1
+        assert "budget of 300 rhs evaluations" in err
 
     def test_bad_config_key(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.txt"
