@@ -163,56 +163,38 @@ def classify_stationary_points(params: ProblemParams) -> list[StationaryPointInf
 
 
 def count_sign_changes(trajectory: Trajectory, window=None) -> int:
-    """Number of strict sign changes of y over a tau window.
+    """Number of strict sign changes of y over a tau window (default: the
+    whole trajectory).
 
-    Transversal zeros are recorded by the integrator as events; sample
-    sign flips catch any crossing integrated without event recording.
-    The two counts are reconciled by crossing position.
+    Every zero of y on an S orbit is a ``y_zero_crossing`` event of the
+    integrator (launch samples lift only to y > 0); this counts the events
+    in the window.
     """
-    tau = np.asarray(trajectory.tau, dtype=float)
     if window is None:
-        lo, hi = float(np.min(tau)), float(np.max(tau))
+        lo, hi = float(np.min(trajectory.tau)), float(np.max(trajectory.tau))
     else:
-        lo, hi = float(window[0]), float(window[1])
-        if lo > hi:
-            lo, hi = hi, lo
-    mask = (tau >= lo) & (tau <= hi)
-    y = trajectory.ys[0][mask]
-    t = tau[mask]
-    crossings: list[float] = []
-    brackets: list[tuple[float, float]] = []
-    s = np.sign(y)
-    nz = s != 0.0
-    idx = np.flatnonzero(nz)
-    for a, b in zip(idx[:-1], idx[1:]):
-        if s[a] * s[b] < 0.0:
-            # linear zero position between the two samples
-            ta, tb = t[a], t[b]
-            ya, yb = y[a], y[b]
-            crossings.append(float(ta + (tb - ta) * ya / (ya - yb)))
-            brackets.append((min(ta, tb), max(ta, tb)))
-    # events refine, and catch crossings hidden between coarse samples;
-    # an event inside a sample interval that already flipped sign is the
-    # same crossing seen twice
-    for ev in trajectory.events:
-        if ev.kind == "y_zero_crossing" and lo <= ev.time <= hi and ev.state.Y != 0.0:
-            if not any(ta <= ev.time <= tb for ta, tb in brackets):
-                crossings.append(ev.time)
-    return len(crossings)
+        lo, hi = sorted(map(float, window))
+    return sum(1 for ev in trajectory.events
+               if ev.kind == "y_zero_crossing" and lo <= ev.time <= hi)
 
 
 # ---------------------------------------------------------------------------
 # asymptotic labels
 
 
-def _tail_window(trajectory: Trajectory, frac: float = 0.2):
-    """Sample mask for the terminal ``frac`` of the tau span, in the
+_TAIL_FRAC = 0.2    # share of the tau span a tail label reads
+_MATCH_TOL = 1e-3   # distance to a slope-pair limit that counts as a match
+_FIT_TOL = 0.01     # relative error allowed in the fitted log slope
+
+
+def _tail_window(trajectory: Trajectory):
+    """Sample mask for the terminal ``_TAIL_FRAC`` of the tau span, in the
     trajectory's integration direction."""
     tau = np.asarray(trajectory.tau, dtype=float)
     d = trajectory.direction
     t_end = tau[-1]
     span = abs(tau[-1] - tau[0])
-    width = max(frac * span, 1e-12)
+    width = max(_TAIL_FRAC * span, 1e-12)
     return d * (tau - t_end) >= -width
 
 
@@ -228,8 +210,7 @@ def _slope_fit(trajectory: Trajectory, mask) -> Optional[float]:
     return float(np.polyfit(tau[good], lw, 1)[0])
 
 
-def asymptotic_label(trajectory: Trajectory, params: ProblemParams,
-                     match_tol: float = 1e-3, fit_tol: float = 0.01) -> str:
+def asymptotic_label(trajectory: Trajectory, params: ProblemParams) -> str:
     """Label the terminal end of a trajectory by its slope-pair limit.
 
     The tail window is the last 20% of the tau span.  Candidate limits of
@@ -242,9 +223,9 @@ def asymptotic_label(trajectory: Trajectory, params: ProblemParams,
     * L_eta    = zeta -> eta with |sigma| -> infinity  (p != N);
     * L_plus / L_minus = zeta -> 0 with sigma -> +-infinity (p >= N / p > N).
 
-    A point match (within ``match_tol``) is re-verified against the fitted
+    A point match (within ``_MATCH_TOL``) is re-verified against the fitted
     logarithmic slope d ln|w| / d ln r, which must equal -zeta within
-    ``fit_tol`` relative to max(1, |zeta|).  Oscillating tails (sign
+    ``_FIT_TOL`` relative to max(1, |zeta|).  Oscillating tails (sign
     changes of y) are labeled ``oscillating_sign``; constant-sign
     non-convergent bounded tails around a flat point are labeled
     ``cycle``; escape and capture terminations short-circuit.  If no
@@ -275,14 +256,14 @@ def asymptotic_label(trajectory: Trajectory, params: ProblemParams,
     sigma = Y[good] / y[good]
     z_end, s_end = float(zeta[-1]), float(sigma[-1])
     z_spread = float(np.ptp(zeta[-max(3, zeta.size // 4):]))
-    converged = z_spread <= 10.0 * match_tol
+    converged = z_spread <= 10.0 * _MATCH_TOL
 
     slope = _slope_fit(trajectory, mask)
 
     def fit_ok(z_target: float) -> bool:
         if slope is None:
             return False
-        return abs(slope - (-z_target)) <= fit_tol * max(1.0, abs(z_target))
+        return abs(slope - (-z_target)) <= _FIT_TOL * max(1.0, abs(z_target))
 
     # point targets, checked nearest-first
     targets = [
@@ -292,15 +273,15 @@ def asymptotic_label(trajectory: Trajectory, params: ProblemParams,
     ]
     if converged:
         for name, zt, st in targets:
-            if abs(z_end - zt) <= match_tol and abs(s_end - st) <= match_tol:
+            if abs(z_end - zt) <= _MATCH_TOL and abs(s_end - st) <= _MATCH_TOL:
                 if fit_ok(zt):
                     return name
     # vertical-line targets: zeta convergent, |sigma| divergent
     sig_grow = abs(s_end) > 10.0 and abs(s_end) > 2.0 * abs(float(sigma[0]))
     if converged and sig_grow:
-        if dc.eta != 0.0 and abs(z_end - dc.eta) <= match_tol and fit_ok(dc.eta):
+        if dc.eta != 0.0 and abs(z_end - dc.eta) <= _MATCH_TOL and fit_ok(dc.eta):
             return "L_eta"
-        if abs(z_end) <= match_tol and fit_ok(0.0):
+        if abs(z_end) <= _MATCH_TOL and fit_ok(0.0):
             if p >= N and s_end > 0.0:
                 return "L_plus"
             if p > N and s_end < 0.0:
@@ -472,9 +453,11 @@ def _floquet_mean(traj: Trajectory, t0: float, t1: float,
     return base + integ / period
 
 
+_REFINE_TOL = 1e-8  # relative residual of the polished return-map fixed point
+
+
 def detect_limit_cycle(trajectory: Trajectory, params: ProblemParams,
-                       config: Optional[IntegrationConfig] = None,
-                       refine_tol: float = 1e-8) -> Optional[CycleInfo]:
+                       config: Optional[IntegrationConfig] = None) -> Optional[CycleInfo]:
     """Detect a limit cycle from the tail of a trajectory.
 
     The Poincaré section is the positive Y-axis when the tail oscillates
@@ -482,7 +465,7 @@ def detect_limit_cycle(trajectory: Trajectory, params: ProblemParams,
     the flat point on the tail's side.  At least 10 oriented section
     crossings are required; the return ordinates must approach a fixed
     point, which is then polished by secant iteration on the return map
-    until one more return reproduces it within ``refine_tol``.  Absence
+    until one more return reproduces it within ``_REFINE_TOL``.  Absence
     of a cycle returns None.
     """
     cfg = config or IntegrationConfig()
@@ -517,7 +500,7 @@ def detect_limit_cycle(trajectory: Trajectory, params: ProblemParams,
         for _ in range(30):
             r1, per, traj1 = _return_map(x1, params, center, d, cfg, period_guess)
             f1 = r1 - x1
-            if abs(f1) <= refine_tol * max(1.0, abs(x1)):
+            if abs(f1) <= _REFINE_TOL * max(1.0, abs(x1)):
                 best = (x1, per, traj1)
                 break
             if f1 == f0:
@@ -791,26 +774,25 @@ class RegimeReport:
         return all(status != "fail" for _, status in self.checks)
 
 
-def theorem_tag(params: ProblemParams,
-                alpha_c: Optional[float] = None,
-                alpha_c_tol: float = 1e-6) -> str:
+_ALPHA_C_TOL = 1e-6  # half-width of the clin band around alpha_c
+
+
+def theorem_tag(params: ProblemParams) -> str:
     """The case of the global classification governing (eps, alpha).
 
     eps = +1 splits at -gamma (pin above, mel below); eps = -1 splits at
     -gamma (osc at or below), 0 (int above), -p' (pom in [-p', 0)), and
     on (-gamma, -p') at alpha_star (sou), alpha_c (orb below, clin
-    within ``alpha_c_tol``, ent above).  When alpha_c is needed but not
-    supplied, N = 1 uses the closed form and N >= 2 the sign of the
-    decreasing connection function: phi(alpha) gives the side of
-    alpha_c, and one more evaluation at alpha -+ alpha_c_tol decides
-    clin.
+    within ``_ALPHA_C_TOL``, ent above).  N = 1 uses the closed form of
+    alpha_c and N >= 2 the sign of the decreasing connection function:
+    phi(alpha) gives the side of alpha_c, and one more evaluation at
+    alpha -+ ``_ALPHA_C_TOL`` decides clin.
     """
-    return _tag_and_phi(params, IntegrationConfig(), alpha_c, alpha_c_tol)[0]
+    return _tag_and_phi(params, IntegrationConfig())[0]
 
 
-def _tag_and_phi(params: ProblemParams, cfg: IntegrationConfig,
-                 alpha_c: Optional[float] = None,
-                 alpha_c_tol: float = 1e-6) -> tuple[str, Optional[float]]:
+def _tag_and_phi(params: ProblemParams,
+                 cfg: IntegrationConfig) -> tuple[str, Optional[float]]:
     """:func:`theorem_tag` and, when deciding it took one, phi(alpha)."""
     dc = derive_constants(params)
     al = params.alpha
@@ -824,12 +806,10 @@ def _tag_and_phi(params: ProblemParams, cfg: IntegrationConfig,
         return "pom", None
     if al <= dc.alpha_star:
         return "sou", None
-    if alpha_c is None and params.N == 1:
-        alpha_c = dc.alpha_p
-    if alpha_c is not None:
-        if abs(al - alpha_c) <= alpha_c_tol:
+    if params.N == 1:
+        if abs(al - dc.alpha_p) <= _ALPHA_C_TOL:
             return "clin", None
-        return ("orb" if al < alpha_c else "ent"), None
+        return ("orb" if al < dc.alpha_p else "ent"), None
     # phi is evaluated only where find_alpha_c evaluates it, in the
     # search interval that holds alpha_c; nearer the bracket ends a
     # separatrix can miss the section.  A neighbour beyond the interval
@@ -840,11 +820,11 @@ def _tag_and_phi(params: ProblemParams, cfg: IntegrationConfig,
         return ("orb" if al <= a else "ent"), None
     phi = phi_of_alpha(params.N, params.p, al, cfg)
     if phi > 0.0:
-        right = min(al + alpha_c_tol, b)
+        right = min(al + _ALPHA_C_TOL, b)
         near = phi_of_alpha(params.N, params.p, right, cfg) <= 0.0
         return ("clin" if near else "orb"), phi
     if phi < 0.0:
-        left = max(al - alpha_c_tol, a)
+        left = max(al - _ALPHA_C_TOL, a)
         near = phi_of_alpha(params.N, params.p, left, cfg) >= 0.0
         return ("clin" if near else "ent"), phi
     return "clin", phi
@@ -959,18 +939,17 @@ THEOREM_TAGS = tuple(_THEOREMS)
 
 
 def classify_regime(params: ProblemParams,
-                    config: Optional[IntegrationConfig] = None,
-                    tau_budget: float = 200.0) -> RegimeReport:
+                    config: Optional[IntegrationConfig] = None) -> RegimeReport:
     """Run the constructions and detectors the governing theorem talks
     about and grade its machine-checkable clauses.
 
     Each check is "pass" or "fail" when the run could decide it, and
-    "untested" when the finite tau budget or a failed construction left
-    it undecided (the classifier never extrapolates; claims about
-    infinitely many zeros are certified only through a detected cycle).
+    "untested" when the finite tau span (``config.max_time_span``) or a
+    failed construction left it undecided (the classifier never
+    extrapolates; claims about infinitely many zeros are certified only
+    through a detected cycle).
     """
     cfg = config or IntegrationConfig()
-    span = min(tau_budget, cfg.max_time_span)
     tag, phi_value = _tag_and_phi(params, cfg)
     theorem = _THEOREMS[tag]
     if theorem.phi and phi_value is None:
@@ -988,8 +967,7 @@ def classify_regime(params: ProblemParams,
     for kind in ("T_r", "T_eps", *theorem.shoots):
         try:
             t = trajs[kind] = traj_mod.shoot(traj_mod.SpecialTrajectorySpec(kind),
-                                             params, cfg, tau_span=span,
-                                             consistency_check=False)
+                                             params, cfg, consistency_check=False)
         except (IntegrationError, ParameterError, AnalysisError) as exc:
             report.trajectories[kind] = {"error": str(exc)}
             continue

@@ -20,8 +20,16 @@ norm, step controller and quartic dense output, with events located by
 Brent's method on the dense output.  It counts every attempted step
 against ``IntegrationConfig.max_steps`` and stops at the first non-finite
 state.  The band crossings and the other charts run through
-``solve_ivp``'s RK45.  Capture tests near stationary points and escape
-thresholds end an orbit.
+``solve_ivp``'s RK45.
+
+``integrate_s`` builds one table of S-chart events per call.  Every zero
+of y and every optional section crossing is recorded.  The terminal rows
+end a stepper segment, and one rule per row kind decides what follows:
+the axis band hands over to the crossing chart, the escape threshold
+ends the orbit, the capture disc of M_ell or minus_M_ell ends it only in
+the tau direction in which that point attracts (the disc is not armed in
+the other), and the origin disc ends it as a double-zero contact when
+the orbit moves inward along sigma ~ eps, flagged otherwise.
 """
 
 from __future__ import annotations
@@ -129,17 +137,7 @@ class Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# capture logic
-
-
-def _stationary_targets(params: ProblemParams):
-    """(id, (y, Y)) of the candidate limit points with linearizations."""
-    targets = []
-    m = m_ell_point(params)
-    if m is not None:
-        targets.append(("M_ell", m))
-        targets.append(("minus_M_ell", (-m[0], -m[1])))
-    return targets
+# S-chart integration
 
 
 def _m_ell_attracting_direction(params: ProblemParams) -> int:
@@ -155,39 +153,6 @@ def _m_ell_attracting_direction(params: ProblemParams) -> int:
     return 0  # weak source: no exponential attraction either way
 
 
-def capture_test(state: PhaseState, params: ProblemParams,
-                 direction: int = 1,
-                 config: Optional[IntegrationConfig] = None) -> Optional[str]:
-    """Return the id of a stationary point ('origin', 'M_ell',
-    'minus_M_ell') if the state lies within the capture radius of it and
-    the local linearization predicts attraction in the given direction.
-
-    The origin has no linearization (the field is non-Lipschitz there);
-    it captures when the state is inside the origin radius and moving
-    inward.
-    """
-    cfg = config or IntegrationConfig()
-    y, Y = state.y, state.Y
-    for pid, (my, mY) in _stationary_targets(params):
-        scale = math.hypot(my, mY)
-        radius = cfg.capture_radius * scale
-        if math.hypot(y - my, Y - mY) <= radius:
-            att = _m_ell_attracting_direction(params)
-            if att == direction or (y, Y) == (my, mY):
-                return pid
-            return None
-    if math.hypot(y, Y) <= cfg.origin_radius:
-        fy, fY = _s_rhs(params, 1)(y, Y)
-        inward = direction * (y * fy + Y * fY) < 0.0
-        if inward or (y == 0.0 and Y == 0.0):
-            return "origin"
-    return None
-
-
-# ---------------------------------------------------------------------------
-# S-chart integration
-
-
 def _band_width(y: float, params: ProblemParams, cfg: IntegrationConfig) -> float:
     """Half-width of the axis band at local ordinate y.
 
@@ -197,23 +162,19 @@ def _band_width(y: float, params: ProblemParams, cfg: IntegrationConfig) -> floa
     return cfg.y_axis_band * max(1.0, abs(y))
 
 
-def _cross_axis(y0: float, Y0: float, tau0: float, direction: int,
+def _cross_axis(y0: float, Y0: float, tau0: float,
                 params: ProblemParams, cfg: IntegrationConfig):
     """Integrate across {Y = 0} using Y as the independent variable.
 
-    Returns (samples_tau, samples_y, samples_Y, event, ok) where the event
-    marks the exact crossing.  ``ok`` is False when the crossing is
-    degenerate (y too small for the transversality estimate)."""
+    Returns (samples_tau, samples_y, samples_Y, event), the event marking
+    the exact crossing, or None when the crossing is degenerate (y too
+    small for the transversality estimate) or the solve fails."""
     f = _s_rhs(params, 1)
 
     # transversality guard: |dY/dtau| must dominate the band scale
     # |phi(Y0)| = |f(0, Y0)[0]|
     if abs(f(y0, 0.0)[1]) < 2.0 * abs(f(0.0, Y0)[0]):
-        return None, None, None, None, False
-    if direction * f(y0, Y0)[1] * (-Y0) < 0.0:
-        # not actually moving toward the axis (can happen only on re-entry
-        # edge cases); report not-ok so the caller resumes normally
-        return None, None, None, None, False
+        return None
 
     def rhs(Y, u):
         f1, den = f(u[0], Y)
@@ -223,13 +184,10 @@ def _cross_axis(y0: float, Y0: float, tau0: float, direction: int,
                     rtol=min(cfg.rel_tol, 1e-10), atol=cfg.abs_tol,
                     dense_output=True, max_step=abs(Y0) / 4.0)
     if not sol.success:
-        return None, None, None, None, False
+        return None
     y_mid, tau_mid = sol.sol(0.0)
     ev = Event("Y_zero_crossing", float(tau_mid), PhaseState(float(tau_mid), float(y_mid), 0.0))
-    Ys = sol.t
-    ys = sol.y[0]
-    taus = sol.y[1]
-    return taus, ys, Ys, ev, True
+    return sol.y[1], sol.y[0], sol.t, ev
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +216,14 @@ _ROOT_TOL = 4 * float(np.finfo(float).eps)
 class _SEvent:
     """An event of chart S: ``fn(y, Y)`` changes sign at the event.
     ``direction`` is +1 / -1 for upward / downward crossings only, 0 for
-    both; a terminal event ends the segment."""
+    both; a terminal event ends the segment.  ``kind`` is what
+    :func:`integrate_s` makes of a hit: the recorded event's kind for a
+    non-terminal row, the ending rule for a terminal one."""
 
     fn: Callable[[float, float], float]
     direction: int = 0
     terminal: bool = False
+    kind: str = ""
 
 
 @dataclass
@@ -455,16 +416,17 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
                 *,
                 capture: bool = True,
                 section_y: Optional[float] = None,
-                tau_span: Optional[float] = None,
-                record_y_zero: bool = True) -> Trajectory:
+                tau_span: Optional[float] = None) -> Trajectory:
     """Integrate chart S from ``initial`` in the given tau direction.
 
-    Optional ``section_y`` adds a non-terminal section-crossing recorder on
-    the line {y = section_y}.  Capture events terminate at stationary
-    points; escape terminates at the configured threshold.  The returned
-    trajectory's ``meta["stats"]`` counts the stepper's work: ``rhs_evals``,
-    ``accepted`` and ``rejected`` steps, and ``segments`` (solver starts);
-    the axis crossings are not in it.
+    Every zero of y is a ``y_zero_crossing`` event, and optional
+    ``section_y`` adds a non-terminal section-crossing recorder on the
+    line {y = section_y}.  With ``capture``, the orbit ends in the capture
+    disc of M_ell or minus_M_ell when that point attracts in this
+    direction, and in the origin disc; escape terminates at the configured
+    threshold.  The returned trajectory's ``meta["stats"]`` counts the
+    stepper's work: ``rhs_evals``, ``accepted`` and ``rejected`` steps,
+    and ``segments`` (solver starts); the axis crossings are not in it.
     """
     cfg = config or IntegrationConfig()
     if direction not in (1, -1):
@@ -484,6 +446,13 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
     def tau_of(s):
         return initial.tau + direction * s
 
+    def origin_end(y, Y):
+        # moving inward on the sigma ~ eps diagonal: the double-zero
+        # contact, where w and w' vanish together at a finite radius
+        fy, fY = f(y, Y)  # direction-signed
+        sigma = Y / y if y != 0.0 else math.inf
+        return (y * fy + Y * fY) < 0.0 and abs(sigma - eps) < 0.25
+
     band, esc = cfg.y_axis_band, cfg.escape_threshold
 
     def squares(fn):
@@ -495,143 +464,97 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
                 return math.inf
         return g
 
-    # (kind, aux, event) for the events of every segment; captures are
-    # added per segment since one can be disabled
-    fixed = []
-    if record_y_zero:
-        fixed.append(("y_zero", None, _SEvent(lambda y, Y: y)))
+    table = [_SEvent(lambda y, Y: y, kind="y_zero_crossing")]
     if section_y is not None:
-        fixed.append(("section", None, _SEvent(lambda y, Y: y - section_y)))
-    fixed.append(("band", +1, _SEvent(lambda y, Y: Y - band * max(1.0, abs(y)), -1, True)))
-    fixed.append(("band", -1, _SEvent(lambda y, Y: Y + band * max(1.0, abs(y)), 1, True)))
-    fixed.append(("escape", None, _SEvent(squares(
-        lambda y, Y: (y / esc) ** 2 + (Y / esc) ** 2 - 1.0), 1, True)))
-    targets = _stationary_targets(params) if capture else []
-    captures = []
-    for pid, (my, mY) in targets:
-        rad = cfg.capture_radius * math.hypot(my, mY)
-        captures.append(("capture", pid, _SEvent(squares(
-            lambda y, Y, _my=my, _mY=mY, _r=rad: (y - _my) ** 2 + (Y - _mY) ** 2 - _r ** 2),
-            -1, True)))
+        table.append(_SEvent(lambda y, Y: y - section_y, kind="section_crossing"))
+    table.append(_SEvent(lambda y, Y: Y - band * max(1.0, abs(y)), -1, True, "band"))
+    table.append(_SEvent(lambda y, Y: Y + band * max(1.0, abs(y)), 1, True, "band"))
+    table.append(_SEvent(squares(lambda y, Y: (y / esc) ** 2 + (Y / esc) ** 2 - 1.0),
+                         1, True, "escape"))
+    m = m_ell_point(params)
+    if capture and m is not None and _m_ell_attracting_direction(params) == direction:
+        rad = cfg.capture_radius * math.hypot(*m)
+        for pid, (my, mY) in (("M_ell", m), ("minus_M_ell", (-m[0], -m[1]))):
+            table.append(_SEvent(squares(
+                lambda y, Y, _my=my, _mY=mY: (y - _my) ** 2 + (Y - _mY) ** 2 - rad ** 2),
+                -1, True, pid))
     if capture:
         orad = cfg.origin_radius
-        captures.append(("origin", None, _SEvent(squares(
-            lambda y, Y: y ** 2 + Y ** 2 - orad ** 2), -1, True)))
+        table.append(_SEvent(squares(lambda y, Y: y ** 2 + Y ** 2 - orad ** 2),
+                             -1, True, "origin"))
 
     taus: list[np.ndarray] = []
     ys_parts: list[np.ndarray] = []
     events: list[Event] = []
-    termination = "time_span"
     stats = {"rhs_evals": 0, "accepted": 0, "rejected": 0, "segments": 0}
 
     s_now = 0.0
     y, Y = float(initial.y), float(initial.Y)
-    disabled_capture: Optional[str] = None
-    att_dir = _m_ell_attracting_direction(params)
 
     while True:
-        # --- possible immediate band crossing
-        bw = _band_width(y, params, cfg)
-        if 0.0 < abs(Y) <= bw * (1.0 + 1e-6):
-            v = f(y, Y)[1]
-            if v * (-Y) > 0.0:  # moving toward the axis
-                t_arr, y_arr, Y_arr, ev, ok = _cross_axis(
-                    y, Y, tau_of(s_now), direction, params, cfg)
-                if ok:
-                    taus.append(t_arr)
-                    ys_parts.append(np.vstack([y_arr, Y_arr]))
-                    events.append(ev)
-                    s_now = direction * (float(t_arr[-1]) - initial.tau)
-                    y, Y = float(y_arr[-1]), float(Y_arr[-1])
-                    if s_now >= span:
-                        termination = "time_span"
-                        break
-                    continue
+        # on the band edge and moving toward the axis: cross it over Y
+        if 0.0 < abs(Y) <= _band_width(y, params, cfg) * (1.0 + 1e-6) \
+                and f(y, Y)[1] * (-Y) > 0.0:
+            crossing = _cross_axis(y, Y, tau_of(s_now), params, cfg)
+            if crossing is None:
+                # transversality failed: the orbit is heading into the
+                # origin; off the double-zero contact it is left flagged
+                # for the asymptotic classifier
+                tau_here = tau_of(s_now)
+                if math.hypot(y, Y) <= 1e-5 and origin_end(y, Y):
+                    events.append(Event("double_zero_capture", tau_here,
+                                        PhaseState(tau_here, y, Y)))
+                    termination = "captured:origin"
                 else:
-                    # transversality failed: the orbit is heading into the
-                    # origin.  On the sigma ~ eps diagonal this is the
-                    # double-zero contact (w and w' vanish together at a
-                    # finite radius); otherwise leave it flagged for the
-                    # asymptotic classifier.
-                    tau_here = tau_of(s_now)
-                    st = PhaseState(tau_here, y, Y)
-                    fy, fY = f(y, Y)  # direction-signed
-                    inward = (y * fy + Y * fY) < 0.0
-                    sigma = Y / y if y != 0.0 else math.inf
-                    if math.hypot(y, Y) <= 1e-5 and inward \
-                            and abs(sigma - eps) < 0.25:
-                        events.append(Event("double_zero_capture", tau_here, st))
-                        termination = "captured:origin"
-                    else:
-                        termination = "origin_flagged"
-                    break
+                    termination = "origin_flagged"
+                break
+            t_arr, y_arr, Y_arr, ev = crossing
+            taus.append(t_arr)
+            ys_parts.append(np.vstack([y_arr, Y_arr]))
+            events.append(ev)
+            s_now = direction * (float(t_arr[-1]) - initial.tau)
+            y, Y = float(y_arr[-1]), float(Y_arr[-1])
+            if s_now >= span:
+                termination = "time_span"
+                break
+            continue
 
-        specs = fixed + [c for c in captures
-                         if c[0] != "capture" or c[1] != disabled_capture]
         seg = _rk45_segment(f, s_now, span, y, Y, cfg.rel_tol, cfg.abs_tol,
-                            cfg.max_step, [sp[2] for sp in specs], stats,
-                            cfg.max_steps, tau_of)
+                            cfg.max_step, table, stats, cfg.max_steps, tau_of)
         taus.append(initial.tau + direction * np.array(seg.t))
         ys_parts.append(np.array([seg.y, seg.Y]))
 
-        # record non-terminal events in time order
-        nonterm = []
+        # record the non-terminal hits in time order
+        recorded = []
         for i, s_e, y_e, Y_e in seg.hits:
-            tag = specs[i][0]
-            if tag == "y_zero":
-                nonterm.append(Event("y_zero_crossing", tau_of(s_e),
-                                     PhaseState(tau_of(s_e), 0.0, Y_e)))
-            elif tag == "section":
-                nonterm.append(Event("section_crossing", tau_of(s_e),
-                                     PhaseState(tau_of(s_e), y_e, Y_e)))
-        nonterm.sort(key=lambda e: direction * e.time)
-        events.extend(nonterm)
+            if not table[i].terminal:
+                kind, tau_e = table[i].kind, tau_of(s_e)
+                recorded.append(Event(kind, tau_e, PhaseState(
+                    tau_e, 0.0 if kind == "y_zero_crossing" else y_e, Y_e)))
+        recorded.sort(key=lambda e: direction * e.time)
+        events.extend(recorded)
 
         if seg.terminal is None:
             termination = "time_span"
             break
-
-        tag, aux, _ = specs[seg.terminal]
+        kind = table[seg.terminal].kind
         s_now, y, Y = seg.t[-1], seg.y[-1], seg.Y[-1]
-        tau_here = tau_of(s_now)
-        if disabled_capture is not None:
-            # re-enable once we are well clear of the point
-            for pid, (my, mY) in targets:
-                if pid == disabled_capture:
-                    if math.hypot(y - my, Y - mY) > \
-                            2.0 * cfg.capture_radius * math.hypot(my, mY):
-                        disabled_capture = None
-
-        if tag == "escape":
-            events.append(Event("escape_to_infinity", tau_here,
-                                PhaseState(tau_here, y, Y)))
-            termination = "escape"
-            break
-        if tag == "band":
+        if kind == "band":
             # loop around: the band crossing happens at the top
             if s_now >= span:
                 termination = "time_span"
                 break
             continue
-        if tag == "capture":
-            if att_dir == direction:
-                events.append(Event("stationary_capture", tau_here,
-                                    PhaseState(tau_here, y, Y)))
-                termination = f"captured:{aux}"
-                break
-            disabled_capture = aux
-            continue
-        # tag == "origin"
-        st = PhaseState(tau_here, y, Y)
-        sigma = Y / y if y != 0.0 else math.inf
-        fy, fY = f(y, Y)  # already direction-signed
-        moving_in = (y * fy + Y * fY) < 0.0
-        if abs(sigma - eps) < 0.25 and moving_in:
-            events.append(Event("double_zero_capture", tau_here, st))
-            termination = "captured:origin"
+        tau_here = tau_of(s_now)
+        if kind == "escape":
+            ev_kind, termination = "escape_to_infinity", "escape"
+        elif kind != "origin":
+            ev_kind, termination = "stationary_capture", f"captured:{kind}"
+        elif origin_end(y, Y):
+            ev_kind, termination = "double_zero_capture", "captured:origin"
         else:
-            events.append(Event("stationary_capture", tau_here, st))
-            termination = "origin_flagged"
+            ev_kind, termination = "stationary_capture", "origin_flagged"
+        events.append(Event(ev_kind, tau_here, PhaseState(tau_here, y, Y)))
         break
 
     tau_all = np.concatenate(taus)

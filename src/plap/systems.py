@@ -102,8 +102,8 @@ class ProfileSample:
 
 def _s_rhs(params: ProblemParams, direction: int):
     """The S field on Python floats, signed for the tau direction; the one
-    definition of chart S (``field("S")``, the integrator, its axis
-    crossings and its capture test all evaluate it).
+    definition of chart S (``field("S")``, the integrator and its axis
+    crossings evaluate it).
 
     Bit for bit the numpy evaluation through :func:`phi_Y`: the float
     ``**`` equals numpy's power on a 0-d array, and the signs are exact."""

@@ -44,7 +44,7 @@ from .integrate import (
     Trajectory,
     integrate_s,
 )
-from .systems import ChartDomainError, PhaseState, field, phi_Y
+from .systems import ChartDomainError, PhaseState, field, to_profile
 
 
 DEFAULT_OFFSET = 1e-7
@@ -151,6 +151,10 @@ def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
     except ChartDomainError as exc:
         raise IntegrationError(f"launch phase in chart {chart} left the chart: "
                                f"{exc}") from None
+    except ValueError as exc:
+        # scipy's event root search on a zero-length step, where the
+        # event function has blown up
+        raise IntegrationError(f"launch phase in chart {chart} failed: {exc}") from None
     if sol.status == -1:
         raise IntegrationError(f"launch phase in chart {chart} failed: {sol.message}")
     if sol.status != 1 or not any(te.size for te in sol.t_events[:len(goals)]):
@@ -533,14 +537,16 @@ def _run_flat_launch_pgtN(params: ProblemParams, c1: float, tau0: float,
 def _measure_flat_limits(tau: float, y: float, Y: float, params: ProblemParams):
     """(a, c) limits measured at the S point (tau, y, Y) near r = 0: a from
     w + (c/|eta|) r^{|eta|} (the exact first-order tail), c from
-    -r^{eta+1} w'."""
-    dc = derive_constants(params)
-    eta = dc.eta
-    r = math.exp(tau)
-    w = r ** dc.gamma * y
-    dw = -(r ** (dc.gamma - 1.0)) * float(phi_Y(Y, params.p))
-    c_meas = -(r ** (eta + 1.0)) * dw
-    a_meas = w + (c_meas / abs(eta)) * r ** abs(eta)
+    -r^{eta+1} w'.  Raises :class:`IntegrationError` when the point or a
+    limit is not finite (a launch point psi0 that underflows lifts to
+    y = Y = inf)."""
+    eta = derive_constants(params).eta
+    prof = to_profile(PhaseState(tau, y, Y), params)
+    c_meas = -(prof.r ** (eta + 1.0)) * prof.dw
+    a_meas = prof.w + (c_meas / abs(eta)) * prof.r ** abs(eta)
+    if not all(map(math.isfinite, (y, Y, a_meas, c_meas))):
+        raise IntegrationError(f"flat-limit launch point measured non-finite limits "
+                               f"(a, c) = ({a_meas}, {c_meas}) at (y, Y) = ({y}, {Y})")
     return a_meas, c_meas
 
 
@@ -600,7 +606,8 @@ def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: float = 1.0,
         a1 = a
         for _ in range(6):
             zeta0, psi0 = _run_flat_launch_pgtN(params, c1, tau0, cfg)
-            _, yp, Yp = _lift("P", np.array([zeta0]), np.array([psi0]), p)
+            with np.errstate(over="ignore"):  # inf is rejected just below
+                _, yp, Yp = _lift("P", np.array([zeta0]), np.array([psi0]), p)
             a1, c1_meas = _measure_flat_limits(tau0, float(yp[0]), float(Yp[0]), params)
             if not a1 > 0.0:
                 raise IntegrationError(f"flat-limit fixed point measured w(0) = {a1} "

@@ -109,7 +109,7 @@ def test_criterion_5_oscillation_regime(capsys):
         n = count_sign_changes(traj,
                                window=(traj.tau[-1] - 50.0, traj.tau[-1]))
         assert n >= 10, f"{n} sign changes"
-        cyc = detect_limit_cycle(traj, params, refine_tol=1e-8)
+        cyc = detect_limit_cycle(traj, params)
         assert cyc is not None, "no limit cycle certified"
         y, Y = traj.ys
         tail = traj.tau >= traj.tau[0] + 0.5 * (traj.tau[-1] - traj.tau[0])

@@ -314,10 +314,10 @@ class TestCriticalExponent:
             find_alpha_c(2, 3.0, tol=0.0)
 
 
-# classify_regime(params, IntegrationConfig(max_steps=...), tau_budget=40)
+# classify_regime(params, IntegrationConfig(max_steps=..., max_time_span=40))
 # recorded from the per-tag grader: tag, (clause, status) list, digest
 # kinds in order, cycle sources, and whether phi_value / alpha_c_bracket
-# is None.  None is the default config; 300 starves the shootings, so some
+# is None.  None is the default budget of 10**6; 300 starves the shootings, so some
 # fail and their clauses read "untested".
 GRADER_PINS = {
     ((2, 3.0, 1.0, 1), None): (
@@ -528,8 +528,8 @@ class TestRegimeClassifier:
 
     @pytest.mark.parametrize("case, max_steps", list(GRADER_PINS))
     def test_grader_pinned(self, case, max_steps):
-        cfg = IntegrationConfig(max_steps=max_steps) if max_steps else None
-        rep = classify_regime(ProblemParams(*case), config=cfg, tau_budget=40.0)
+        cfg = IntegrationConfig(max_time_span=40.0, max_steps=max_steps or 10 ** 6)
+        rep = classify_regime(ProblemParams(*case), config=cfg)
         tag, checks, kinds, sources, phi_none, bracket_none = \
             GRADER_PINS[case, max_steps]
         assert rep.theorem_tag == tag

@@ -109,6 +109,12 @@ class TestShoot:
         ("T_minus", 3, 3.2934, 3.1684, -1, 1, "w(0)"),
         # the first seeded launch leaves chart R; a smaller seed succeeds
         ("T_alpha", 3, 2.6018, 2.1499, 1, 0, ""),
+        # the first fixed-point launch point psi0 underflows (kappa is about
+        # 178), so its lift is infinite
+        ("T_plus", 3, 3.0343, 3.0159, 1, 1, "non-finite limits"),
+        # scipy's event root search fails on a zero-length LSODA step of
+        # the first seeded launch; a smaller seed succeeds
+        ("T_alpha", 2, 3.3197, 1.9702, 1, 0, ""),
     ])
     def test_launch_failures_are_declared(self, capsys, tmp_path, kind, N, p,
                                           alpha, eps, code, message):

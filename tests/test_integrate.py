@@ -13,7 +13,6 @@ from plap.systems import PhaseState, from_profile, oracle
 from plap.integrate import (
     IntegrationConfig,
     IntegrationError,
-    capture_test,
     integrate,
     integrate_s,
 )
@@ -72,12 +71,28 @@ class TestEventsAndCaptures:
         traj = integrate_s(start, params, direction=1)
         assert traj.termination == "captured:M_ell"
 
-    def test_capture_test_rules(self):
-        params = ProblemParams(2, 3.0, -6.0, 1)
-        m = m_ell_point(params)
-        assert capture_test(PhaseState(0.0, *m), params, direction=1) == "M_ell"
-        far = PhaseState(0.0, m[0] + 1e-3, m[1])
-        assert capture_test(far, params, direction=1) is None
+    @pytest.mark.parametrize("params, start, termination, kind", [
+        # the explicit compact-support profile ends in a double zero
+        (ProblemParams(2, 3.0, 2.0, 1), None, "captured:origin",
+         "double_zero_capture"),
+        # inward, but along the Y = 0 axis rather than the sigma = eps diagonal
+        (ProblemParams(2, 3.0, 1.0, 1), (0.2, 0.0), "origin_flagged",
+         "stationary_capture"),
+    ])
+    def test_origin_disc_ending(self, params, start, termination, kind):
+        # a disc much wider than the axis band is met before the failed
+        # crossing that ends these orbits under the default radius
+        if start is None:
+            sol = oracle("barenblatt", params, free_constant=1.0)
+            state0 = from_profile(sol.sample(0.1), params)
+        else:
+            state0 = PhaseState(0.0, *start)
+        cfg = IntegrationConfig(origin_radius=1e-3)
+        traj = integrate_s(state0, params, config=cfg)
+        assert traj.termination == termination
+        last = traj.events[-1]
+        assert last.kind == kind
+        assert math.hypot(last.state.y, last.state.Y) == pytest.approx(1e-3, rel=1e-9)
 
     def test_escape_termination(self):
         params = ProblemParams(1, 3.0, 1.0, -1)  # backward orbits blow up
