@@ -373,7 +373,13 @@ def _return_map(Y_sec: float, params: ProblemParams, center: str,
                 direction: int, cfg: IntegrationConfig,
                 period_guess: float):
     """One Poincaré return from the section point; returns
-    (Y_next, period, trajectory)."""
+    (Y_next, period, trajectory).
+
+    The orbit ends after the step in which it next crosses the section
+    line the way it left it.  Its samples are a prefix of the orbit over
+    the whole span, so the first chord return is the same; when the
+    prefix holds none (the event and the chord's Y test disagree), the
+    whole span is integrated."""
     if center == "origin":
         start = PhaseState(0.0, 0.0, Y_sec)
     else:
@@ -381,12 +387,18 @@ def _return_map(Y_sec: float, params: ProblemParams, center: str,
         sgn = 1.0 if center == "M_ell" else -1.0
         start = PhaseState(0.0, sgn * m[0], Y_sec)
     span = min(max(4.0 * period_guess, 10.0), cfg.max_time_span)
-    traj = integrate_s(start, params, direction=direction, config=cfg,
-                       capture=False, tau_span=span)
-    t_k, Y_k = _section_crossings(traj, params, center)
-    # drop the departure crossing itself
-    sel = np.abs(direction * t_k) > 1e-9
-    t_k, Y_k = t_k[sel], Y_k[sel]
+
+    def returns(**section):
+        traj = integrate_s(start, params, direction=direction, config=cfg,
+                           capture=False, tau_span=span, **section)
+        t_k, Y_k = _section_crossings(traj, params, center)
+        # drop the departure crossing itself
+        sel = np.abs(direction * t_k) > 1e-9
+        return t_k[sel], Y_k[sel], traj
+
+    t_k, Y_k, traj = returns(section_y=start.y)
+    if t_k.size == 0 and traj.termination == "section":
+        t_k, Y_k, traj = returns()
     if t_k.size == 0:
         raise AnalysisError("return map: no section return within the span")
     return float(Y_k[0]), abs(float(t_k[0])), traj

@@ -185,11 +185,9 @@ def _params_dict(params: ProblemParams) -> dict:
 
 def _write_trajectory_csv(traj: Trajectory, out: Path) -> list[Path]:
     r, w, dw = traj.profile()
+    columns = [a.tolist() for a in (traj.tau, traj.ys[0], traj.ys[1], r, w, dw)]
     lines = ["tau,y,Y,r,w,dw"]
-    for i in range(traj.tau.size):
-        lines.append(",".join(_num(v, 12) for v in
-                              (traj.tau[i], traj.ys[0][i], traj.ys[1][i],
-                               r[i], w[i], dw[i])))
+    lines += [",".join(_num(v, 12) for v in row) for row in zip(*columns)]
     out.write_text("\n".join(lines) + "\n")
     ev_path = out.with_suffix(".events.csv") if out.suffix else \
         out.parent / (out.name + ".events.csv")
@@ -227,10 +225,11 @@ def _write_portrait_svg(trajs: Sequence[Trajectory], params: ProblemParams,
     def to_px(y, Y):
         # clamp to one frame beyond the viewBox: escaping arcs stay legal
         # SVG without astronomically large coordinates
-        px = min(max((y - x0) / span_x * width, -width), 2.0 * width)
-        py = min(max(height - (Y - y0) / span_y * height, -height),
-                 2.0 * height)
-        return px, py
+        px = np.minimum(np.maximum((np.asarray(y) - x0) / span_x * width, -width),
+                        2.0 * width)
+        py = np.minimum(np.maximum(height - (np.asarray(Y) - y0) / span_y * height,
+                                   -height), 2.0 * height)
+        return zip(px.tolist(), py.tolist())
 
     def n9(v):
         return _num(v, 9)
@@ -243,14 +242,11 @@ def _write_portrait_svg(trajs: Sequence[Trajectory], params: ProblemParams,
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                "#8c564b", "#17becf", "#7f7f7f"]
     for i, t in enumerate(trajs):
-        pts = " ".join(f"{n9(px)},{n9(py)}" for px, py in
-                       (to_px(t.ys[0][j], t.ys[1][j])
-                        for j in range(t.tau.size)))
+        pts = " ".join(f"{n9(px)},{n9(py)}" for px, py in to_px(*t.ys))
         color = palette[i % len(palette)]
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1"/>')
-    for (py, pY) in points:
-        px, pz = to_px(py, pY)
+    for px, pz in to_px(*zip(*points)):
         parts.append(f'<circle cx="{n9(px)}" cy="{n9(pz)}" r="3" '
                      f'fill="black"/>')
     parts.append("</svg>")

@@ -22,18 +22,25 @@ against ``IntegrationConfig.max_steps`` and stops at the first non-finite
 state.  The band crossings and the other charts run through
 ``solve_ivp``'s RK45.
 
-``integrate_s`` builds one table of S-chart events per call.  Every zero
-of y and every optional section crossing is recorded.  The terminal rows
-end a stepper segment, and one rule per row kind decides what follows:
-the axis band hands over to the crossing chart, the escape threshold
-ends the orbit, the capture disc of M_ell or minus_M_ell ends it only in
-the tau direction in which that point attracts (the disc is not armed in
-the other), and the origin disc ends it as a double-zero contact when
-the orbit moves inward along sigma ~ eps, flagged otherwise.
+``integrate_s`` builds one table of S-chart events per call, each row an
+expression in (y, Y), and one function that evaluates every row at once;
+the stepper calls it once per accepted step.  A row fires when its value
+leaves a strict sign for zero or the other sign, so an orbit that starts
+on a zero does not cross it there.  Every zero of y is recorded.  The
+terminal rows end a stepper segment, and one rule per row kind decides
+what follows: the axis band hands over to the crossing chart, the escape
+threshold ends the orbit, the capture disc of M_ell or minus_M_ell ends
+it only in the tau direction in which that point attracts (the disc is
+not armed in the other), and the origin disc ends it as a double-zero
+contact when the orbit moves inward along sigma ~ eps, flagged
+otherwise.  An optional section row ends the orbit after the step of its
+first return to the line {y = section_y}, which is all a Poincaré return
+map reads.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence
@@ -214,23 +221,61 @@ _ROOT_TOL = 4 * float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class _SEvent:
-    """An event of chart S: ``fn(y, Y)`` changes sign at the event.
-    ``direction`` is +1 / -1 for upward / downward crossings only, 0 for
-    both; a terminal event ends the segment.  ``kind`` is what
-    :func:`integrate_s` makes of a hit: the recorded event's kind for a
-    non-terminal row, the ending rule for a terminal one."""
+    """A row of a chart-S event table: the expression ``expr`` in y, Y and
+    the table's constants changes sign at the event.  ``direction`` is
+    +1 / -1 for upward / downward crossings only, 0 for both.  A row fires
+    on a step from a < 0 to b >= 0 (upward) or from a > 0 to b <= 0
+    (downward), so a start on a zero is not a crossing and a step that
+    ends on one counts it once.  A terminal row ends the segment at its
+    root; a ``step_end`` row ends it after the step in which it fires (at
+    the terminal root when one comes first in that step).  ``kind`` is
+    what :func:`integrate_s` makes of a hit: the recorded event's kind for
+    a non-terminal row, the ending rule for a terminal one."""
 
-    fn: Callable[[float, float], float]
+    expr: str
     direction: int = 0
     terminal: bool = False
     kind: str = ""
+    step_end: bool = False
+
+
+@functools.lru_cache(maxsize=16)
+def _values_code(exprs: tuple):
+    """The compiled definition of ``values`` for one tuple of row
+    expressions; a table's shape, not its constants, decides it."""
+    body = "(" + "".join(f"{e}, " for e in exprs) + ")"
+    return compile("def values(y, Y):\n"
+                   "    try:\n"
+                   f"        return {body}\n"
+                   "    except OverflowError:\n"
+                   "        y, Y = np.float64(y), np.float64(Y)\n"
+                   "        with np.errstate(over='ignore'):\n"
+                   f"            return tuple(map(float, {body}))\n",
+                   "<chart S event values>", "exec")
+
+
+def _event_values(events: Sequence[_SEvent],
+                  **consts) -> Callable[[float, float], tuple]:
+    """One function ``values(y, Y)`` that returns every row's value, in
+    table order, from a single call; ``consts`` binds the names the rows
+    use besides y and Y.
+
+    The rows keep the float ``**`` of their expressions (``x ** 2`` and
+    ``x * x`` round differently for about 1 in 1,000 floats).  Where the
+    float ``**`` raises ``OverflowError``, the rows are evaluated again on
+    numpy scalars, whose ``**`` is the same C ``pow`` but overflows to
+    inf, so only the overflowing rows read inf."""
+    namespace = {"np": np, **consts}
+    exec(_values_code(tuple(ev.expr for ev in events)), namespace)
+    return namespace["values"]
 
 
 @dataclass
 class _Segment:
     """One solver start: samples in time order, the located events as
     (event index, t, y, Y) in recording order, and the index of the
-    terminal event that ended it (None when it reached ``t_bound``)."""
+    terminal or ``step_end`` row that ended it (None when it reached
+    ``t_bound``)."""
 
     t: list
     y: list
@@ -263,7 +308,9 @@ def _rms(a: float, b: float) -> float:
 
 def _rk45_segment(fun, t0: float, t_bound: float, y0: float, Y0: float,
                   rtol: float, atol: float, max_step: float,
-                  events: Sequence[_SEvent], stats: dict, max_steps: int,
+                  events: Sequence[_SEvent],
+                  values: Callable[[float, float], tuple],
+                  stats: dict, max_steps: int,
                   tau_of: Callable[[float], float] = float) -> _Segment:
     """Integrate the autonomous 2-D field ``fun(y, Y) -> (dy, dY)`` from
     ``t0`` to ``t_bound >= t0`` by scipy's RK45 rule on Python floats.
@@ -274,6 +321,8 @@ def _rk45_segment(fun, t0: float, t_bound: float, y0: float, Y0: float,
     step controller (safety 0.9, factors 0.2 to 10, no growth right after a
     rejection), events located by ``brentq`` on the dense output, terminal
     events ordered in time, and the last sample at the terminal event.
+    ``values`` (from :func:`_event_values`) gives every row of ``events``
+    at once; it is called once per accepted step.
     The arithmetic matches scipy's up to rounding: scipy's sums go through
     BLAS, which fuses multiply-adds.  ``stats`` accumulates ``rhs_evals``, ``accepted``, ``rejected`` and
     ``segments`` over the calls that share it; every attempted step counts
@@ -313,9 +362,9 @@ def _rk45_segment(fun, t0: float, t_bound: float, y0: float, Y0: float,
             h1 = (0.01 / max(d1, d2)) ** (1 / 5)
         h_abs = min(100 * h0, h1, interval, max_step)
 
-        fns = [ev.fn for ev in events]
-        dirs = [ev.direction for ev in events]
-        g = [fn(y, Y) for fn in fns]
+        rows = [(i, ev.direction >= 0, ev.direction <= 0)
+                for i, ev in enumerate(events)]
+        g = values(y, Y)
         budget = max_steps - stats["accepted"] - stats["rejected"]
         t = t0
         while t < t_bound:
@@ -378,14 +427,14 @@ def _rk45_segment(fun, t0: float, t_bound: float, y0: float, Y0: float,
 
             t_old, y_old, Y_old, k1 = t, y, Y, (fy, fY)
             t, y, Y, fy, fY = t_new, y_new, Y_new, k7y, k7Y
-            g_old, g = g, [fn(y, Y) for fn in fns]
-            active = [i for i, (a, b, d) in enumerate(zip(g_old, g, dirs))
-                      if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b)]
+            g_old, g = g, values(y, Y)
+            active = [i for (i, up, down), a, b in zip(rows, g_old, g)
+                      if (up and a < 0 <= b) or (down and a > 0 >= b)]
             if active:
                 sol = _dense(t_old, h, y_old, Y_old,
                              (k1, (k2y, k2Y), (k3y, k3Y), (k4y, k4Y),
                               (k5y, k5Y), (k6y, k6Y), (k7y, k7Y)))
-                found = [(i, brentq(lambda s, fn=fns[i]: fn(*sol(s)), t_old, t,
+                found = [(i, brentq(lambda s, i=i: values(*sol(s))[i], t_old, t,
                                     xtol=_ROOT_TOL, rtol=_ROOT_TOL))
                          for i in active]
                 if any(events[i].terminal for i in active):
@@ -398,6 +447,8 @@ def _rk45_segment(fun, t0: float, t_bound: float, y0: float, Y0: float,
                 if terminal is not None:
                     t = found[-1][1]
                     y, Y = sol(t)
+                terminal = next((i for i, _ in found if events[i].step_end),
+                                terminal)
             ts.append(t)
             ys.append(y)
             Ys.append(Y)
@@ -419,14 +470,18 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
                 tau_span: Optional[float] = None) -> Trajectory:
     """Integrate chart S from ``initial`` in the given tau direction.
 
-    Every zero of y is a ``y_zero_crossing`` event, and optional
-    ``section_y`` adds a non-terminal section-crossing recorder on the
-    line {y = section_y}.  With ``capture``, the orbit ends in the capture
-    disc of M_ell or minus_M_ell when that point attracts in this
-    direction, and in the origin disc; escape terminates at the configured
-    threshold.  The returned trajectory's ``meta["stats"]`` counts the
-    stepper's work: ``rhs_evals``, ``accepted`` and ``rejected`` steps,
-    and ``segments`` (solver starts); the axis crossings are not in it.
+    Every zero of y is a ``y_zero_crossing`` event.  With ``section_y``,
+    the orbit ends at the end of the accepted step in which y crosses the
+    line {y = section_y} the way it leaves ``initial`` (termination
+    ``"section"``, the crossing recorded as a ``section_crossing`` event);
+    the step is not cut at the crossing, so the samples are a prefix of
+    the same call's samples without ``section_y``.  With ``capture``, the
+    orbit ends in the capture disc of M_ell or minus_M_ell when that point
+    attracts in this direction, and in the origin disc; escape terminates
+    at the configured threshold.  The returned trajectory's
+    ``meta["stats"]`` counts the stepper's work: ``rhs_evals``,
+    ``accepted`` and ``rejected`` steps, and ``segments`` (solver starts);
+    the axis crossings are not in it.
     """
     cfg = config or IntegrationConfig()
     if direction not in (1, -1):
@@ -453,35 +508,29 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
         sigma = Y / y if y != 0.0 else math.inf
         return (y * fy + Y * fY) < 0.0 and abs(sigma - eps) < 0.25
 
-    band, esc = cfg.y_axis_band, cfg.escape_threshold
-
-    def squares(fn):
-        # numpy's ``**`` overflows to inf where the float one raises
-        def g(y, Y):
-            try:
-                return fn(y, Y)
-            except OverflowError:
-                return math.inf
-        return g
-
-    table = [_SEvent(lambda y, Y: y, kind="y_zero_crossing")]
+    y, Y = float(initial.y), float(initial.Y)
+    consts = {"band": cfg.y_axis_band, "esc": cfg.escape_threshold}
+    table = [_SEvent("y", kind="y_zero_crossing")]
     if section_y is not None:
-        table.append(_SEvent(lambda y, Y: y - section_y, kind="section_crossing"))
-    table.append(_SEvent(lambda y, Y: Y - band * max(1.0, abs(y)), -1, True, "band"))
-    table.append(_SEvent(lambda y, Y: Y + band * max(1.0, abs(y)), 1, True, "band"))
-    table.append(_SEvent(squares(lambda y, Y: (y / esc) ** 2 + (Y / esc) ** 2 - 1.0),
-                         1, True, "escape"))
+        # the return to the line, crossed the way the orbit leaves it
+        leaves = f(y, Y)[0]
+        consts["section_y"] = section_y
+        table.append(_SEvent("y - section_y", (leaves > 0) - (leaves < 0),
+                             kind="section_crossing", step_end=True))
+    table += [_SEvent("Y - band * max(1.0, abs(y))", -1, True, "band"),
+              _SEvent("Y + band * max(1.0, abs(y))", 1, True, "band"),
+              _SEvent("(y / esc) ** 2 + (Y / esc) ** 2 - 1.0", 1, True, "escape")]
     m = m_ell_point(params)
     if capture and m is not None and _m_ell_attracting_direction(params) == direction:
-        rad = cfg.capture_radius * math.hypot(*m)
-        for pid, (my, mY) in (("M_ell", m), ("minus_M_ell", (-m[0], -m[1]))):
-            table.append(_SEvent(squares(
-                lambda y, Y, _my=my, _mY=mY: (y - _my) ** 2 + (Y - _mY) ** 2 - rad ** 2),
-                -1, True, pid))
+        consts.update(my=m[0], mY=m[1], rad=cfg.capture_radius * math.hypot(*m))
+        table += [_SEvent("(y - my) ** 2 + (Y - mY) ** 2 - rad ** 2",
+                          -1, True, "M_ell"),
+                  _SEvent("(y + my) ** 2 + (Y + mY) ** 2 - rad ** 2",
+                          -1, True, "minus_M_ell")]
     if capture:
-        orad = cfg.origin_radius
-        table.append(_SEvent(squares(lambda y, Y: y ** 2 + Y ** 2 - orad ** 2),
-                             -1, True, "origin"))
+        consts["orad"] = cfg.origin_radius
+        table.append(_SEvent("y ** 2 + Y ** 2 - orad ** 2", -1, True, "origin"))
+    values = _event_values(table, **consts)
 
     taus: list[np.ndarray] = []
     ys_parts: list[np.ndarray] = []
@@ -489,8 +538,6 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
     stats = {"rhs_evals": 0, "accepted": 0, "rejected": 0, "segments": 0}
 
     s_now = 0.0
-    y, Y = float(initial.y), float(initial.Y)
-
     while True:
         # on the band edge and moving toward the axis: cross it over Y
         if 0.0 < abs(Y) <= _band_width(y, params, cfg) * (1.0 + 1e-6) \
@@ -520,7 +567,8 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
             continue
 
         seg = _rk45_segment(f, s_now, span, y, Y, cfg.rel_tol, cfg.abs_tol,
-                            cfg.max_step, table, stats, cfg.max_steps, tau_of)
+                            cfg.max_step, table, values, stats, cfg.max_steps,
+                            tau_of)
         taus.append(initial.tau + direction * np.array(seg.t))
         ys_parts.append(np.array([seg.y, seg.Y]))
 
@@ -538,6 +586,9 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
             termination = "time_span"
             break
         kind = table[seg.terminal].kind
+        if kind == "section_crossing":
+            termination = "section"
+            break
         s_now, y, Y = seg.t[-1], seg.y[-1], seg.Y[-1]
         if kind == "band":
             # loop around: the band crossing happens at the top

@@ -6,9 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from plap.integrate import IntegrationConfig
+from plap import analysis
+from plap.integrate import IntegrationConfig, integrate_s
 from plap.params import (ParameterError, ProblemParams, derive_constants,
                          m_ell_point)
+from plap.systems import PhaseState
 from plap.trajectories import shoot_regular
 from plap.analysis import (
     AnalysisError,
@@ -176,6 +178,46 @@ class TestLimitCycles:
         cyc = detect_limit_cycle(traj, params)
         assert cyc is not None
         assert cyc.floquet_mean <= 1e-6
+
+
+class TestReturnMap:
+    OSC = ProblemParams(1, 3.0, -4.0, -1)
+
+    def _whole_span(self, Y_sec):
+        # the return read off the orbit over the map's whole span
+        traj = integrate_s(PhaseState(0.0, 0.0, Y_sec), self.OSC, 1,
+                           capture=False, tau_span=10.0)
+        t_k, Y_k = analysis._section_crossings(traj, self.OSC, "origin")
+        sel = np.abs(t_k) > 1e-9
+        return float(Y_k[sel][0]), float(t_k[sel][0]), traj
+
+    def test_orbit_ends_at_its_first_return(self):
+        Y_next, period, traj = analysis._return_map(
+            0.0229, self.OSC, "origin", 1, IntegrationConfig(), 1.5)
+        want_Y, want_t, full = self._whole_span(0.0229)
+        assert (Y_next, period) == (want_Y, want_t)
+        assert traj.termination == "section"
+        n = traj.n_samples
+        assert traj.tau[-1] < 2.0 < full.tau[-1]
+        assert np.array_equal(traj.ys, full.ys[:, :n])
+
+    def test_whole_span_when_the_prefix_holds_no_return(self, monkeypatch):
+        # where the section event and the chord's Y test disagree, the
+        # prefix holds no chord return; the map then reads the whole span
+        chords = analysis._section_crossings
+
+        def no_return_in_prefix(traj, *args):
+            if traj.termination == "section":
+                return np.array([]), np.array([])
+            return chords(traj, *args)
+
+        monkeypatch.setattr(analysis, "_section_crossings", no_return_in_prefix)
+        Y_next, period, traj = analysis._return_map(
+            0.0229, self.OSC, "origin", 1, IntegrationConfig(), 1.5)
+        want_Y, want_t, full = self._whole_span(0.0229)
+        assert (Y_next, period) == (want_Y, want_t)
+        assert traj.termination == "time_span"
+        assert np.array_equal(traj.ys, full.ys)
 
 
 class TestConnectionFunction:

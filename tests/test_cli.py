@@ -5,12 +5,15 @@ import argparse
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
+from plap import cli
 from plap.cli import RECIPE_DIR, _build_config, main
-from plap.params import ParameterError
+from plap.integrate import Trajectory
+from plap.params import ParameterError, ProblemParams, m_ell_point
 
 
 def run(capsys, *argv):
@@ -234,6 +237,66 @@ class TestPortrait:
         code, _, err = run(capsys, "portrait", "--recipe", "fig99",
                            "--out", str(tmp_path / "x.svg"))
         assert code == 2
+
+
+class TestWriters:
+    """The CSV and SVG writers format whole columns; their per-sample
+    loops are the reference, and the bytes must be equal."""
+
+    PARAMS = ProblemParams(2, 3.0, -6.0, 1)
+
+    def _orbits(self):
+        # spirals with a few samples far outside the view on each side,
+        # so that both pixel clamps act
+        tau = np.linspace(0.0, 3.0, 301)
+        out = []
+        for scale in (0.3, -0.1):
+            y = scale * np.exp(-tau) * np.cos(7.0 * tau)
+            Y = scale * np.exp(-tau) * np.sin(7.0 * tau)
+            y[::60], Y[30::60] = np.sign(scale) * 1e6, -np.sign(scale) * 1e6
+            out.append(Trajectory("S", self.PARAMS, tau, np.vstack([y, Y]), [],
+                                  "time_span", 1))
+        return out
+
+    def test_csv_rows(self, tmp_path):
+        traj = self._orbits()[0]
+        cli._write_trajectory_csv(traj, tmp_path / "o.csv")
+        r, w, dw = traj.profile()
+        want = ["tau,y,Y,r,w,dw"] + [
+            ",".join(cli._num(v, 12) for v in (traj.tau[i], traj.ys[0][i],
+                                               traj.ys[1][i], r[i], w[i], dw[i]))
+            for i in range(traj.tau.size)]
+        assert (tmp_path / "o.csv").read_text() == "\n".join(want) + "\n"
+
+    def test_svg_pixels(self, tmp_path):
+        trajs = self._orbits()
+        cli._write_portrait_svg(trajs, self.PARAMS, tmp_path / "o.svg")
+        svg = (tmp_path / "o.svg").read_text()
+        m = m_ell_point(self.PARAMS)
+        points = [(0.0, 0.0), m, (-m[0], -m[1])]
+        all_y = np.concatenate([t.ys[0] for t in trajs])
+        all_Y = np.concatenate([t.ys[1] for t in trajs])
+        xs = [q[0] for q in points] + list(np.percentile(all_y, (2.0, 98.0)))
+        ys = [q[1] for q in points] + list(np.percentile(all_Y, (2.0, 98.0)))
+        span_x = max(max(xs) - min(xs), 1e-3)
+        span_y = max(max(ys) - min(ys), 1e-3)
+        x0, y0 = min(xs) - 0.05 * span_x, min(ys) - 0.05 * span_y
+        span_x *= 1.1
+        span_y *= 1.1
+
+        def px(y, Y):
+            return (cli._num(min(max((y - x0) / span_x * 640.0, -640.0), 1280.0), 9),
+                    cli._num(min(max(480.0 - (Y - y0) / span_y * 480.0, -480.0),
+                                 960.0), 9))
+
+        want = [" ".join("%s,%s" % px(t.ys[0][j], t.ys[1][j])
+                         for j in range(t.tau.size)) for t in trajs]
+        got = re.findall(r'points="([^"]*)"', svg)
+        assert got == want
+        assert "1280," in got[0] and ",960" in got[0]
+        assert "-640," in got[1] and ",-480" in got[1]
+        circles = re.findall(r'cx="([^"]*)" cy="([^"]*)"', svg)
+        assert circles == [px(*q) for q in points]
 
 
 class TestReports:

@@ -1,4 +1,5 @@
-"""Behavioural fingerprint of the bundled portrait recipes.
+"""Behavioural fingerprint of the bundled portrait recipes and of the
+limit cycles of the oscillating regimes.
 
 Every seed of every recipe is integrated in both tau directions over
 tau 30 and reduced to its termination, asymptotic label, sign-change
@@ -8,13 +9,18 @@ these; a change that moves them re-records the file with
     PYTHONPATH=src python tests/test_fingerprint.py
 
 and says in its description why they moved.
+
+The cycles that ``classify_regime`` certifies for the osc, sou, orb and
+clin representatives are pinned bit for bit in ``CYCLES``.
 """
 
 import json
 from collections import Counter
 from pathlib import Path
 
-from plap.analysis import asymptotic_label, count_sign_changes
+import pytest
+
+from plap.analysis import asymptotic_label, classify_regime, count_sign_changes
 from plap.cli import RECIPE_DIR
 from plap.integrate import integrate_s
 from plap.params import ProblemParams
@@ -49,6 +55,37 @@ def test_recipe_fingerprint():
     assert sorted(got) == sorted(want)
     moved = {key: (want[key], got[key]) for key in want if got[key] != want[key]}
     assert not moved
+
+
+# (period_tau, fixed_point, floquet_mean, crossings_seen, orbit samples) of
+# each detected cycle, by tag representative (N=1, p=3, eps=-1, alpha) and
+# the cycle's source orbit
+CYCLES = {
+    -4.0: {  # osc
+        "O_r": (1.500769115560967, 0.022858737177745718, -1.8130494557457002, 132, 127),
+        "O_eps": (1.5007691155537664, 0.022858737173453002, -1.813049455570301, 134, 127),
+    },
+    -2.53: {  # sou
+        "O_r": (2.3401156386793467, 0.019549999586380585, -1.5974738196052565, 85, 140),
+        "O_eps": (2.340115638679609, 0.01954999958638341, -1.5974738206908023, 85, 140),
+    },
+    -2.1: {  # orb
+        "O_alpha": (2.76687035258942, -0.008304600970643545, 0.4911168119390341, 72, 54),
+        "O_eps": (3.218694070966518, 0.01619262884577295, -1.2577264610433536, 62, 152),
+    },
+    -2.0: {  # clin
+        "O_r": (3.77974082305526, 0.014216166099312932, -0.8580957138541434, 53, 160),
+    },
+}
+
+
+@pytest.mark.parametrize("alpha", sorted(CYCLES))
+def test_cycle_fingerprint(alpha):
+    report = classify_regime(ProblemParams(1, 3.0, alpha, -1))
+    got = {c.meta["source"]: (c.period_tau, c.fixed_point, float(c.floquet_mean),
+                              c.meta["crossings_seen"], c.orbit.shape[1])
+           for c in report.cycles}
+    assert got == CYCLES[alpha]
 
 
 if __name__ == "__main__":

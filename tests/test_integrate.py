@@ -111,11 +111,36 @@ class TestEventsAndCaptures:
         assert times == sorted(times)
 
     def test_section_crossing_events(self):
+        # from y = 0.05 the orbit leaves the line y = 0 downward; it ends
+        # after the step of its next downward crossing, which the section
+        # event records, and its samples are a prefix of the whole span's
         params = ProblemParams(1, 3.0, -4.0, -1)
-        traj = integrate_s(PhaseState(0.0, 0.05, 0.0), params, direction=1,
-                           capture=False, section_y=0.0, tau_span=20.0)
+        start = PhaseState(0.0, 0.05, 0.0)
+        traj = integrate_s(start, params, direction=1, capture=False,
+                           section_y=0.0, tau_span=20.0)
+        full = integrate_s(start, params, direction=1, capture=False,
+                           tau_span=20.0)
+        assert traj.termination == "section"
         secs = [e for e in traj.events if e.kind == "section_crossing"]
-        assert len(secs) >= 5
+        assert len(secs) == 1
+        n = traj.n_samples
+        assert 0 < n < full.n_samples
+        assert np.array_equal(traj.tau, full.tau[:n])
+        assert np.array_equal(traj.ys, full.ys[:, :n])
+        # the section event is the first downward zero of y (where
+        # y' = -phi(Y) < 0, so Y > 0), in the last step
+        down = [e for e in full.events if e.kind == "y_zero_crossing"
+                and e.state.Y > 0.0]
+        assert secs[0].time == down[0].time
+        assert traj.tau[-2] < secs[0].time <= traj.tau[-1]
+
+    def test_start_on_a_zero_is_not_a_crossing(self):
+        # the fig02 seed (0, 0.3) starts on y = 0 and moves into y < 0
+        params = ProblemParams(2, 3.0, 1.0, 1)
+        for direction in (1, -1):
+            traj = integrate_s(PhaseState(0.0, 0.0, 0.3), params, direction,
+                               tau_span=30.0)
+            assert all(e.time != 0.0 for e in traj.events)
 
     def test_samples_follow_integration_direction(self):
         params = ProblemParams(2, 3.0, -1.3, -1)
@@ -175,17 +200,10 @@ class TestChartDispatch:
         assert d <= 1e-6
 
 
-def _band_events(band=1e-6):
-    ev = integrate_mod._SEvent
-    return [ev(lambda y, Y: Y - band * max(1.0, abs(y)), -1, True),
-            ev(lambda y, Y: Y + band * max(1.0, abs(y)), 1, True)]
-
-
-def _capture_event(params):
-    my, mY = m_ell_point(params)
-    r = 1e-6 * math.hypot(my, mY)
-    return integrate_mod._SEvent(
-        lambda y, Y: (y - my) ** 2 + (Y - mY) ** 2 - r ** 2, -1, True)
+_BAND_EVENTS = [integrate_mod._SEvent("Y - band * max(1.0, abs(y))", -1, True),
+                integrate_mod._SEvent("Y + band * max(1.0, abs(y))", 1, True)]
+_CAPTURE_EVENT = integrate_mod._SEvent("(y - my) ** 2 + (Y - mY) ** 2 - r ** 2",
+                                       -1, True)
 
 
 class TestStepper:
@@ -198,38 +216,41 @@ class TestStepper:
     def _segment_cases():
         ev = integrate_mod._SEvent
         osc, node = TestStepper.OSC, TestStepper.NODE
-        m = m_ell_point(node)
+        my, mY = m_ell_point(node)
         return {
             # away from the axis, no events
-            "plain": (osc, (0.3, 0.1), 0.5, []),
+            "plain": (osc, (0.3, 0.1), 0.5, [], {}),
             # y = 0 and a section, ended by the axis band
             "sections": (osc, (0.3, 0.1), 5.0,
-                         [ev(lambda y, Y: y), ev(lambda y, Y: y - 0.1)]
-                         + _band_events()),
+                         [ev("y"), ev("y - 0.1")] + _BAND_EVENTS, {"band": 1e-6}),
             # spirals into M_ell and ends in its capture disc
-            "capture": (node, (m[0] + 1e-3, m[1] + 1e-3), 40.0,
-                        _band_events() + [_capture_event(node)]),
+            "capture": (node, (my + 1e-3, mY + 1e-3), 40.0,
+                        _BAND_EVENTS + [_CAPTURE_EVENT],
+                        {"band": 1e-6, "my": my, "mY": mY,
+                         "r": 1e-6 * math.hypot(my, mY)}),
         }
 
     @pytest.mark.parametrize("case", ["plain", "sections", "capture"])
     def test_replicates_scipy_rk45(self, case):
-        params, (y0, Y0), span, events = self._segment_cases()[case]
+        params, (y0, Y0), span, events, consts = self._segment_cases()[case]
+        values = integrate_mod._event_values(events, **consts)
         cfg = IntegrationConfig()
         f = integrate_mod._s_rhs(params, 1)
         stats = {"rhs_evals": 0, "accepted": 0, "rejected": 0, "segments": 0}
         seg = integrate_mod._rk45_segment(
             f, 0.0, span, y0, Y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step,
-            events, stats, cfg.max_steps)
+            events, values, stats, cfg.max_steps)
 
-        def scipy_event(e):
-            g = lambda t, u: e.fn(u[0], u[1])  # noqa: E731
+        def scipy_event(i, e):
+            g = lambda t, u: values(u[0], u[1])[i]  # noqa: E731
             g.terminal, g.direction = e.terminal, e.direction
             return g
 
         ref = solve_ivp(lambda t, u: f(u[0], u[1]), (0.0, span), [y0, Y0],
                         method="RK45", rtol=cfg.rel_tol, atol=cfg.abs_tol,
                         max_step=cfg.max_step,
-                        events=[scipy_event(e) for e in events] or None)
+                        events=[scipy_event(i, e) for i, e in enumerate(events)]
+                        or None)
         assert stats["accepted"] == ref.t.size - 1
         assert stats["rhs_evals"] == ref.nfev
         assert (seg.terminal is not None) == (ref.status == 1)
@@ -251,6 +272,42 @@ class TestStepper:
         got_times = sorted(t for _, t, *_ in seg.hits)
         assert np.allclose(got_times, [t for t, _ in ref_hits],
                            rtol=0.0, atol=tol * span)
+
+    def test_fused_values_match_rows_through_an_overflow(self):
+        # above about 1.3e154 the float ``**`` of the origin disc's squares
+        # overflows; the fused values read inf there, like a row evaluated
+        # on its own, and the other rows keep their bits
+        ev = integrate_mod._SEvent
+        events = [ev("y - 1.5e160"), ev("y ** 2 + Y ** 2 - orad ** 2", -1, True),
+                  ev("(y / esc) ** 2 + (Y / esc) ** 2 - 1.0", 1, True),
+                  *_BAND_EVENTS]
+        consts = {"orad": 1e-8, "esc": 1e12, "band": 1e-6}
+        fused = integrate_mod._event_values(events, **consts)
+
+        def per_row(y, Y):
+            out = []
+            for e in events:
+                try:
+                    out.append(eval(e.expr, dict(consts, y=y, Y=Y)))
+                except OverflowError:
+                    out.append(math.inf)
+            return tuple(out)
+
+        assert fused(2e160, 1e160)[1] == math.inf
+        assert fused(2e160, 1e160) == per_row(2e160, 1e160)
+        assert fused(0.3, -0.2) == per_row(0.3, -0.2)
+        cfg = IntegrationConfig()
+        segs = []
+        for values in (fused, per_row):
+            stats = {"rhs_evals": 0, "accepted": 0, "rejected": 0, "segments": 0}
+            segs.append(integrate_mod._rk45_segment(
+                integrate_mod._s_rhs(self.OSC, 1), 0.0, 2.0, 2e160, 1e160,
+                cfg.rel_tol, cfg.abs_tol, cfg.max_step, events, values, stats,
+                cfg.max_steps))
+        got, want = segs
+        assert [i for i, *_ in got.hits] == [0]
+        assert (got.t, got.y, got.Y, got.hits, got.terminal) \
+            == (want.t, want.y, want.Y, want.hits, want.terminal)
 
     def test_stats_count_the_work(self):
         traj = integrate_s(PhaseState(0.0, 0.3, 0.1), self.OSC, tau_span=10.0)
@@ -278,7 +335,8 @@ class TestStepper:
         with pytest.raises(IntegrationError, match="max_steps exceeded"):
             integrate_mod._rk45_segment(
                 integrate_mod._s_rhs(self.OSC, 1), 0.0, 50.0, 0.3, 0.1,
-                cfg.rel_tol, cfg.abs_tol, cfg.max_step, [], stats, 50)
+                cfg.rel_tol, cfg.abs_tol, cfg.max_step, [],
+                integrate_mod._event_values([]), stats, 50)
         assert stats["accepted"] + stats["rejected"] == 50
         with pytest.raises(IntegrationError, match="max_steps exceeded"):
             integrate_s(PhaseState(0.0, 0.3, 0.1), self.OSC,
