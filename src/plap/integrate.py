@@ -19,8 +19,9 @@ rule step for step, up to rounding: the same initial step, tableau, error
 norm, step controller and quartic dense output, with events located by
 Brent's method on the dense output.  It counts every attempted step
 against ``IntegrationConfig.max_steps`` and stops at the first non-finite
-state.  The band crossings and the other charts run through
-``solve_ivp``'s RK45.
+state.  The launch phases in charts Q and P (:mod:`plap.trajectories`)
+run on the same stepper; the band crossings and the other charts of
+``integrate`` run through ``solve_ivp``'s RK45.
 
 ``integrate_s`` builds one table of S-chart events per call, each row an
 expression in (y, Y), and one function that evaluates every row at once;
@@ -221,8 +222,9 @@ _ROOT_TOL = 4 * float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class _SEvent:
-    """A row of a chart-S event table: the expression ``expr`` in y, Y and
-    the table's constants changes sign at the event.  ``direction`` is
+    """A row of an event table of the scalar stepper (chart S, or a Q or P
+    launch with its coordinates as y, Y): the expression ``expr`` in y, Y
+    and the table's constants changes sign at the event.  ``direction`` is
     +1 / -1 for upward / downward crossings only, 0 for both.  A row fires
     on a step from a < 0 to b >= 0 (upward) or from a > 0 to b <= 0
     (downward), so a start on a zero is not a crossing and a step that

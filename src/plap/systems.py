@@ -119,6 +119,33 @@ def _s_rhs(params: ProblemParams, direction: int):
     return f
 
 
+def _q_rhs(params: ProblemParams):
+    """The Q field on Python floats; the one definition of chart Q
+    (``field("Q")`` and the launch stepper evaluate it).  At sigma = 0
+    it raises ``ZeroDivisionError``."""
+    eta, N, pm1 = derive_constants(params).eta, float(params.N), params.p - 1.0
+    al, eps = params.alpha, params.epsilon
+
+    def f(zeta, sigma):
+        return (zeta * (zeta - eta) + eps * zeta * (al - zeta) / (pm1 * sigma),
+                eps * (al - zeta) + (zeta - N) * sigma)
+
+    return f
+
+
+def _p_rhs(params: ProblemParams):
+    """The P field on Python floats; the one definition of chart P
+    (``field("P")`` and the launch stepper evaluate it)."""
+    eta, N, pm1 = derive_constants(params).eta, float(params.N), params.p - 1.0
+    al, eps = params.alpha, params.epsilon
+
+    def f(zeta, psi):
+        return (zeta * (zeta - eta + eps * (al - zeta) * psi / pm1),
+                psi * (N - zeta + eps * (zeta - al) * psi))
+
+    return f
+
+
 def field(chart_id: str, coords, params: ProblemParams) -> np.ndarray:
     """Right-hand side of the named chart at ``coords``.
 
@@ -141,18 +168,12 @@ def field(chart_id: str, coords, params: ProblemParams) -> np.ndarray:
         return np.array(_s_rhs(params, 1)(a, b))
 
     if chart_id == "Q":
-        zeta, sigma = a, b
-        if sigma == 0.0:
+        if b == 0.0:
             raise ChartDomainError("chart Q requires sigma != 0")
-        dzeta = zeta * (zeta - dc.eta) + eps * zeta * (al - zeta) / ((p - 1.0) * sigma)
-        dsigma = eps * (al - zeta) + (zeta - N) * sigma
-        return np.array([dzeta, dsigma])
+        return np.array(_q_rhs(params)(a, b))
 
     if chart_id == "P":
-        zeta, psi = a, b
-        dzeta = zeta * (zeta - dc.eta + eps * (al - zeta) * psi / (p - 1.0))
-        dpsi = psi * (N - zeta + eps * (zeta - al) * psi)
-        return np.array([dzeta, dpsi])
+        return np.array(_p_rhs(params)(a, b))
 
     if chart_id == "R":
         g, s = a, b

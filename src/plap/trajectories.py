@@ -6,7 +6,11 @@ invariant manifold of a degenerate or hyperbolic point in the chart
 where it is regular (Q, P or R), steps a small offset ``delta`` along
 the manifold, and integrates the chart field (``_chart_phase``) until
 the hand-off event fires: the ordinate y, lifted from the chart point by
-y^{p-2} = ``_q``, reaches a fixed level.  ``_hand_off`` then lifts the
+y^{p-2} = ``_q``, reaches a fixed level.  Charts Q and P run on the
+scalar Dormand-Prince stepper of :mod:`plap.integrate`; chart R, where
+tau rides along as a third component and the T_alpha launch is stiff,
+runs through ``solve_ivp``.  Every launch counts its work against
+``IntegrationConfig.max_steps``.  ``_hand_off`` then lifts the
 launch samples to (y, Y), continues from the last one with the S-chart
 integrator and its full event machinery, and joins the two pieces.  A
 manifold launch runs again at delta/2 to report how far the hand-off
@@ -42,9 +46,12 @@ from .integrate import (
     IntegrationConfig,
     IntegrationError,
     Trajectory,
+    _SEvent,
+    _event_values,
+    _rk45_segment,
     integrate_s,
 )
-from .systems import ChartDomainError, PhaseState, field, to_profile
+from .systems import ChartDomainError, PhaseState, _p_rhs, _q_rhs, field, to_profile
 
 
 DEFAULT_OFFSET = 1e-7
@@ -82,6 +89,13 @@ def _q(chart: str, a, b, p: float):
     return b * np.sign(a) * np.abs(a) ** (p - 1.0)
 
 
+# _q - q_hand on Python floats, in the stepper's (y, Y) = (zeta, sigma) or
+# (zeta, psi): the hand-off row of a Q or P launch; a zero abscissa divides
+# by zero
+_HAND_EXPR = {"Q": "(Y if y > 0.0 else -Y) * abs(y) ** (1.0 - p) - q_hand",
+              "P": "1.0 / ((Y if y > 0.0 else -Y) * abs(y) ** (p - 1.0)) - q_hand"}
+
+
 def _lift(chart: str, a, b, p: float):
     """(ok, y, Y) of chart points on the branch y > 0 (a vectorized
     :func:`systems.invert`); ``ok`` marks the liftable points."""
@@ -117,37 +131,84 @@ def _q_hand(params: ProblemParams, grow: bool) -> float:
     return y_hand ** (params.p - 2.0)
 
 
-def _hand_off_event(chart: str, params: ProblemParams, grow: bool):
-    """The terminal event where the lifted ordinate crosses the hand-off
-    level, rising when ``grow`` and falling otherwise."""
-    p, q_hand = params.p, _q_hand(params, grow)
-    return _event(lambda t, u: _q(chart, u[0], u[1], p) - q_hand,
-                  1 if grow else -1)
+def _rising_hand_off(params: ProblemParams):
+    """The terminal ``solve_ivp`` event where the chart-R ordinate rises
+    through the hand-off level."""
+    p, q_hand = params.p, _q_hand(params, grow=True)
+    return _event(lambda t, u: _q("R", u[0], u[1], p) - q_hand, 1)
+
+
+# rhs evaluations of one attempted Dormand-Prince step: the budget of the
+# solve_ivp launches is what ``max_steps`` steps of the stepper may cost
+_RHS_PER_STEP = 6
+
+
+def _launch_stats() -> dict:
+    return {"rhs_evals": 0, "accepted": 0, "rejected": 0, "segments": 0}
+
+
+def _budgeted(rhs, stats: dict, cfg: IntegrationConfig, what: str):
+    """``rhs`` for one ``solve_ivp`` call, counted in ``stats``: the call
+    is a segment, and past ``_RHS_PER_STEP * cfg.max_steps`` rhs
+    evaluations of the launch it raises :class:`IntegrationError`."""
+    stats["segments"] += 1
+    budget = _RHS_PER_STEP * cfg.max_steps
+
+    def counted(t, u):
+        stats["rhs_evals"] += 1
+        if stats["rhs_evals"] > budget:
+            raise IntegrationError(f"{what} exceeded its budget of {budget} rhs "
+                                   f"evaluations (max_steps = {cfg.max_steps})")
+        return rhs(t, u)
+
+    return counted
 
 
 def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
-                 span, goals, stops=(), *, method: str = "RK45",
+                 span, stats: dict, goals=(), stops=(), *, method: str = "RK45",
                  max_step: float = np.inf):
-    """Integrate a launch chart until a terminal event fires; the last
-    sample of the returned solution is where it fired.
+    """Integrate a launch chart from ``u0`` over ``span`` until it reaches
+    its goal; returns the chart times and points ``(t, u)``, the last
+    sample where the goal fired.
 
-    Chart R runs in its own time nu and carries tau (d tau = g s d nu) as
-    a third component.  Raises :class:`IntegrationError` unless one of the
-    ``goals`` fired, rather than one of the ``stops``, the end of ``span``
-    or a solver failure."""
-    if chart == "R":
-        def rhs(t, u):
-            g, s, _tau = u
-            dg, ds = field("R", (g, s), params)
-            return (dg, ds, g * s)
-    else:
-        def rhs(t, u):
-            return field(chart, u, params)
+    Charts Q and P run on the scalar Dormand-Prince stepper (scipy's RK45
+    rule), and their goal is the lifted ordinate falling through the
+    hand-off level.  Chart R, whose launches may be stiff, runs through
+    ``solve_ivp`` with ``method`` in its own time nu, carries tau (d tau =
+    g s d nu) as a third component and ends at one of the ``goals`` events.
+    ``stats`` accumulates the work; every attempted step (Q, P) counts
+    against ``cfg.max_steps``, every rhs evaluation (R) against
+    ``_RHS_PER_STEP * cfg.max_steps``.  Raises
+    :class:`IntegrationError` when the phase leaves the chart, fails,
+    exhausts the budget, or ends at one of the ``stops``, a failure or the
+    end of ``span`` before its goal."""
+    atol = min(cfg.abs_tol, 1e-14)
+    if chart != "R":
+        rows = [_SEvent(_HAND_EXPR[chart], -1, True)]
+        values = _event_values(rows, p=params.p, q_hand=_q_hand(params, grow=False))
+        rhs = (_q_rhs if chart == "Q" else _p_rhs)(params)
+        try:
+            seg = _rk45_segment(rhs, span[0], span[1], float(u0[0]), float(u0[1]),
+                                cfg.rel_tol, atol, max_step, rows, values, stats,
+                                cfg.max_steps)
+        except ZeroDivisionError as exc:
+            raise IntegrationError(f"launch phase in chart {chart} left the chart: "
+                                   f"{exc}") from None
+        if seg.terminal is None:
+            raise IntegrationError(
+                f"launch phase in chart {chart} never reached the handoff section")
+        return np.array(seg.t), np.array([seg.y, seg.Y])
+
+    def rhs(t, u):
+        g, s, _tau = u
+        dg, ds = field("R", (g, s), params)
+        return (dg, ds, g * s)
 
     try:
-        sol = solve_ivp(rhs, span, np.asarray(u0, dtype=float), method=method,
-                        rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14),
-                        max_step=max_step, events=[*goals, *stops])
+        sol = solve_ivp(_budgeted(rhs, stats, cfg, "launch phase in chart R"), span,
+                        np.asarray(u0, dtype=float), method=method,
+                        rtol=cfg.rel_tol, atol=atol, max_step=max_step,
+                        events=[*goals, *stops])
     except ChartDomainError as exc:
         raise IntegrationError(f"launch phase in chart {chart} left the chart: "
                                f"{exc}") from None
@@ -160,29 +221,33 @@ def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
     if sol.status != 1 or not any(te.size for te in sol.t_events[:len(goals)]):
         raise IntegrationError(
             f"launch phase in chart {chart} never reached the handoff section")
-    return sol
+    return sol.t, sol.y
 
 
 def _launch(phase, offset: float, consistency_check: bool, meta: dict):
     """Run the manifold launch ``phase(delta)`` at ``offset`` and, when
     asked, again at offset/2; the distance between the two hand-off points
     is ``meta["offset_consistency"]``."""
-    sol = phase(offset)
+    t, u = phase(offset)
     if consistency_check:
-        half = phase(offset / 2.0)
-        meta["offset_consistency"] = float(np.hypot(*(sol.y[:2, -1] - half.y[:2, -1])))
-    return sol
+        _, half = phase(offset / 2.0)
+        meta["offset_consistency"] = float(np.hypot(*(u[:2, -1] - half[:2, -1])))
+    return t, u
 
 
 def _hand_off(chart: str, t, u, params: ProblemParams, cfg: IntegrationConfig,
               direction: int, tau_span: Optional[float], meta: dict,
-              events=()) -> Trajectory:
+              stats: dict, events=()) -> Trajectory:
     """Lift the launch samples (chart times ``t``, chart points ``u``; in
     chart R tau is ``u[2]``) to (y, Y), drop the unliftable ones, continue
     from the last one with :func:`integrate_s` and join the pieces.
 
     ``events`` are launch-phase events; the result's ``meta`` is the
-    launch's plus the S-chart stepper counts ``meta["stats"]``."""
+    launch's plus the S-chart stepper counts ``meta["stats"]`` and the
+    launch's counts ``meta["launch_stats"]`` (``stats``: rhs evaluations,
+    accepted and rejected stepper steps, and segments, a segment being one
+    stepper or ``solve_ivp`` start; the offset-consistency rerun and the
+    corner charts of T_plus / T_minus included)."""
     ok, y, Y = _lift(chart, u[0], u[1], params.p)
     tau = (u[2] if chart == "R" else t)[ok]
     y, Y = y[ok], Y[ok]
@@ -194,6 +259,7 @@ def _hand_off(chart: str, t, u, params: ProblemParams, cfg: IntegrationConfig,
     keep[1:] = np.diff(direction * tau) > 0.0
     events = sorted([*events, *s_traj.events], key=lambda e: direction * e.time)
     meta["stats"] = s_traj.meta["stats"]
+    meta["launch_stats"] = stats
     return Trajectory("S", params, tau[keep], ys[:, keep], events,
                       s_traj.termination, direction, meta=meta)
 
@@ -227,7 +293,7 @@ def shoot_regular(params: ProblemParams, config: Optional[IntegrationConfig] = N
     sigma_star = eps * al / N
     slope = eps * (al - N) / (N * (N + dc.p_prime))
     sgn_z = 1.0 if sigma_star > 0.0 else -1.0
-    hand = _hand_off_event("Q", params, grow=False)
+    stats = _launch_stats()
 
     def start(delta):
         zeta0 = sgn_z * delta
@@ -236,12 +302,12 @@ def shoot_regular(params: ProblemParams, config: Optional[IntegrationConfig] = N
     u0 = start(offset)
     meta: dict = {"kind": "T_r", "a": a, "offset": offset,
                   "launch_chart": "Q", "launch_coords": u0}
-    sol = _launch(lambda delta: _chart_phase("Q", start(delta), params, cfg,
-                                             (0.0, 80.0), [hand], max_step=0.25),
-                  offset, consistency_check, meta)
-    if not np.all(_q("Q", sol.y[0], sol.y[1], p) > 0.0):
+    t, u = _launch(lambda delta: _chart_phase("Q", start(delta), params, cfg,
+                                              (0.0, 80.0), stats, max_step=0.25),
+                   offset, consistency_check, meta)
+    if not np.all(_q("Q", u[0], u[1], p) > 0.0):
         raise IntegrationError("regular launch left the liftable cone")
-    traj = _hand_off("Q", sol.t, sol.y, params, cfg, 1, tau_span, meta)
+    traj = _hand_off("Q", t, u, params, cfg, 1, tau_span, meta, stats)
 
     # amplitude carried by the launch point (the first sample), with the
     # first-order tail correction int zeta dtau = zeta0/p'
@@ -283,8 +349,8 @@ def shoot_double_zero(params: ProblemParams, r_bar: float = 1.0,
     # the inverse-slope chart is singular where w' = 0; orbits whose first
     # extremum arrives below the handoff amplitude (small limit cycles)
     # must leave the chart before |g| blows up there
-    goals = [_hand_off_event("R", params, grow=True),
-             _event(lambda nu, u: abs(u[0]) - 1e6, 1)]
+    goals = [_rising_hand_off(params), _event(lambda nu, u: abs(u[0]) - 1e6, 1)]
+    stats = _launch_stats()
 
     def start(delta):
         return (d * delta * v[0], -eps + d * delta * v[1], 0.0)
@@ -292,9 +358,9 @@ def shoot_double_zero(params: ProblemParams, r_bar: float = 1.0,
     u0 = start(offset)
     meta: dict = {"kind": "T_eps", "r_bar": r_bar, "offset": offset,
                   "launch_chart": "R", "launch_coords": (float(u0[0]), float(u0[1]))}
-    sol = _launch(lambda delta: _chart_phase("R", start(delta), params, cfg,
-                                             nu_span, goals),
-                  offset, consistency_check, meta)
+    t, u = _launch(lambda delta: _chart_phase("R", start(delta), params, cfg,
+                                              nu_span, stats, goals),
+                   offset, consistency_check, meta)
 
     tau_edge_est = -float(u0[0]) * (p - 1.0) / (p - 2.0)
     shift = math.log(r_bar) - tau_edge_est
@@ -302,7 +368,7 @@ def shoot_double_zero(params: ProblemParams, r_bar: float = 1.0,
     edge_event = Event("double_zero_capture", tau_edge_est,
                        PhaseState(tau_edge_est, 0.0, 0.0))
     # tau runs away from the edge
-    traj = _hand_off("R", sol.t, sol.y, params, cfg, -eps, tau_span, meta,
+    traj = _hand_off("R", t, u, params, cfg, -eps, tau_span, meta, stats,
                      [edge_event])
     traj.shift_tau(shift)
     traj.meta["tau_edge_estimate"] = tau_edge_est + shift
@@ -348,6 +414,7 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
 
     meta: dict = {"kind": "T_alpha", "offset": offset, "launch_chart": "R",
                   "decay_end": float(-direction) * math.inf}
+    stats = _launch_stats()
 
     # Transverse rate along the away direction.  When it is negative the
     # launch is self-correcting (the unique-orbit case eps(gamma+alpha)<0)
@@ -359,7 +426,7 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
     away_rate = direction * (-eps) / (p - 1.0)
 
     if away_rate < 0.0:
-        hand = _hand_off_event("R", params, grow=True)
+        hand = _rising_hand_off(params)
 
         def start(delta):
             return (A[0] + d * delta * v[0], A[1] + d * delta * v[1], 0.0)
@@ -369,10 +436,10 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
         meta["launch_coords"] = (float(u0[0]), float(u0[1]))
         # the transverse mode makes the slow center traverse stiff for an
         # explicit pair; LSODA switches to BDF there
-        sol = _launch(lambda delta: _chart_phase(
-            "R", start(delta), params, cfg, (0.0, direction * nu_max), [hand],
-            [g_blowup], method="LSODA"), offset, consistency_check, meta)
-        return _hand_off("R", sol.t, sol.y, params, cfg, direction, tau_span, meta)
+        t, u = _launch(lambda delta: _chart_phase(
+            "R", start(delta), params, cfg, (0.0, direction * nu_max), stats,
+            [hand], [g_blowup], method="LSODA"), offset, consistency_check, meta)
+        return _hand_off("R", t, u, params, cfg, direction, tau_span, meta, stats)
 
     meta["launch_variant"] = "seeded"
     meta["offset_consistency"] = 0.0  # the offset only truncates the tail
@@ -384,25 +451,28 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
     # shrink the seed geometrically until the tail collapses; the first
     # seed lifts to about the hand-off ordinate
     s_mac = s_sign * _q_hand(params, grow=True) * abs(al) ** (p - 1.0)
-    sol = None
+    tail = None
     for _ in range(24):
         g_seed = A[0] + (v[0] / v[1]) * s_mac
         try:
-            sol = _chart_phase("R", (g_seed, s_mac, 0.0), params, cfg,
-                               (0.0, -direction * nu_max), [near_A],
-                               [g_blowup, s_flip], method="LSODA")
+            tail = _chart_phase("R", (g_seed, s_mac, 0.0), params, cfg,
+                                (0.0, -direction * nu_max), stats, [near_A],
+                                [g_blowup, s_flip], method="LSODA")
             break
         except IntegrationError:
+            if stats["rhs_evals"] > _RHS_PER_STEP * cfg.max_steps:
+                raise
             s_mac *= 0.5
             if abs(s_mac) < 1e3 * offset:
                 break
-    if sol is None:
+    if tail is None:
         raise IntegrationError(
             "algebraic-decay tail did not collapse onto the stationary point")
     meta["launch_coords"] = (float(g_seed), float(s_mac))
     # tail in backward order; reverse into forward (integration) order
-    return _hand_off("R", sol.t[::-1], sol.y[:, ::-1], params, cfg, direction,
-                     tau_span, meta)
+    t, u = tail
+    return _hand_off("R", t[::-1], u[:, ::-1], params, cfg, direction,
+                     tau_span, meta, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +515,7 @@ def shoot_T_eta_or_u(params: ProblemParams, config: Optional[IntegrationConfig] 
         u1 = np.array([1.0, 0.0])
         u2 = _unit(v2 * math.copysign(1.0, v2[1]))
         step = _unit(u1 + u2)
-    hand = _hand_off_event("P", params, grow=False)
+    stats = _launch_stats()
 
     def start(delta):
         return (eta + delta * step[0], delta * step[1])
@@ -453,10 +523,10 @@ def shoot_T_eta_or_u(params: ProblemParams, config: Optional[IntegrationConfig] 
     u0 = start(offset)
     meta: dict = {"kind": kind, "offset": offset, "launch_chart": "P",
                   "launch_coords": u0, "c": 1.0}
-    sol = _launch(lambda delta: _chart_phase("P", start(delta), params, cfg,
-                                             (0.0, 80.0), [hand], max_step=0.25),
-                  offset, consistency_check, meta)
-    traj = _hand_off("P", sol.t, sol.y, params, cfg, 1, tau_span, meta)
+    t, u = _launch(lambda delta: _chart_phase("P", start(delta), params, cfg,
+                                              (0.0, 80.0), stats, max_step=0.25),
+                   offset, consistency_check, meta)
+    traj = _hand_off("P", t, u, params, cfg, 1, tau_span, meta, stats)
 
     # c = lim y e^{(gamma+eta) tau}, read at the launch point (the first
     # sample); the drift is d/dtau ln(.) = eta - zeta, integrable over the
@@ -522,12 +592,13 @@ def _flat_chart_ode_pgtN(params: ProblemParams, c1: float):
 
 
 def _run_flat_launch_pgtN(params: ProblemParams, c1: float, tau0: float,
-                          cfg: IntegrationConfig):
+                          cfg: IntegrationConfig, stats: dict):
     """Integrate the p > N corner chart to zeta0 = c1 e^{|eta| tau0} and
     return the chart-P launch point (zeta0, psi0)."""
     H, W = _flat_chart_ode_pgtN(params, c1)
     zeta0 = c1 * math.exp(abs(derive_constants(params).eta) * tau0)
-    sol_v = solve_ivp(H, (0.0, zeta0), [1.0], method="RK45",
+    sol_v = solve_ivp(_budgeted(H, stats, cfg, "flat-limit corner chart"),
+                      (0.0, zeta0), [1.0], method="RK45",
                       rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14))
     if not sol_v.success:
         raise IntegrationError("flat-limit corner chart integration failed")
@@ -578,13 +649,15 @@ def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: float = 1.0,
     cfg = config or IntegrationConfig()
     dc = derive_constants(params)
     p, N = params.p, float(params.N)
+    stats = _launch_stats()
 
     if params.p == params.N:
         k = a
         tau0 = -18.0
         zeta0 = -1.0 / tau0
         G = _flat_chart_ode_pN(params, k)
-        sol_v = solve_ivp(G, (0.0, zeta0), [k ** (2.0 - p)], method="RK45",
+        sol_v = solve_ivp(_budgeted(G, stats, cfg, "flat-limit corner chart"),
+                          (0.0, zeta0), [k ** (2.0 - p)], method="RK45",
                           rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14))
         if not sol_v.success:
             raise IntegrationError("flat-limit corner chart integration failed")
@@ -605,7 +678,7 @@ def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: float = 1.0,
         c1 = c
         a1 = a
         for _ in range(6):
-            zeta0, psi0 = _run_flat_launch_pgtN(params, c1, tau0, cfg)
+            zeta0, psi0 = _run_flat_launch_pgtN(params, c1, tau0, cfg, stats)
             with np.errstate(over="ignore"):  # inf is rejected just below
                 _, yp, Yp = _lift("P", np.array([zeta0]), np.array([psi0]), p)
             a1, c1_meas = _measure_flat_limits(tau0, float(yp[0]), float(Yp[0]), params)
@@ -617,14 +690,14 @@ def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: float = 1.0,
                 c1 = c1_new
                 break
             c1 = c1_new
-        u0 = _run_flat_launch_pgtN(params, c1, tau0, cfg)
+        u0 = _run_flat_launch_pgtN(params, c1, tau0, cfg, stats)
         meta = {"kind": "T_plus" if c > 0.0 else "T_minus", "a": a, "c": c,
                 "launch_chart": "P", "launch_coords": u0, "chart_parameter": c1}
         shift = math.log(a / a1) / dc.gamma
 
-    sol = _chart_phase("P", u0, params, cfg, (tau0, tau0 + 80.0),
-                       [_hand_off_event("P", params, grow=False)], max_step=0.25)
-    traj = _hand_off("P", sol.t, sol.y, params, cfg, 1, tau_span, meta)
+    t, u = _chart_phase("P", u0, params, cfg, (tau0, tau0 + 80.0), stats,
+                        max_step=0.25)
+    traj = _hand_off("P", t, u, params, cfg, 1, tau_span, meta, stats)
     if shift:
         traj.shift_tau(shift)
     return traj

@@ -128,6 +128,18 @@ class TestShoot:
         assert message in err
         assert len(err.splitlines()) == code  # one "error:" line on failure
 
+    def test_launch_budget_is_declared(self, capsys, tmp_path, monkeypatch):
+        # the chart-R launch of T_eps stops at its rhs-evaluation budget
+        cfg = tmp_path / "plap.cfg"
+        cfg.write_text("max_steps = 1\n")
+        monkeypatch.setenv("PLAP_CONFIG", str(cfg))
+        code, _, err = run(capsys, "shoot", "--kind", "T_eps", "--N", "2",
+                           "--p", "3", "--alpha", "1", "--eps", "1",
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert "launch phase in chart R exceeded its budget" in err
+        assert len(err.splitlines()) == 1  # one "error:" line, no traceback
+
 
 class TestIntegrate:
     def test_explicit_state(self, capsys, tmp_path):

@@ -62,11 +62,11 @@ def test_recipe_fingerprint():
 # the cycle's source orbit
 CYCLES = {
     -4.0: {  # osc
-        "O_r": (1.500769115560967, 0.022858737177745718, -1.8130494557457002, 132, 127),
+        "O_r": (1.5007691155677074, 0.022858737181754133, -1.8130494556262615, 132, 127),
         "O_eps": (1.5007691155537664, 0.022858737173453002, -1.813049455570301, 134, 127),
     },
     -2.53: {  # sou
-        "O_r": (2.3401156386793467, 0.019549999586380585, -1.5974738196052565, 85, 140),
+        "O_r": (2.3401156386795523, 0.01954999958636377, -1.597473820427096, 85, 140),
         "O_eps": (2.340115638679609, 0.01954999958638341, -1.5974738206908023, 85, 140),
     },
     -2.1: {  # orb
@@ -74,7 +74,7 @@ CYCLES = {
         "O_eps": (3.218694070966518, 0.01619262884577295, -1.2577264610433536, 62, 152),
     },
     -2.0: {  # clin
-        "O_r": (3.77974082305526, 0.014216166099312932, -0.8580957138541434, 53, 160),
+        "O_r": (3.779740827579406, 0.014216165910833254, -0.8580957031515224, 53, 160),
     },
 }
 

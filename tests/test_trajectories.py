@@ -5,11 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from plap.integrate import IntegrationConfig, IntegrationError
 from plap.params import ParameterError, ProblemParams, derive_constants
-from plap.systems import oracle
+from plap.systems import field, oracle
 from plap.trajectories import (
     SpecialTrajectorySpec,
+    _chart_phase,
+    _launch_stats,
+    _q,
+    _q_hand,
     shoot,
     shoot_double_zero,
     shoot_regular,
@@ -94,6 +100,25 @@ class TestRegular:
         traj = shoot_regular(ProblemParams(2, 3.0, 1.0, 1), tau_span=5.0,
                              consistency_check=True)
         assert traj.meta["offset_consistency"] <= 1e-6
+
+    def test_launch_stats_count_the_launch(self):
+        st = shoot_regular(ProblemParams(2, 3.0, 1.0, 1),
+                           tau_span=5.0).meta["launch_stats"]
+        assert st["segments"] == 2  # the launch and its offset/2 rerun
+        assert st["accepted"] > 0
+        # two evaluations to start a segment, six per attempted step
+        assert st["rhs_evals"] == 2 * st["segments"] \
+            + 6 * (st["accepted"] + st["rejected"])
+
+    def test_launch_budget_counts_both_runs(self):
+        params = ProblemParams(2, 3.0, 1.0, 1)
+        st = shoot_regular(params, tau_span=0.0).meta["launch_stats"]
+        attempts = st["accepted"] + st["rejected"]
+        shoot_regular(params, tau_span=0.0,
+                      config=IntegrationConfig(max_steps=attempts))
+        with pytest.raises(IntegrationError, match="max_steps exceeded"):
+            shoot_regular(params, tau_span=0.0,
+                          config=IntegrationConfig(max_steps=attempts - 1))
 
 
 class TestDoubleZero:
@@ -218,6 +243,65 @@ class TestBoundedSlopeFamily:
                   ProblemParams(1, 3.0, 1.0, 1))
 
 
+class TestLaunchBudget:
+    """The solve_ivp launches (chart R, the corner charts of the flat-limit
+    family) stop at their rhs-evaluation budget."""
+
+    @pytest.mark.parametrize("kind, params, what", [
+        ("T_eps", (2, 3.0, 1.0, 1), "launch phase in chart R"),
+        ("T_alpha", (1, 3.0, -2.53, -1), "launch phase in chart R"),  # manifold
+        ("T_alpha", (1, 3.0, -4.0, -1), "launch phase in chart R"),   # seeded
+        ("T_plus", (1, 3.0, 1.0, 1), "flat-limit corner chart"),      # p = N
+        ("T_plus", (2, 3.0, 1.0, 1), "flat-limit corner chart"),      # p > N
+    ])
+    def test_small_budget_raises(self, kind, params, what):
+        cfg = IntegrationConfig(max_steps=1)
+        with pytest.raises(IntegrationError, match=f"{what} exceeded its budget "
+                                                   "of 6 rhs evaluations"):
+            shoot(SpecialTrajectorySpec(kind), ProblemParams(*params), cfg,
+                  tau_span=1.0)
+
+
+# The Q and P launches against the solve_ivp call on ``field`` that the
+# scalar stepper replaced: (kind, (N, p, alpha, eps), chart-time span)
+LAUNCH_REFERENCE = [
+    ("T_r", (2, 3.0, 2.0, 1), (0.0, 80.0)),
+    ("T_u", (2, 3.0, 1.0, 1), (0.0, 80.0)),
+    ("T_minus", (2, 3.0, 1.0, 1), (-16.0, 64.0)),
+]
+
+
+@pytest.mark.parametrize("kind, params, span", LAUNCH_REFERENCE)
+def test_launch_replicates_scipy_rk45(kind, params, span):
+    params = ProblemParams(*params)
+    meta = shoot(SpecialTrajectorySpec(kind), params, tau_span=0.0,
+                 consistency_check=False).meta
+    chart, u0 = meta["launch_chart"], meta["launch_coords"]
+    cfg = IntegrationConfig()
+    stats = _launch_stats()
+    t, u = _chart_phase(chart, u0, params, cfg, span, stats, max_step=0.25)
+
+    q_hand = _q_hand(params, grow=False)
+
+    def hand(t, u):
+        return _q(chart, u[0], u[1], params.p) - q_hand
+
+    hand.terminal, hand.direction = True, -1
+    ref = solve_ivp(lambda t, u: field(chart, u, params), span,
+                    np.asarray(u0, dtype=float), method="RK45",
+                    rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14),
+                    max_step=0.25, events=[hand])
+    assert ref.status == 1
+    assert stats["accepted"] == ref.t.size - 1
+    assert stats["rhs_evals"] == ref.nfev
+    assert t.size == ref.t.size  # the hand-off fired in the same step
+    # the same rule up to rounding (see TestStepper.test_replicates_scipy_rk45)
+    tol = 1e-8
+    assert abs(t[-1] - ref.t[-1]) <= tol * (span[1] - span[0])
+    scale = np.max(np.abs(ref.y), axis=1)
+    assert np.all(np.abs(u[:, -1] - ref.y[:, -1]) <= tol * scale)
+
+
 class TestDispatch:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -275,7 +359,7 @@ LAUNCH_PINS = [
      (-16.000000168802735, 7.016738675801294e+20, 6.2351532908539e+27),
      (1.7282043523963682, -0.000995950393240246, -1.000000000000002e-06),
      None),
-    ("T_minus", (2, 3.0, 1.0, 1), None, "origin_flagged", ["Y_zero_crossing"], 476,
+    ("T_minus", (2, 3.0, 1.0, 1), None, "origin_flagged", ["Y_zero_crossing"], 475,
      (-15.998657699146243, 6.993228949413676e+20, -5.503560981607365e+34),
      (1.9964732126629532, 0.0009969434216708067, 1.000000000000003e-06),
      None),
