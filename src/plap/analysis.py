@@ -19,11 +19,11 @@ vertical lines; each label is re-verified against the logarithmic slope
 of the profile (d ln|w| / d ln r -> -zeta).
 
 The homoclinic connection is detected by shooting in the rescaled
-inverse-slope chart (g, S): the connection function phi(alpha) is the
-signed gap, on the line {g = 1/gamma}, between the orbit leaving the
-double-zero point and the orbit entering the algebraic-decay point.
-phi is strictly decreasing and its root is the critical exponent
-alpha_c.
+inverse-slope chart R_beta (g, S) on its one field, ``systems._r_rhs``:
+the connection function phi(alpha) is the signed gap, on the line
+{g = 1/gamma}, between the orbit leaving the double-zero point and the
+orbit entering the algebraic-decay point.  phi is strictly decreasing
+and its root is the critical exponent alpha_c.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .integrate import (
     Trajectory,
     integrate_s,
 )
-from .systems import PhaseState, field as chart_field, phi_Y
+from .systems import PhaseState, _r_rhs, phi_Y
 from . import trajectories as traj_mod
 
 
@@ -552,12 +552,13 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
     """(S0, S1): section ordinates on the line {g = 1/gamma} of the two
     separatrix orbits of the rescaled inverse-slope chart.
 
-    Both separatrix segments have F > 0 along them (the monotonicity
-    lemma behind the uniqueness of the critical exponent), so g is
-    strictly monotone up to the first section crossing and each orbit is
-    the graph of a scalar ODE dS/dg = S G / (g F).  Integrating in g
-    avoids the arbitrarily slow rescaled-time traverse near the decay
-    point.
+    Chart R_beta's field (``systems._r_rhs`` at b = beta) has dg/dnu =
+    g F.  Both separatrix segments have F > 0 along them (the
+    monotonicity lemma behind the uniqueness of the critical exponent), so
+    g is strictly monotone up to the first section crossing and each orbit
+    is the graph of the scalar ODE dS/dg = (dS/dnu) / (dg/dnu).
+    Integrating in g avoids the arbitrarily slow rescaled-time traverse
+    near the decay point.
 
     The double-zero separatrix leaves an unstable node and is not stiff:
     RK45 takes a few dozen steps.  The algebraic-decay separatrix starts
@@ -585,12 +586,7 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
                             "alpha = eta: its center manifold has infinite "
                             "coefficients")
 
-    def F(g, S):
-        return beta * S * (1.0 + eta * g) - (1.0 + al * g) / (p - 1.0)
-
-    def G(g, S):
-        return 1.0 + al * g - beta * (1.0 + N * g) * S
-
+    r_field = _r_rhs(params, beta)
     nfev = 0
 
     def rhs(g, u):
@@ -600,15 +596,14 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
             raise AnalysisError(
                 f"connection function exceeded its budget of {cfg.max_steps} "
                 f"rhs evaluations at alpha = {al}")
-        # F > 0 holds on the separatrix, but RK45's trial stages and
-        # LSODA's corrector iterates may probe states just off it where
-        # F <= 0; flooring F there blows up the slope and forces a
-        # smaller step instead of aborting the whole shoot.
-        S = float(u[0])
-        f = F(g, S)
-        if not (f > 0.0):
-            return [math.copysign(1e30, S * G(g, S) / g)]
-        return [S * G(g, S) / (g * f)]
+        # dg/dnu = g F > 0 holds on the separatrix (g > 0 throughout), but
+        # RK45's trial stages and LSODA's corrector iterates may probe
+        # states just off it where dg/dnu <= 0; flooring it there blows up
+        # the slope and forces a smaller step instead of aborting the shoot.
+        dg, dS = r_field(g, float(u[0]))
+        if not (dg > 0.0):
+            return [math.copysign(1e30, dS / g)]
+        return [dS / dg]
 
     # orbit leaving the double-zero point B' = (0, 1/beta): unstable
     # eigenvector (1, (alpha - N)/(beta (1 + lambda))), lambda = (p-2)/(p-1)
@@ -633,7 +628,7 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
         / (beta * (p - 1.0) * (al - eta) ** 2)
     x0 = -1e-3 * (g_A - g_L)
     S_start1 = m1 * x0 + m2 * x0 * x0
-    if not F(g_A + x0, S_start1) > 0.0:
+    if not r_field(g_A + x0, S_start1)[0] > 0.0:
         raise AnalysisError(
             "algebraic-decay separatrix launches outside the admissible region F > 0")
     with warnings.catch_warnings():

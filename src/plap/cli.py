@@ -324,30 +324,43 @@ def cmd_shoot(args) -> int:
     return _emit(traj, args, f"shoot-{args.kind}", params, cfg, t_start)
 
 
+def _seed(values, where: str) -> tuple[float, float]:
+    """The seed (y, Y) of two numbers; ``where`` names the input otherwise."""
+    try:
+        y, Y = (float(v) for v in values)
+    except (TypeError, ValueError):
+        raise ParameterError(f"{where}: a seed is two numbers 'y Y', "
+                             f"got {values!r}") from None
+    return y, Y
+
+
 def _load_recipe(args) -> tuple[ProblemParams, list]:
     """Parameters and seed states from --recipe / --seed-file / flags."""
     seeds: list = []
-    params = None
     if args.recipe:
         path = Path(args.recipe)
         if not path.exists():
             path = RECIPE_DIR / f"{args.recipe}.json"
         if not path.exists():
             raise ParameterError(f"unknown recipe {args.recipe!r}")
-        rec = json.loads(path.read_text())
-        params = ProblemParams(N=rec["N"], p=rec["p"], alpha=rec["alpha"],
-                               epsilon=rec["eps"])
-        seeds = [tuple(s) for s in rec.get("seeds", [])]
+        try:
+            rec = json.loads(path.read_text())
+            params = ProblemParams(N=rec["N"], p=rec["p"], alpha=rec["alpha"],
+                                   epsilon=rec["eps"])
+            seeds = [_seed(s, f"seed {k}") for k, s in enumerate(rec.get("seeds", []))]
+        except KeyError as exc:
+            raise ParameterError(f"recipe {path} lacks the key {exc}") from None
+        except (TypeError, ValueError) as exc:  # malformed JSON, values or seeds
+            raise ParameterError(f"recipe {path}: {exc}") from None
     else:
         params = _build_params(args)
     if args.seed_file:
         seeds = []
-        for line in Path(args.seed_file).read_text().splitlines():
+        for k, line in enumerate(Path(args.seed_file).read_text().splitlines(), 1):
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            y, Y = line.replace(",", " ").split()
-            seeds.append((float(y), float(Y)))
+            if line:
+                seeds.append(_seed(line.replace(",", " ").split(),
+                                   f"{args.seed_file}:{k}"))
     return params, seeds
 
 

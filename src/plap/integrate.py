@@ -308,6 +308,11 @@ def _rms(a: float, b: float) -> float:
     return math.sqrt(a * a + b * b) / _SQRT2
 
 
+def _new_stats() -> dict:
+    """Zeroed work counters of one orbit or launch (:func:`_rk45_segment`)."""
+    return {"rhs_evals": 0, "accepted": 0, "rejected": 0, "segments": 0}
+
+
 def _rk45_segment(fun, t0: float, t_bound: float, y0: float, Y0: float,
                   rtol: float, atol: float, max_step: float,
                   events: Sequence[_SEvent],
@@ -537,7 +542,7 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
     taus: list[np.ndarray] = []
     ys_parts: list[np.ndarray] = []
     events: list[Event] = []
-    stats = {"rhs_evals": 0, "accepted": 0, "rejected": 0, "segments": 0}
+    stats = _new_stats()
 
     s_now = 0.0
     while True:

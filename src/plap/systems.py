@@ -19,11 +19,13 @@ Four auxiliary charts cover the ends of the phase plane:
 *  P: (zeta, psi)  = (phi(Y)/y, y/Y), polynomial, regular across Y infinite;
 *  R: (g, s) = (-1/zeta, -sigma) with the rescaled time d tau = g s d nu,
    which desingularizes the origin (double zeros of w);
-*  R_beta: (g, S) with s = beta S, used by the homoclinic connection
+*  R_beta: chart R with s = beta S, used by the homoclinic connection
    function.
 
-All operations here are pure closed forms; integration lives in
-:mod:`plap.integrate`.
+Each chart's field is written once here (``_s_rhs``, ``_q_rhs``, ``_p_rhs``,
+and ``_r_rhs`` for both R charts), and so is the one lift of charts Q, P
+and R to chart S (``_lift``, through y^{p-2} = ``_q``).  All operations here
+are pure closed forms; integration lives in :mod:`plap.integrate`.
 """
 
 from __future__ import annotations
@@ -146,6 +148,21 @@ def _p_rhs(params: ProblemParams):
     return f
 
 
+def _r_rhs(params: ProblemParams, b: float = 1.0):
+    """Chart R at (g, S) with s = b S, on Python floats: ``b = 1`` is
+    chart R and ``b = beta`` chart R_beta.  The one definition of both
+    (``field("R")``, ``field("R_beta")``, the chart-R launches and the
+    connection function evaluate it)."""
+    eta, N, pm1 = derive_constants(params).eta, float(params.N), params.p - 1.0
+    al, eps = params.alpha, params.epsilon
+
+    def f(g, S):
+        return (g * (b * S * (1.0 + eta * g) + eps * (1.0 + al * g) / pm1),
+                -S * (eps * (1.0 + al * g) + b * (1.0 + N * g) * S))
+
+    return f
+
+
 def field(chart_id: str, coords, params: ProblemParams) -> np.ndarray:
     """Right-hand side of the named chart at ``coords``.
 
@@ -158,36 +175,18 @@ def field(chart_id: str, coords, params: ProblemParams) -> np.ndarray:
     a, b = float(coords[0]), float(coords[1])
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ChartDomainError(f"non-finite coordinates {coords!r} in chart {chart_id}")
-    dc = derive_constants(params)
-    N = float(params.N)
-    p = params.p
-    al = params.alpha
-    eps = params.epsilon
-
+    beta = derive_constants(params).beta  # validates the parameters first
     if chart_id == "S":
         return np.array(_s_rhs(params, 1)(a, b))
-
     if chart_id == "Q":
         if b == 0.0:
             raise ChartDomainError("chart Q requires sigma != 0")
         return np.array(_q_rhs(params)(a, b))
-
     if chart_id == "P":
         return np.array(_p_rhs(params)(a, b))
-
-    if chart_id == "R":
-        g, s = a, b
-        dg = g * (s * (1.0 + dc.eta * g) + eps * (1.0 + al * g) / (p - 1.0))
-        ds = -s * (eps * (1.0 + al * g) + (1.0 + N * g) * s)
-        return np.array([dg, ds])
-
-    # R_beta
-    g, S = a, b
-    if dc.beta == 0.0:
+    if chart_id == "R_beta" and beta == 0.0:
         raise ChartDomainError("chart R_beta requires beta != 0")
-    dg = g * (dc.beta * S * (1.0 + dc.eta * g) + eps * (1.0 + al * g) / (p - 1.0))
-    dS = -S * (eps * (1.0 + al * g) + dc.beta * (1.0 + N * g) * S)
-    return np.array([dg, dS])
+    return np.array(_r_rhs(params, beta if chart_id == "R_beta" else 1.0)(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -226,45 +225,48 @@ def convert(state: PhaseState, target_chart: str, params: ProblemParams) -> Char
     return ChartState("R_beta", (g, s / dc.beta), state.tau)
 
 
+def _q(chart: str, a, b, p: float):
+    """y^{p-2} at the point (a, b) of chart Q (zeta, sigma), P (zeta, psi)
+    or R (g, s), for scalars or arrays; the point lifts to y > 0 where it
+    is positive."""
+    if chart == "Q":
+        return b * np.sign(a) * np.abs(a) ** (1.0 - p)
+    if chart == "P":
+        return 1.0 / (b * np.sign(a) * np.abs(a) ** (p - 1.0))
+    return b * np.sign(a) * np.abs(a) ** (p - 1.0)
+
+
+def _lift(chart: str, a, b, p: float):
+    """(ok, y, Y) of chart points on the branch y > 0, for scalars or
+    arrays: the one lift of charts Q, P and R to chart S; ``ok`` marks the
+    liftable points."""
+    q = _q(chart, a, b, p)
+    y = np.where(q > 0.0, np.abs(q), 1.0) ** (1.0 / (p - 2.0))
+    Y = b * y if chart == "Q" else y / b if chart == "P" else -b * y
+    return q > 0.0, y, Y
+
+
 def invert(chart_state: ChartState, params: ProblemParams, sign_y: int = 1) -> PhaseState:
-    """Invert :func:`convert`.  The slope charts identify (y, Y) with
-    (-y, -Y); ``sign_y`` selects the branch (sign of y)."""
+    """Invert :func:`convert` through :func:`_lift` (chart R_beta as chart R
+    with s = beta S).  The slope charts identify (y, Y) with (-y, -Y);
+    ``sign_y`` selects the branch (sign of y)."""
     cid = chart_state.chart_id
     a, b = chart_state.coords
-    p = params.p
     if cid == "S":
         return PhaseState(chart_state.time_var, a, b)
-    if cid == "Q":
-        zeta, sigma = a, b
-    elif cid == "P":
-        zeta, psi = a, b
-        if psi == 0.0:
-            raise ChartDomainError("cannot invert chart P at psi = 0 (Y infinite)")
-        sigma = 1.0 / psi
-    elif cid in ("R", "R_beta"):
-        g, s = a, b
-        if cid == "R_beta":
-            dc = derive_constants(params)
-            s = s * dc.beta
-        if g == 0.0:
-            raise ChartDomainError("cannot invert chart R at g = 0 (zeta infinite)")
-        zeta = -1.0 / g
-        sigma = -s
-    else:
+    if cid not in CHART_IDS:
         raise ChartDomainError(f"unknown chart {cid!r}")
-
-    if zeta == 0.0:
-        if sigma != 0.0:
-            raise ChartDomainError("inconsistent slope coordinates (zeta=0, sigma!=0)")
-        raise ChartDomainError("cannot invert the slope chart at zeta = sigma = 0")
-    q = sigma / sgn_pow(zeta, p - 1.0)
-    if q <= 0.0:
-        raise ChartDomainError(
-            f"slope coordinates (zeta={zeta}, sigma={sigma}) violate zeta*sigma > 0"
-        )
-    mag = q ** (1.0 / (p - 2.0))
-    y = sign_y * mag
-    return PhaseState(chart_state.time_var, y, sigma * y)
+    if cid == "R_beta":
+        beta = derive_constants(params).beta
+        if beta == 0.0:
+            raise ChartDomainError("chart R_beta requires beta != 0")
+        cid, b = "R", b * beta
+    if a == 0.0 or b == 0.0:
+        raise ChartDomainError(f"cannot invert {chart_state} at a zero coordinate")
+    ok, y, Y = _lift(cid, a, b, params.p)
+    if not ok:
+        raise ChartDomainError(f"{chart_state} lifts to y^(p-2) <= 0")
+    return PhaseState(chart_state.time_var, sign_y * float(y), sign_y * float(Y))
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,15 @@ phase plane.
 Every construction runs one pipeline.  The launch expands the local
 invariant manifold of a degenerate or hyperbolic point in the chart
 where it is regular (Q, P or R), steps a small offset ``delta`` along
-the manifold, and integrates the chart field (``_chart_phase``) until
-the hand-off event fires: the ordinate y, lifted from the chart point by
-y^{p-2} = ``_q``, reaches a fixed level.  Charts Q and P run on the
-scalar Dormand-Prince stepper of :mod:`plap.integrate`; chart R, where
-tau rides along as a third component and the T_alpha launch is stiff,
-runs through ``solve_ivp``.  Every launch counts its work against
-``IntegrationConfig.max_steps``.  ``_hand_off`` then lifts the
-launch samples to (y, Y), continues from the last one with the S-chart
+the manifold, and integrates the chart's field from :mod:`plap.systems`
+(``_chart_phase``) until the hand-off event fires: the ordinate y,
+lifted from the chart point by y^{p-2} = ``systems._q``, reaches a fixed
+level.  Charts Q and P run on the scalar Dormand-Prince stepper of
+:mod:`plap.integrate`; chart R, where tau rides along as a third
+component and the T_alpha launch is stiff, runs through ``solve_ivp``.
+Every launch counts its work against ``IntegrationConfig.max_steps``.
+``_hand_off`` then lifts the launch samples to (y, Y) by
+``systems._lift``, continues from the last one with the S-chart
 integrator and its full event machinery, and joins the two pieces.  A
 manifold launch runs again at delta/2 to report how far the hand-off
 point moves (``meta["offset_consistency"]``).  The seven kinds are
@@ -48,10 +49,11 @@ from .integrate import (
     Trajectory,
     _SEvent,
     _event_values,
+    _new_stats,
     _rk45_segment,
     integrate_s,
 )
-from .systems import ChartDomainError, PhaseState, _p_rhs, _q_rhs, field, to_profile
+from .systems import PhaseState, _lift, _p_rhs, _q, _q_rhs, _r_rhs, to_profile
 
 
 DEFAULT_OFFSET = 1e-7
@@ -69,40 +71,20 @@ class SpecialTrajectorySpec:
 
     def __post_init__(self) -> None:
         if self.kind not in TRAJECTORY_KINDS:
-            raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if not (self.offset > 0.0):
-            raise ValueError("offset must be positive")
+            raise ParameterError(f"unknown trajectory kind {self.kind!r}")
+        if not 0.0 < self.offset < math.inf:
+            raise ParameterError(f"offset must be finite and positive, got {self.offset}")
 
 
 # ---------------------------------------------------------------------------
 # the launch pipeline: chart phase -> lift -> S chart -> compose
 
 
-def _q(chart: str, a, b, p: float):
-    """y^{p-2} at the point (a, b) of chart Q (zeta, sigma), P (zeta, psi)
-    or R (g, s), for scalars or arrays; the point lifts to y > 0 where it
-    is positive."""
-    if chart == "Q":
-        return b * np.sign(a) * np.abs(a) ** (1.0 - p)
-    if chart == "P":
-        return 1.0 / (b * np.sign(a) * np.abs(a) ** (p - 1.0))
-    return b * np.sign(a) * np.abs(a) ** (p - 1.0)
-
-
-# _q - q_hand on Python floats, in the stepper's (y, Y) = (zeta, sigma) or
-# (zeta, psi): the hand-off row of a Q or P launch; a zero abscissa divides
-# by zero
+# systems._q - q_hand on Python floats, in the stepper's (y, Y) = (zeta,
+# sigma) or (zeta, psi): the hand-off row of a Q or P launch; a zero
+# abscissa divides by zero
 _HAND_EXPR = {"Q": "(Y if y > 0.0 else -Y) * abs(y) ** (1.0 - p) - q_hand",
               "P": "1.0 / ((Y if y > 0.0 else -Y) * abs(y) ** (p - 1.0)) - q_hand"}
-
-
-def _lift(chart: str, a, b, p: float):
-    """(ok, y, Y) of chart points on the branch y > 0 (a vectorized
-    :func:`systems.invert`); ``ok`` marks the liftable points."""
-    q = _q(chart, a, b, p)
-    y = np.where(q > 0.0, np.abs(q), 1.0) ** (1.0 / (p - 2.0))
-    Y = b * y if chart == "Q" else y / b if chart == "P" else -b * y
-    return q > 0.0, y, Y
 
 
 def _unit(v):
@@ -141,10 +123,6 @@ def _rising_hand_off(params: ProblemParams):
 # rhs evaluations of one attempted Dormand-Prince step: the budget of the
 # solve_ivp launches is what ``max_steps`` steps of the stepper may cost
 _RHS_PER_STEP = 6
-
-
-def _launch_stats() -> dict:
-    return {"rhs_evals": 0, "accepted": 0, "rejected": 0, "segments": 0}
 
 
 def _budgeted(rhs, stats: dict, cfg: IntegrationConfig, what: str):
@@ -199,9 +177,14 @@ def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
                 f"launch phase in chart {chart} never reached the handoff section")
         return np.array(seg.t), np.array([seg.y, seg.Y])
 
+    r_field = _r_rhs(params)
+
     def rhs(t, u):
-        g, s, _tau = u
-        dg, ds = field("R", (g, s), params)
+        g, s = float(u[0]), float(u[1])
+        if not (math.isfinite(g) and math.isfinite(s)):
+            raise IntegrationError(f"launch phase in chart R left the chart: "
+                                   f"non-finite coordinates {(g, s)!r}")
+        dg, ds = r_field(g, s)
         return (dg, ds, g * s)
 
     try:
@@ -209,9 +192,6 @@ def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
                         np.asarray(u0, dtype=float), method=method,
                         rtol=cfg.rel_tol, atol=atol, max_step=max_step,
                         events=[*goals, *stops])
-    except ChartDomainError as exc:
-        raise IntegrationError(f"launch phase in chart {chart} left the chart: "
-                               f"{exc}") from None
     except ValueError as exc:
         # scipy's event root search on a zero-length step, where the
         # event function has blown up
@@ -284,8 +264,8 @@ def shoot_regular(params: ProblemParams, config: Optional[IntegrationConfig] = N
     in tau to realize the requested a (the scaling w(r, a) =
     a w(a^{-1/gamma} r, 1)).
     """
-    if not (a > 0.0):
-        raise ParameterError("the regular family requires a > 0")
+    if not 0.0 < a < math.inf:
+        raise ParameterError(f"the regular family requires a finite a > 0, got {a}")
     cfg = config or IntegrationConfig()
     dc = derive_constants(params)  # also validates alpha != 0
     p, al, eps, N = params.p, params.alpha, params.epsilon, float(params.N)
@@ -293,7 +273,7 @@ def shoot_regular(params: ProblemParams, config: Optional[IntegrationConfig] = N
     sigma_star = eps * al / N
     slope = eps * (al - N) / (N * (N + dc.p_prime))
     sgn_z = 1.0 if sigma_star > 0.0 else -1.0
-    stats = _launch_stats()
+    stats = _new_stats()
 
     def start(delta):
         zeta0 = sgn_z * delta
@@ -337,8 +317,8 @@ def shoot_double_zero(params: ProblemParams, r_bar: float = 1.0,
     tau_edge = tau0 - g0 (p-1)/(p-2) + O(g0^2); the orbit is translated
     so that the edge sits at ln(rbar).
     """
-    if not (r_bar > 0.0):
-        raise ParameterError("r_bar must be positive")
+    if not 0.0 < r_bar < math.inf:
+        raise ParameterError(f"r_bar must be finite and positive, got {r_bar}")
     cfg = config or IntegrationConfig()
     derive_constants(params)
     p, al, eps, N = params.p, params.alpha, params.epsilon, float(params.N)
@@ -350,7 +330,7 @@ def shoot_double_zero(params: ProblemParams, r_bar: float = 1.0,
     # extremum arrives below the handoff amplitude (small limit cycles)
     # must leave the chart before |g| blows up there
     goals = [_rising_hand_off(params), _event(lambda nu, u: abs(u[0]) - 1e6, 1)]
-    stats = _launch_stats()
+    stats = _new_stats()
 
     def start(delta):
         return (d * delta * v[0], -eps + d * delta * v[1], 0.0)
@@ -414,7 +394,7 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
 
     meta: dict = {"kind": "T_alpha", "offset": offset, "launch_chart": "R",
                   "decay_end": float(-direction) * math.inf}
-    stats = _launch_stats()
+    stats = _new_stats()
 
     # Transverse rate along the away direction.  When it is negative the
     # launch is self-correcting (the unique-orbit case eps(gamma+alpha)<0)
@@ -515,7 +495,7 @@ def shoot_T_eta_or_u(params: ProblemParams, config: Optional[IntegrationConfig] 
         u1 = np.array([1.0, 0.0])
         u2 = _unit(v2 * math.copysign(1.0, v2[1]))
         step = _unit(u1 + u2)
-    stats = _launch_stats()
+    stats = _new_stats()
 
     def start(delta):
         return (eta + delta * step[0], delta * step[1])
@@ -591,18 +571,25 @@ def _flat_chart_ode_pgtN(params: ProblemParams, c1: float):
     return H, W
 
 
+def _corner_solve(rhs, v0: float, zeta0: float, cfg: IntegrationConfig,
+                  stats: dict) -> float:
+    """v(zeta0) on the graph dv/dzeta = ``rhs`` of a corner chart with
+    v(0) = v0, by RK45 counted against the launch budget."""
+    sol = solve_ivp(_budgeted(rhs, stats, cfg, "flat-limit corner chart"),
+                    (0.0, zeta0), [v0], method="RK45",
+                    rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14))
+    if not sol.success:
+        raise IntegrationError("flat-limit corner chart integration failed")
+    return float(sol.y[0, -1])
+
+
 def _run_flat_launch_pgtN(params: ProblemParams, c1: float, tau0: float,
                           cfg: IntegrationConfig, stats: dict):
     """Integrate the p > N corner chart to zeta0 = c1 e^{|eta| tau0} and
     return the chart-P launch point (zeta0, psi0)."""
     H, W = _flat_chart_ode_pgtN(params, c1)
     zeta0 = c1 * math.exp(abs(derive_constants(params).eta) * tau0)
-    sol_v = solve_ivp(_budgeted(H, stats, cfg, "flat-limit corner chart"),
-                      (0.0, zeta0), [1.0], method="RK45",
-                      rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14))
-    if not sol_v.success:
-        raise IntegrationError("flat-limit corner chart integration failed")
-    return zeta0, W(zeta0, float(sol_v.y[0, -1])) * zeta0
+    return zeta0, W(zeta0, _corner_solve(H, 1.0, zeta0, cfg, stats)) * zeta0
 
 
 def _measure_flat_limits(tau: float, y: float, Y: float, params: ProblemParams):
@@ -644,24 +631,19 @@ def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: float = 1.0,
     """
     if params.p < params.N:
         raise ParameterError("the flat-limit family requires p >= N")
-    if not (a > 0.0):
-        raise ParameterError("the flat-limit family requires a > 0")
+    if not 0.0 < a < math.inf:
+        raise ParameterError(f"the flat-limit family requires a finite a > 0, got {a}")
     cfg = config or IntegrationConfig()
     dc = derive_constants(params)
     p, N = params.p, float(params.N)
-    stats = _launch_stats()
+    stats = _new_stats()
 
     if params.p == params.N:
         k = a
         tau0 = -18.0
         zeta0 = -1.0 / tau0
-        G = _flat_chart_ode_pN(params, k)
-        sol_v = solve_ivp(_budgeted(G, stats, cfg, "flat-limit corner chart"),
-                          (0.0, zeta0), [k ** (2.0 - p)], method="RK45",
-                          rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14))
-        if not sol_v.success:
-            raise IntegrationError("flat-limit corner chart integration failed")
-        V0 = float(sol_v.y[0, -1])
+        V0 = _corner_solve(_flat_chart_ode_pN(params, k), k ** (2.0 - p), zeta0,
+                           cfg, stats)
         psi0 = V0 * math.exp(-N / zeta0) / zeta0
         u0 = (zeta0, psi0)
         meta: dict = {"kind": "T_plus", "k": k, "launch_chart": "P",
@@ -670,8 +652,9 @@ def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: float = 1.0,
     else:
         eta = dc.eta
         tau0 = -16.0
-        if c == 0.0:
-            raise ParameterError("the p > N flat-limit family requires c != 0")
+        if c == 0.0 or not math.isfinite(c):
+            raise ParameterError(f"the p > N flat-limit family requires a finite "
+                                 f"c != 0, got {c}")
         # fixed point on the chart parameter: the scaling map ties the two
         # measured limits as c ~ mu^{1 - |eta|/gamma} c1 when a ~ mu a1
         expo = 1.0 - abs(eta) / dc.gamma

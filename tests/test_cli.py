@@ -141,6 +141,26 @@ class TestShoot:
         assert len(err.splitlines()) == 1  # one "error:" line, no traceback
 
 
+    @pytest.mark.parametrize("kind, flag, value, message", [
+        ("T_r", "--offset", "-1", "offset must be"),
+        ("T_r", "--offset", "0", "offset must be"),
+        ("T_r", "--offset", "nan", "offset must be"),
+        ("T_r", "--offset", "inf", "offset must be"),
+        ("T_r", "--a", "inf", "the regular family requires"),
+        ("T_eps", "--a", "inf", "r_bar must be"),
+        ("T_plus", "--a", "inf", "the flat-limit family requires"),
+        ("T_plus", "--c", "nan", "the p > N flat-limit family requires"),
+    ])
+    def test_bad_launch_input_is_declared(self, capsys, tmp_path, kind, flag,
+                                          value, message):
+        code, _, err = run(capsys, "shoot", "--kind", kind, "--N", "2",
+                           "--p", "3", "--alpha", "1", "--eps", "1",
+                           flag, value, "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert err.startswith(f"error: {message}")
+        assert err.count("\n") == 1
+
+
 class TestIntegrate:
     def test_explicit_state(self, capsys, tmp_path):
         out = tmp_path / "arc.csv"
@@ -249,6 +269,31 @@ class TestPortrait:
         code, _, err = run(capsys, "portrait", "--recipe", "fig99",
                            "--out", str(tmp_path / "x.svg"))
         assert code == 2
+
+
+    @pytest.mark.parametrize("text", ["0.1 0.2\n0.1 0.2 0.3\n",
+                                      "# y Y\n0.1 abc\n"])
+    def test_bad_seed_line_is_declared(self, capsys, tmp_path, text):
+        seeds = tmp_path / "seeds.txt"
+        seeds.write_text(text)
+        code, _, err = run(capsys, "portrait", "--N", "2", "--p", "3",
+                           "--alpha", "-6", "--eps", "1",
+                           "--seed-file", str(seeds),
+                           "--out", str(tmp_path / "x.svg"))
+        assert code == 2
+        assert err.startswith(f"error: {seeds}:2: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text", ['{"N": 2, "p": 3.0',
+                                      '{"N": 2, "p": 3.0, "alpha": -6.0}'])
+    def test_bad_recipe_is_declared(self, capsys, tmp_path, text):
+        recipe = tmp_path / "recipe.json"
+        recipe.write_text(text)
+        code, _, err = run(capsys, "portrait", "--recipe", str(recipe),
+                           "--out", str(tmp_path / "x.svg"))
+        assert code == 2
+        assert err.startswith(f"error: recipe {recipe}")
+        assert err.count("\n") == 1
 
 
 class TestWriters:

@@ -11,7 +11,9 @@ these; a change that moves them re-records the file with
 and says in its description why they moved.
 
 The cycles that ``classify_regime`` certifies for the osc, sou, orb and
-clin representatives are pinned bit for bit in ``CYCLES``.
+clin representatives are pinned bit for bit in ``CYCLES``.  The
+connection function and the alpha_c searches are pinned bit for bit in
+``alpha_c_fingerprint.json``, which the same command re-records.
 """
 
 import json
@@ -20,13 +22,16 @@ from pathlib import Path
 
 import pytest
 
-from plap.analysis import asymptotic_label, classify_regime, count_sign_changes
+from plap.analysis import (_search_interval, asymptotic_label, classify_regime,
+                           count_sign_changes, critical_bracket, find_alpha_c,
+                           phi_of_alpha)
 from plap.cli import RECIPE_DIR
 from plap.integrate import integrate_s
 from plap.params import ProblemParams
 from plap.systems import PhaseState
 
 FINGERPRINT = Path(__file__).with_name("recipe_fingerprint.json")
+ALPHA_C_FINGERPRINT = Path(__file__).with_name("alpha_c_fingerprint.json")
 TAU_SPAN = 30.0
 
 
@@ -88,5 +93,32 @@ def test_cycle_fingerprint(alpha):
     assert got == CYCLES[alpha]
 
 
+# (N, p, force_bisection): the benchmark's alpha_c searches and the forced
+# N = 1 search
+ALPHA_C_SEARCHES = [(2, 3.0, False), (3, 3.0, False), (2, 4.0, False),
+                    (2, 2.5, False), (1, 3.0, True)]
+
+
+def alpha_c_fingerprint() -> dict:
+    """phi at the quarter points of each search interval, and each
+    search's value, bracket and iteration count."""
+    prints: dict = {"phi": {}, "alpha_c": {}}
+    for N, p, force in ALPHA_C_SEARCHES:
+        lo, hi = _search_interval(*critical_bracket(N, p))
+        for k in (1, 2, 3):
+            alpha = lo + k * (hi - lo) / 4.0
+            prints["phi"][f"{N} {p!r} {alpha!r}"] = phi_of_alpha(N, p, alpha)
+        res = find_alpha_c(N, p, force_bisection=force)
+        prints["alpha_c"][f"{N} {p!r}"] = [res.value, list(res.bracket),
+                                           res.iterations]
+    return prints
+
+
+def test_alpha_c_fingerprint():
+    assert alpha_c_fingerprint() == json.loads(ALPHA_C_FINGERPRINT.read_text())
+
+
 if __name__ == "__main__":
     FINGERPRINT.write_text(json.dumps(recipe_fingerprint(), indent=1) + "\n")
+    ALPHA_C_FINGERPRINT.write_text(json.dumps(alpha_c_fingerprint(), indent=1)
+                                   + "\n")

@@ -7,13 +7,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from plap.integrate import IntegrationConfig, IntegrationError
+from plap.integrate import IntegrationConfig, IntegrationError, _new_stats
 from plap.params import ParameterError, ProblemParams, derive_constants
 from plap.systems import field, oracle
 from plap.trajectories import (
     SpecialTrajectorySpec,
     _chart_phase,
-    _launch_stats,
     _q,
     _q_hand,
     shoot,
@@ -278,7 +277,7 @@ def test_launch_replicates_scipy_rk45(kind, params, span):
                  consistency_check=False).meta
     chart, u0 = meta["launch_chart"], meta["launch_coords"]
     cfg = IntegrationConfig()
-    stats = _launch_stats()
+    stats = _new_stats()
     t, u = _chart_phase(chart, u0, params, cfg, span, stats, max_step=0.25)
 
     q_hand = _q_hand(params, grow=False)
