@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -463,7 +464,11 @@ def _add_param_flags(sp, need_alpha=True):
                     help="maximum tau span")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process.  It keeps no function: :func:`main`
+    looks the subcommand's ``cmd_*`` function up in this module by name at
+    call time, so a replaced ``cmd_*`` binding is the one that runs."""
     ap = argparse.ArgumentParser(
         prog="plap",
         description="Phase-plane analysis of radial self-similar profiles "
@@ -473,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("constants", help="closed-form derived constants")
     _add_param_flags(sp)
-    sp.set_defaults(fn=cmd_constants)
 
     sp = sub.add_parser("integrate", help="integrate from an explicit state")
     _add_param_flags(sp)
@@ -482,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tau0", type=float, default=0.0)
     sp.add_argument("--direction", type=int, choices=(-1, 1), default=1)
     sp.add_argument("--out", help="CSV output path")
-    sp.set_defaults(fn=cmd_integrate)
 
     sp = sub.add_parser("shoot", help="construct a special trajectory")
     _add_param_flags(sp)
@@ -494,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="launch offset from the organizing point "
                     "(T_plus/T_minus ignore it)")
     sp.add_argument("--out", help="CSV output path")
-    sp.set_defaults(fn=cmd_shoot)
 
     sp = sub.add_parser("portrait", help="render a phase portrait SVG")
     _add_param_flags(sp)
@@ -502,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed-file", dest="seed_file",
                     help="file of seed states, one 'y Y' pair per line")
     sp.add_argument("--out", help="SVG output path")
-    sp.set_defaults(fn=cmd_portrait)
 
     sp = sub.add_parser("alpha-c", help="critical exponent: root of the "
                         "connection function by Brent's method")
@@ -510,19 +511,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--force-bisection", action="store_true",
                     help="search for the root even when a closed form "
                          "is available (N = 1)")
-    sp.set_defaults(fn=cmd_alpha_c)
 
     sp = sub.add_parser("classify", help="full regime report as JSON")
     _add_param_flags(sp)
-    sp.set_defaults(fn=cmd_classify)
     return ap
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_PARAMS

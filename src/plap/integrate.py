@@ -24,19 +24,20 @@ run on the same stepper; the band crossings and the other charts of
 ``integrate`` run through ``solve_ivp``'s RK45.
 
 ``integrate_s`` builds one table of S-chart events per call, each row an
-expression in (y, Y), and one function that evaluates every row at once;
-the stepper calls it once per accepted step.  A row fires when its value
-leaves a strict sign for zero or the other sign, so an orbit that starts
-on a zero does not cross it there.  Every zero of y is recorded.  The
-terminal rows end a stepper segment, and one rule per row kind decides
-what follows: the axis band hands over to the crossing chart, the escape
-threshold ends the orbit, the capture disc of M_ell or minus_M_ell ends
-it only in the tau direction in which that point attracts (the disc is
-not armed in the other), and the origin disc ends it as a double-zero
-contact when the orbit moves inward along sigma ~ eps, flagged
-otherwise.  An optional section row ends the orbit after the step of its
-first return to the line {y = section_y}, which is all a Poincaré return
-map reads.
+expression in (y, Y) with a crossing direction.  One generated function
+per table shape evaluates every row at once and runs each row's crossing
+test with its direction written in; the stepper calls it once per
+accepted step.  A row fires when its value leaves a strict sign for zero
+or the other sign, so an orbit that starts on a zero does not cross it
+there.  Every zero of y is recorded.  The terminal rows end a stepper
+segment, and one rule per row kind decides what follows: the axis band
+hands over to the crossing chart, the escape threshold ends the orbit,
+the capture disc of M_ell or minus_M_ell ends it only in the tau
+direction in which that point attracts (the disc is not armed in the
+other), and the origin disc ends it as a double-zero contact when the
+orbit moves inward along sigma ~ eps, flagged otherwise.  An optional
+section row ends the orbit after the step of its first return to the
+line {y = section_y}, which is all a Poincaré return map reads.
 """
 
 from __future__ import annotations
@@ -204,14 +205,11 @@ def _cross_axis(y0: float, Y0: float, tau0: float,
 # scipy's Dormand-Prince 5(4) tableau, error weights and quartic dense output
 # (Hairer, Norsett & Wanner, Solving ODEs I, sec. II.4-II.6) as floats; the
 # second stage has no weight in the solution, the error or the dense output.
-_A = RK45.A.tolist()
-_A21 = _A[1][0]
-_A31, _A32 = _A[2][:2]
-_A41, _A42, _A43 = _A[3][:3]
-_A51, _A52, _A53, _A54 = _A[4][:4]
-_A61, _A62, _A63, _A64, _A65 = _A[5]
-_B1, _, _B3, _B4, _B5, _B6 = RK45.B.tolist()
-_E1, _, _E3, _E4, _E5, _E6, _E7 = RK45.E.tolist()
+_A, _B, _E = RK45.A.tolist(), RK45.B.tolist(), RK45.E.tolist()
+# the stage coefficients, weights and error weights in the order
+# _rk45_segment unpacks them
+_TABLEAU = (_A[1][0], *_A[2][:2], *_A[3][:3], *_A[4][:4], *_A[5],
+            _B[0], *_B[2:], _E[0], *_E[2:])
 _P = [row if any(row) else None for row in RK45.P.tolist()]
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -241,26 +239,52 @@ class _SEvent:
     step_end: bool = False
 
 
-@functools.lru_cache(maxsize=16)
-def _values_code(exprs: tuple):
-    """The compiled definition of ``values`` for one tuple of row
-    expressions; a table's shape, not its constants, decides it."""
-    body = "(" + "".join(f"{e}, " for e in exprs) + ")"
+def _crossed(i: int, direction: int) -> str:
+    """The test that row ``i`` (of ``direction``) fired on the step from
+    its value ``a{i}`` to ``b{i}``: the rule :class:`_SEvent` states."""
+    up, down = f"a{i} < 0.0 <= b{i}", f"a{i} > 0.0 >= b{i}"
+    return up if direction > 0 else down if direction < 0 else f"({up} or {down})"
+
+
+@functools.lru_cache(maxsize=64)
+def _values_code(rows: tuple):
+    """The compiled definitions of ``values`` and ``advance`` for one tuple
+    of (expression, direction) rows; a table's shape, not its constants,
+    decides it."""
+    body = "(" + "".join(f"{e}, " for e, _ in rows) + ")"
+    a = "".join(f"a{i}, " for i in range(len(rows)))
+    b = "".join(f"b{i}, " for i in range(len(rows)))
+    tests = [_crossed(i, d) for i, (_, d) in enumerate(rows)]
     return compile("def values(y, Y):\n"
                    "    try:\n"
                    f"        return {body}\n"
                    "    except OverflowError:\n"
                    "        y, Y = np.float64(y), np.float64(Y)\n"
                    "        with np.errstate(over='ignore'):\n"
-                   f"            return tuple(map(float, {body}))\n",
-                   "<chart S event values>", "exec")
+                   f"            return tuple(map(float, {body}))\n"
+                   "def advance(y, Y, g):\n"
+                   f"    ({a}) = g\n"
+                   "    try:\n"
+                   f"        g = ({b}) = {body}\n"
+                   "    except OverflowError:\n"
+                   f"        g = ({b}) = values(y, Y)\n"
+                   f"    if {' or '.join(tests) or 'False'}:\n"
+                   "        return g, [i for i, hit in enumerate(("
+                   f"{''.join(t + ', ' for t in tests)})) if hit]\n"
+                   "    return g, None\n",
+                   "<event values>", "exec")
 
 
-def _event_values(events: Sequence[_SEvent],
-                  **consts) -> Callable[[float, float], tuple]:
-    """One function ``values(y, Y)`` that returns every row's value, in
-    table order, from a single call; ``consts`` binds the names the rows
-    use besides y and Y.
+def _event_values(events: Sequence[_SEvent], **consts):
+    """Two functions of one table, from one compiled code object; ``consts``
+    binds the names the rows use besides y and Y.
+
+    ``values(y, Y)`` returns every row's value, in table order, from a
+    single call.  ``advance(y, Y, g)`` is what the stepper calls once per
+    accepted step, with ``g`` the values at the step's start: it returns
+    the values at (y, Y) and the rows that fired on the step, in index
+    order, or None when none fired; each row's crossing test is unrolled
+    with its direction built in.
 
     The rows keep the float ``**`` of their expressions (``x ** 2`` and
     ``x * x`` round differently for about 1 in 1,000 floats).  Where the
@@ -268,8 +292,8 @@ def _event_values(events: Sequence[_SEvent],
     numpy scalars, whose ``**`` is the same C ``pow`` but overflows to
     inf, so only the overflowing rows read inf."""
     namespace = {"np": np, **consts}
-    exec(_values_code(tuple(ev.expr for ev in events)), namespace)
-    return namespace["values"]
+    exec(_values_code(tuple((ev.expr, ev.direction) for ev in events)), namespace)
+    return namespace["values"], namespace["advance"]
 
 
 @dataclass
@@ -317,6 +341,7 @@ def _rk45_segment(fun, t0: float, t_bound: float, y0: float, Y0: float,
                   rtol: float, atol: float, max_step: float,
                   events: Sequence[_SEvent],
                   values: Callable[[float, float], tuple],
+                  advance: Callable[[float, float, tuple], tuple],
                   stats: dict, max_steps: int,
                   tau_of: Callable[[float], float] = float) -> _Segment:
     """Integrate the autonomous 2-D field ``fun(y, Y) -> (dy, dY)`` from
@@ -328,13 +353,15 @@ def _rk45_segment(fun, t0: float, t_bound: float, y0: float, Y0: float,
     step controller (safety 0.9, factors 0.2 to 10, no growth right after a
     rejection), events located by ``brentq`` on the dense output, terminal
     events ordered in time, and the last sample at the terminal event.
-    ``values`` (from :func:`_event_values`) gives every row of ``events``
-    at once; it is called once per accepted step.
+    ``values`` and ``advance`` (from :func:`_event_values`) evaluate every
+    row of ``events`` at once: ``advance`` once per accepted step, with the
+    crossing test, and ``values`` at the start and inside ``brentq``.
     The arithmetic matches scipy's up to rounding: scipy's sums go through
-    BLAS, which fuses multiply-adds.  ``stats`` accumulates ``rhs_evals``, ``accepted``, ``rejected`` and
-    ``segments`` over the calls that share it; every attempted step counts
-    against ``max_steps``.  A non-finite field or state raises
-    :class:`IntegrationError` at once; ``tau_of`` maps t to tau there.
+    BLAS, which fuses multiply-adds.  ``stats`` accumulates ``rhs_evals``,
+    ``accepted``, ``rejected`` and ``segments`` over the calls that share
+    it; every attempted step counts against ``max_steps``.  A non-finite
+    field or state raises :class:`IntegrationError` at once; ``tau_of``
+    maps t to tau there.
     """
     y, Y = y0, Y0
     fy, fY = fun(y, Y)
@@ -369,14 +396,22 @@ def _rk45_segment(fun, t0: float, t_bound: float, y0: float, Y0: float,
             h1 = (0.01 / max(d1, d2)) ** (1 / 5)
         h_abs = min(100 * h0, h1, interval, max_step)
 
-        rows = [(i, ev.direction >= 0, ev.direction <= 0)
-                for i, ev in enumerate(events)]
+        (A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64,
+         A65, B1, B3, B4, B5, B6, E1, E3, E4, E5, E6, E7) = _TABLEAU
+        safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+        err_exp, sqrt2, sqrt, isfinite = _ERR_EXP, _SQRT2, math.sqrt, math.isfinite
+        nextafter, inf = math.nextafter, math.inf
         g = values(y, Y)
         budget = max_steps - stats["accepted"] - stats["rejected"]
         t = t0
         while t < t_bound:
-            min_step = 10 * (math.nextafter(t, math.inf) - t)
-            h_abs = min(max(h_abs, min_step), max_step)
+            # comparisons in place of min() and max(), with the same values
+            min_step = 10 * (nextafter(t, inf) - t)
+            if min_step > h_abs:
+                h_abs = min_step
+            if max_step < h_abs:
+                h_abs = max_step
+            ay, aY = abs(y), abs(Y)
             rejected = False
             while True:
                 if h_abs < min_step:
@@ -389,59 +424,53 @@ def _rk45_segment(fun, t0: float, t_bound: float, y0: float, Y0: float,
                 if t_new > t_bound:
                     t_new = t_bound
                 h = h_abs = t_new - t
-                k2y, k2Y = fun(y + fy * _A21 * h, Y + fY * _A21 * h)
-                k3y, k3Y = fun(y + (fy * _A31 + k2y * _A32) * h,
-                               Y + (fY * _A31 + k2Y * _A32) * h)
-                k4y, k4Y = fun(y + (fy * _A41 + k2y * _A42 + k3y * _A43) * h,
-                               Y + (fY * _A41 + k2Y * _A42 + k3Y * _A43) * h)
+                k2y, k2Y = fun(y + fy * A21 * h, Y + fY * A21 * h)
+                k3y, k3Y = fun(y + (fy * A31 + k2y * A32) * h,
+                               Y + (fY * A31 + k2Y * A32) * h)
+                k4y, k4Y = fun(y + (fy * A41 + k2y * A42 + k3y * A43) * h,
+                               Y + (fY * A41 + k2Y * A42 + k3Y * A43) * h)
                 k5y, k5Y = fun(
-                    y + (fy * _A51 + k2y * _A52 + k3y * _A53 + k4y * _A54) * h,
-                    Y + (fY * _A51 + k2Y * _A52 + k3Y * _A53 + k4Y * _A54) * h)
+                    y + (fy * A51 + k2y * A52 + k3y * A53 + k4y * A54) * h,
+                    Y + (fY * A51 + k2Y * A52 + k3Y * A53 + k4Y * A54) * h)
                 k6y, k6Y = fun(
-                    y + (fy * _A61 + k2y * _A62 + k3y * _A63 + k4y * _A64
-                         + k5y * _A65) * h,
-                    Y + (fY * _A61 + k2Y * _A62 + k3Y * _A63 + k4Y * _A64
-                         + k5Y * _A65) * h)
-                y_new = y + h * (fy * _B1 + k3y * _B3 + k4y * _B4 + k5y * _B5
-                                 + k6y * _B6)
-                Y_new = Y + h * (fY * _B1 + k3Y * _B3 + k4Y * _B4 + k5Y * _B5
-                                 + k6Y * _B6)
+                    y + (fy * A61 + k2y * A62 + k3y * A63 + k4y * A64
+                         + k5y * A65) * h,
+                    Y + (fY * A61 + k2Y * A62 + k3Y * A63 + k4Y * A64
+                         + k5Y * A65) * h)
+                y_new = y + h * (fy * B1 + k3y * B3 + k4y * B4 + k5y * B5
+                                 + k6y * B6)
+                Y_new = Y + h * (fY * B1 + k3Y * B3 + k4Y * B4 + k5Y * B5
+                                 + k6Y * B6)
                 k7y, k7Y = fun(y_new, Y_new)
                 nfev += 6
-                ey = (fy * _E1 + k3y * _E3 + k4y * _E4 + k5y * _E5 + k6y * _E6
-                      + k7y * _E7) * h
-                eY = (fY * _E1 + k3Y * _E3 + k4Y * _E4 + k5Y * _E5 + k6Y * _E6
-                      + k7Y * _E7) * h
-                err = _rms(ey / (atol + max(abs(y), abs(y_new)) * rtol),
-                           eY / (atol + max(abs(Y), abs(Y_new)) * rtol))
-                if not (math.isfinite(err) and math.isfinite(y_new)
-                        and math.isfinite(Y_new)):
+                ny, nY = abs(y_new), abs(Y_new)
+                ey = ((fy * E1 + k3y * E3 + k4y * E4 + k5y * E5 + k6y * E6
+                       + k7y * E7) * h / (atol + (ny if ny > ay else ay) * rtol))
+                eY = ((fY * E1 + k3Y * E3 + k4Y * E4 + k5Y * E5 + k6Y * E6
+                       + k7Y * E7) * h / (atol + (nY if nY > aY else aY) * rtol))
+                err = sqrt(ey * ey + eY * eY) / sqrt2
+                if not (isfinite(err) and isfinite(y_new) and isfinite(Y_new)):
                     n_rej += 1
                     raise IntegrationError(f"non-finite state near tau={tau_of(t)}")
                 if err < 1:
-                    if err == 0:
-                        factor = _MAX_FACTOR
-                    else:
-                        factor = min(_MAX_FACTOR, _SAFETY * err ** _ERR_EXP)
-                    if rejected:
-                        factor = min(1, factor)
+                    f = safety * err ** err_exp if err else max_factor
+                    factor = f if f < max_factor else max_factor
+                    if rejected and not factor < 1:
+                        factor = 1
                     h_abs *= factor
                     n_acc += 1
                     break
-                h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _ERR_EXP)
+                f = safety * err ** err_exp
+                h_abs *= f if f > min_factor else min_factor
                 rejected = True
                 n_rej += 1
 
-            t_old, y_old, Y_old, k1 = t, y, Y, (fy, fY)
-            t, y, Y, fy, fY = t_new, y_new, Y_new, k7y, k7Y
-            g_old, g = g, values(y, Y)
-            active = [i for (i, up, down), a, b in zip(rows, g_old, g)
-                      if (up and a < 0 <= b) or (down and a > 0 >= b)]
-            if active:
-                sol = _dense(t_old, h, y_old, Y_old,
-                             (k1, (k2y, k2Y), (k3y, k3Y), (k4y, k4Y),
+            g, active = advance(y_new, Y_new, g)
+            if active is not None:
+                sol = _dense(t, h, y, Y,
+                             ((fy, fY), (k2y, k2Y), (k3y, k3Y), (k4y, k4Y),
                               (k5y, k5Y), (k6y, k6Y), (k7y, k7Y)))
-                found = [(i, brentq(lambda s, i=i: values(*sol(s))[i], t_old, t,
+                found = [(i, brentq(lambda s, i=i: values(*sol(s))[i], t, t_new,
                                     xtol=_ROOT_TOL, rtol=_ROOT_TOL))
                          for i in active]
                 if any(events[i].terminal for i in active):
@@ -452,10 +481,11 @@ def _rk45_segment(fun, t0: float, t_bound: float, y0: float, Y0: float,
                     terminal = found[-1][0]
                 hits.extend((i, te, *sol(te)) for i, te in found)
                 if terminal is not None:
-                    t = found[-1][1]
-                    y, Y = sol(t)
+                    t_new = found[-1][1]
+                    y_new, Y_new = sol(t_new)
                 terminal = next((i for i, _ in found if events[i].step_end),
                                 terminal)
+            t, y, Y, fy, fY = t_new, y_new, Y_new, k7y, k7Y
             ts.append(t)
             ys.append(y)
             Ys.append(Y)
@@ -537,7 +567,7 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
     if capture:
         consts["orad"] = cfg.origin_radius
         table.append(_SEvent("y ** 2 + Y ** 2 - orad ** 2", -1, True, "origin"))
-    values = _event_values(table, **consts)
+    values, advance = _event_values(table, **consts)
 
     taus: list[np.ndarray] = []
     ys_parts: list[np.ndarray] = []
@@ -574,8 +604,8 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
             continue
 
         seg = _rk45_segment(f, s_now, span, y, Y, cfg.rel_tol, cfg.abs_tol,
-                            cfg.max_step, table, values, stats, cfg.max_steps,
-                            tau_of)
+                            cfg.max_step, table, values, advance, stats,
+                            cfg.max_steps, tau_of)
         taus.append(initial.tau + direction * np.array(seg.t))
         ys_parts.append(np.array([seg.y, seg.Y]))
 

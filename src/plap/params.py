@@ -30,7 +30,7 @@ class ProblemParams:
     """The problem tuple (N, p, alpha, epsilon).
 
     N : integer dimension >= 1
-    p : diffusion exponent, strictly greater than 2
+    p : diffusion exponent, finite and strictly greater than 2
     alpha : similarity exponent, nonzero (the alpha = 0 profile is known in
         closed form and served by an oracle, not by integration)
     epsilon : time-direction sign, +1 or -1
@@ -44,8 +44,8 @@ class ProblemParams:
     def __post_init__(self) -> None:
         if int(self.N) != self.N or self.N < 1:
             raise ParameterError(f"N must be an integer >= 1, got {self.N}")
-        if not (self.p > 2.0):
-            raise ParameterError(f"p must exceed 2, got {self.p}")
+        if not (2.0 < self.p < math.inf):
+            raise ParameterError(f"p must exceed 2 and be finite, got {self.p}")
         if self.epsilon not in (-1, 1):
             raise ParameterError(f"epsilon must be +1 or -1, got {self.epsilon}")
         if not math.isfinite(self.alpha):

@@ -108,17 +108,24 @@ def _s_rhs(params: ProblemParams, direction: int):
     crossings evaluate it).
 
     Bit for bit the numpy evaluation through :func:`phi_Y`: the float
-    ``**`` equals numpy's power on a 0-d array, and the signs are exact."""
+    ``**`` equals numpy's power on a 0-d array, and the signs are exact.
+    The backward field (``direction`` -1) is the exact negation of the
+    forward one; each direction has its own closure, so no evaluation
+    multiplies by ``direction``."""
     dc = derive_constants(params)
     e = 1.0 / (params.p - 1.0)
     mg, mgN = -dc.gamma, -(dc.gamma + float(params.N))
     al, eps = params.alpha, params.epsilon
 
-    def f(y, Y):
-        ph = abs(Y) ** e if Y >= 0.0 else -(abs(Y) ** e)
-        return direction * (mg * y - ph), direction * (mgN * Y + eps * (al * y - ph))
+    def forward(y, Y):
+        ph = Y ** e if Y >= 0.0 else -((-Y) ** e)
+        return mg * y - ph, mgN * Y + eps * (al * y - ph)
 
-    return f
+    def backward(y, Y):
+        ph = Y ** e if Y >= 0.0 else -((-Y) ** e)
+        return -(mg * y - ph), -(mgN * Y + eps * (al * y - ph))
+
+    return forward if direction == 1 else backward
 
 
 def _q_rhs(params: ProblemParams):

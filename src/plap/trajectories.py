@@ -163,12 +163,13 @@ def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
     atol = min(cfg.abs_tol, 1e-14)
     if chart != "R":
         rows = [_SEvent(_HAND_EXPR[chart], -1, True)]
-        values = _event_values(rows, p=params.p, q_hand=_q_hand(params, grow=False))
+        values, advance = _event_values(rows, p=params.p,
+                                        q_hand=_q_hand(params, grow=False))
         rhs = (_q_rhs if chart == "Q" else _p_rhs)(params)
         try:
             seg = _rk45_segment(rhs, span[0], span[1], float(u0[0]), float(u0[1]),
-                                cfg.rel_tol, atol, max_step, rows, values, stats,
-                                cfg.max_steps)
+                                cfg.rel_tol, atol, max_step, rows, values, advance,
+                                stats, cfg.max_steps)
         except ZeroDivisionError as exc:
             raise IntegrationError(f"launch phase in chart {chart} left the chart: "
                                    f"{exc}") from None

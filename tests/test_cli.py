@@ -38,6 +38,25 @@ class TestConstants:
         assert code == 2
         assert "p must exceed 2" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--N", "2", "--p", "inf", "--alpha", "1", "--eps", "1"],
+        ["alpha-c", "--N", "2", "--p", "inf"]])
+    def test_infinite_exponent_is_declared(self, capsys, argv):
+        # p = inf once gave null constants (exit 0), and alpha-c blamed alpha
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: p must exceed 2 and be finite, got inf"]
+
+    def test_subcommand_is_looked_up_at_call_time(self, capsys, monkeypatch):
+        # the parser is built once; a replaced cmd_* still receives the call
+        cli.build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_constants", lambda args: seen.append(args.p) or 0)
+        for p in ("3", "4"):
+            assert cli.main(["constants", "--N", "1", "--p", p,
+                             "--alpha", "1", "--eps", "1"]) == 0
+        assert seen == [3.0, 4.0]
+
     def test_zero_alpha(self, capsys):
         code, _, err = run(capsys, "constants", "--N", "1", "--p", "3",
                            "--alpha", "0", "--eps", "1")

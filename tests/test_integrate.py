@@ -1,6 +1,7 @@
 """Adaptive integration: accuracy against closed forms, events, captures,
 axis crossings, and tail boundedness."""
 
+import itertools
 import math
 import sys
 
@@ -206,6 +207,21 @@ _CAPTURE_EVENT = integrate_mod._SEvent("(y - my) ** 2 + (Y - mY) ** 2 - r ** 2",
                                        -1, True)
 
 
+def _reference_advance(events, values):
+    """The stepper's crossing test written as one comprehension over the
+    rows: the rule the generated ``advance`` unrolls."""
+    rows = [(i, ev.direction >= 0, ev.direction <= 0)
+            for i, ev in enumerate(events)]
+
+    def advance(y, Y, g_old):
+        g = values(y, Y)
+        active = [i for (i, up, down), a, b in zip(rows, g_old, g)
+                  if (up and a < 0 <= b) or (down and a > 0 >= b)]
+        return g, active or None
+
+    return advance
+
+
 class TestStepper:
     """The scalar Dormand-Prince stepper against scipy's RK45 itself."""
 
@@ -233,13 +249,13 @@ class TestStepper:
     @pytest.mark.parametrize("case", ["plain", "sections", "capture"])
     def test_replicates_scipy_rk45(self, case):
         params, (y0, Y0), span, events, consts = self._segment_cases()[case]
-        values = integrate_mod._event_values(events, **consts)
+        values, advance = integrate_mod._event_values(events, **consts)
         cfg = IntegrationConfig()
         f = integrate_mod._s_rhs(params, 1)
         stats = {"rhs_evals": 0, "accepted": 0, "rejected": 0, "segments": 0}
         seg = integrate_mod._rk45_segment(
             f, 0.0, span, y0, Y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step,
-            events, values, stats, cfg.max_steps)
+            events, values, advance, stats, cfg.max_steps)
 
         def scipy_event(i, e):
             g = lambda t, u: values(u[0], u[1])[i]  # noqa: E731
@@ -282,7 +298,7 @@ class TestStepper:
                   ev("(y / esc) ** 2 + (Y / esc) ** 2 - 1.0", 1, True),
                   *_BAND_EVENTS]
         consts = {"orad": 1e-8, "esc": 1e12, "band": 1e-6}
-        fused = integrate_mod._event_values(events, **consts)
+        fused, advance = integrate_mod._event_values(events, **consts)
 
         def per_row(y, Y):
             out = []
@@ -298,16 +314,38 @@ class TestStepper:
         assert fused(0.3, -0.2) == per_row(0.3, -0.2)
         cfg = IntegrationConfig()
         segs = []
-        for values in (fused, per_row):
+        for values, adv in ((fused, advance),
+                            (per_row, _reference_advance(events, per_row))):
             stats = {"rhs_evals": 0, "accepted": 0, "rejected": 0, "segments": 0}
             segs.append(integrate_mod._rk45_segment(
                 integrate_mod._s_rhs(self.OSC, 1), 0.0, 2.0, 2e160, 1e160,
-                cfg.rel_tol, cfg.abs_tol, cfg.max_step, events, values, stats,
-                cfg.max_steps))
+                cfg.rel_tol, cfg.abs_tol, cfg.max_step, events, values, adv,
+                stats, cfg.max_steps))
         got, want = segs
         assert [i for i, *_ in got.hits] == [0]
         assert (got.t, got.y, got.Y, got.hits, got.terminal) \
             == (want.t, want.y, want.Y, want.hits, want.terminal)
+
+    def test_generated_crossing_test_matches_the_rule(self):
+        # every direction and every pair of start and end values, on one
+        # row exhaustively and on tables of 2 to 8 rows by a seeded draw
+        specials = [-1.0, -0.0, 0.0, 1.0, math.inf, -math.inf, math.nan]
+        rng = np.random.default_rng(11)
+        cases = [[row] for row in itertools.product((-1, 0, 1), specials, specials)]
+        for n in range(2, 9):
+            cases += [[(int(rng.integers(-1, 2)), specials[rng.integers(7)],
+                        specials[rng.integers(7)]) for _ in range(n)]
+                      for _ in range(60)]
+        for rows in cases:
+            events = [integrate_mod._SEvent(f"v{i}", d)
+                      for i, (d, _, _) in enumerate(rows)]
+            consts = {f"v{i}": b for i, (_, _, b) in enumerate(rows)}
+            values, advance = integrate_mod._event_values(events, **consts)
+            start = tuple(a for _, a, _ in rows)
+            got = advance(0.5, -0.5, start)
+            want = _reference_advance(events, values)(0.5, -0.5, start)
+            assert got[1] == want[1], rows
+            assert list(map(repr, got[0])) == list(map(repr, want[0])), rows
 
     def test_stats_count_the_work(self):
         traj = integrate_s(PhaseState(0.0, 0.3, 0.1), self.OSC, tau_span=10.0)
@@ -336,7 +374,7 @@ class TestStepper:
             integrate_mod._rk45_segment(
                 integrate_mod._s_rhs(self.OSC, 1), 0.0, 50.0, 0.3, 0.1,
                 cfg.rel_tol, cfg.abs_tol, cfg.max_step, [],
-                integrate_mod._event_values([]), stats, 50)
+                *integrate_mod._event_values([]), stats, 50)
         assert stats["accepted"] + stats["rejected"] == 50
         with pytest.raises(IntegrationError, match="max_steps exceeded"):
             integrate_s(PhaseState(0.0, 0.3, 0.1), self.OSC,

@@ -55,6 +55,8 @@ class TestValidation:
     def test_rejects_p_not_above_2(self):
         with pytest.raises(ParameterError):
             ProblemParams(1, 2.0, 1.0, 1)
+        with pytest.raises(ParameterError, match="p must exceed 2 and be finite"):
+            ProblemParams(1, float("inf"), 1.0, 1)
 
     def test_rejects_nonpositive_dimension(self):
         with pytest.raises(ParameterError):

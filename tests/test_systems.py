@@ -2,6 +2,7 @@
 profiles."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from plap.systems import (
     profile_residual,
     profile_state_rates,
     to_profile,
+    _s_rhs,
 )
 
 
@@ -51,6 +53,37 @@ class TestField:
         dy, dY = field("S", (phi, 0.0), params)
         assert dy == pytest.approx(-dc.gamma * phi, rel=1e-14)
         assert dY == pytest.approx(params.epsilon * params.alpha * phi, rel=1e-14)
+
+    @pytest.mark.parametrize("params", [ProblemParams(1, 3.0, -4.0, -1),
+                                        ProblemParams(2, 2.5, 1.3, 1),
+                                        ProblemParams(3, 4.7, -0.6, -1),
+                                        ProblemParams(2, 3.0, 7.0, 1)])
+    def test_s_closures_match_the_signed_formula_bit_for_bit(self, params):
+        # each tau direction's closure against direction * (forward field),
+        # with phi through abs(): signed zeros, subnormals and 1e+-300 too
+        dc = derive_constants(params)
+        e = 1.0 / (params.p - 1.0)
+        mg, mgN = -dc.gamma, -(dc.gamma + float(params.N))
+        al, eps = params.alpha, params.epsilon
+
+        def reference(y, Y, direction):
+            ph = abs(Y) ** e if Y >= 0.0 else -(abs(Y) ** e)
+            return (direction * (mg * y - ph),
+                    direction * (mgN * Y + eps * (al * y - ph)))
+
+        rng = np.random.default_rng(7)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-300,
+                   -1e-300, 1e300, -1e300, 1.0, -1.0]
+        drawn = (rng.choice([-1.0, 1.0], 4000)
+                 * 10.0 ** rng.uniform(-320.0, 300.0, 4000)).tolist()
+        pool = special + drawn
+        points = [(y, Y) for y in special for Y in special]
+        points += zip(pool, rng.permutation(pool).tolist())
+        for direction in (1, -1):
+            f = _s_rhs(params, direction)
+            for y, Y in points:
+                assert struct.pack("<2d", *f(y, Y)) \
+                    == struct.pack("<2d", *reference(y, Y, direction)), (y, Y)
 
     def test_domain_errors(self):
         params = ProblemParams(2, 3.0, 1.0, 1)
