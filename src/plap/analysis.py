@@ -22,8 +22,10 @@ The homoclinic connection is detected by shooting in the rescaled
 inverse-slope chart R_beta (g, S) on its one field, ``systems._r_rhs``:
 the connection function phi(alpha) is the signed gap, on the line
 {g = 1/gamma}, between the orbit leaving the double-zero point and the
-orbit entering the algebraic-decay point.  phi is strictly decreasing
-and its root is the critical exponent alpha_c.
+orbit entering the algebraic-decay point.  The double-zero orbit runs on
+the scalar Dormand-Prince stepper of ``plap.integrate``, the stiff decay
+orbit on LSODA.  phi is strictly decreasing and its root is the critical
+exponent alpha_c.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ from .integrate import (
     IntegrationConfig,
     IntegrationError,
     Trajectory,
+    _event_values,
+    _new_stats,
+    _rk45_segment,
     integrate_s,
 )
 from .systems import PhaseState, _r_rhs, phi_Y
@@ -561,7 +566,9 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
     near the decay point.
 
     The double-zero separatrix leaves an unstable node and is not stiff:
-    RK45 takes a few dozen steps.  The algebraic-decay separatrix starts
+    the scalar Dormand-Prince stepper (``integrate._rk45_segment``) runs
+    it with g as its time, from ``offset`` (0 < offset < 1/gamma) to the
+    section, in a few dozen steps.  The algebraic-decay separatrix starts
     on the center manifold of A', where F vanishes, so the transverse
     rate of the slope equation grows like 1/F and an explicit pair is
     held to steps of about 1e-6 by stability, not accuracy.  It is
@@ -579,7 +586,11 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
     if not (al < 0.0) or dc.beta <= 0.0:
         raise ParameterError("the connection function requires alpha < 0 < beta")
     g_L = 1.0 / dc.gamma
+    if not 0.0 < offset < g_L:
+        raise ParameterError(f"the separatrix offset must lie in (0, {g_L}), "
+                             f"got {offset}")
     g_A = 1.0 / abs(al)
+    atol = min(cfg.abs_tol, 1e-13)
     beta, eta = dc.beta, dc.eta
     if al == eta:
         raise AnalysisError("the algebraic-decay point is degenerate at "
@@ -589,7 +600,7 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
     r_field = _r_rhs(params, beta)
     nfev = 0
 
-    def rhs(g, u):
+    def slope(g, S):
         nonlocal nfev
         nfev += 1
         if nfev > cfg.max_steps:
@@ -597,25 +608,28 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
                 f"connection function exceeded its budget of {cfg.max_steps} "
                 f"rhs evaluations at alpha = {al}")
         # dg/dnu = g F > 0 holds on the separatrix (g > 0 throughout), but
-        # RK45's trial stages and LSODA's corrector iterates may probe
-        # states just off it where dg/dnu <= 0; flooring it there blows up
-        # the slope and forces a smaller step instead of aborting the shoot.
-        dg, dS = r_field(g, float(u[0]))
+        # trial stages and LSODA's corrector iterates may probe states just
+        # off it where dg/dnu <= 0; flooring it there blows up the slope
+        # and forces a smaller step instead of aborting the shoot.
+        dg, dS = r_field(g, S)
         if not (dg > 0.0):
-            return [math.copysign(1e30, dS / g)]
-        return [dS / dg]
+            return math.copysign(1e30, dS / g)
+        return dS / dg
 
     # orbit leaving the double-zero point B' = (0, 1/beta): unstable
-    # eigenvector (1, (alpha - N)/(beta (1 + lambda))), lambda = (p-2)/(p-1)
+    # eigenvector (1, (alpha - N)/(beta (1 + lambda))), lambda = (p-2)/(p-1);
+    # the stepper's time is g, with the state (g, S) on the field (1, dS/dg)
     lam = (p - 2.0) / (p - 1.0)
     slope0 = (al - N) / (dc.beta * (1.0 + lam))
     S_start0 = 1.0 / dc.beta + offset * slope0
-    sol0 = solve_ivp(rhs, (offset, g_L), [S_start0], method="RK45",
-                     rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-13))
-    if not sol0.success:
-        raise AnalysisError(
-            "double-zero separatrix left the admissible region before the section")
-    S0 = float(sol0.y[0, -1])
+    try:
+        seg = _rk45_segment(lambda g, S: (1.0, slope(g, S)), offset, g_L,
+                            offset, S_start0, cfg.rel_tol, atol, math.inf, (),
+                            *_event_values(()), _new_stats(), cfg.max_steps)
+    except IntegrationError:
+        raise AnalysisError("double-zero separatrix left the admissible "
+                            "region before the section") from None
+    S0 = seg.Y[-1]
 
     # orbit entering the algebraic-decay point A' = (1/|alpha|, 0) along
     # its center manifold S = m x + m2 x^2 + O(x^3), x = g - 1/|alpha|.
@@ -634,8 +648,8 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
     with warnings.catch_warnings():
         # LSODA warns before giving up; the failure is reported below
         warnings.simplefilter("ignore", UserWarning)
-        sol1 = solve_ivp(rhs, (g_A + x0, g_L), [S_start1], method="LSODA",
-                         rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-13))
+        sol1 = solve_ivp(lambda g, u: [slope(g, float(u[0]))], (g_A + x0, g_L),
+                         [S_start1], method="LSODA", rtol=cfg.rel_tol, atol=atol)
     if not sol1.success:
         raise AnalysisError(
             "algebraic-decay separatrix left the admissible region before the section")

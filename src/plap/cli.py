@@ -159,6 +159,8 @@ def _build_config(args) -> IntegrationConfig:
                                      f"needs a whole number, got {val.strip()!r}")
             overrides[key] = valid[key](value)
     if getattr(args, "tol", None) is not None:
+        if not 0.0 < args.tol < math.inf:
+            raise ParameterError(f"--tol must be positive and finite, got {args.tol}")
         overrides["rel_tol"] = args.tol
         overrides.setdefault("abs_tol", min(1e-10, args.tol))
     if getattr(args, "tau_max", None) is not None:

@@ -83,6 +83,9 @@ class IntegrationConfig:
                      "max_step", "escape_threshold", "capture_radius", "origin_radius"):
             if not getattr(self, name) > 0:  # rejects NaN too
                 raise ValueError(f"IntegrationConfig.{name} must be positive")
+        for name in ("abs_tol", "rel_tol"):
+            if getattr(self, name) == math.inf:
+                raise ValueError(f"IntegrationConfig.{name} must be finite")
         if not self.max_steps > 0:
             raise ValueError("IntegrationConfig.max_steps must be positive")
 
@@ -216,6 +219,9 @@ _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1 / (RK45.error_estimator_order + 1)
 _SQRT2 = 2 ** 0.5           # RMS norm of a 2-vector: sqrt(a*a + b*b) / sqrt(2)
 _ROOT_TOL = 4 * float(np.finfo(float).eps)
+# max(1.0, abs(y)) of the band rows as comparisons, with the same value for
+# every float y (NaN, +-0 and +-1 give 1.0) and no builtin calls per step
+_BAND_SCALE = "(y if y > 1.0 else -y if y < -1.0 else 1.0)"
 
 
 @dataclass(frozen=True)
@@ -554,8 +560,8 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
         consts["section_y"] = section_y
         table.append(_SEvent("y - section_y", (leaves > 0) - (leaves < 0),
                              kind="section_crossing", step_end=True))
-    table += [_SEvent("Y - band * max(1.0, abs(y))", -1, True, "band"),
-              _SEvent("Y + band * max(1.0, abs(y))", 1, True, "band"),
+    table += [_SEvent(f"Y - band * {_BAND_SCALE}", -1, True, "band"),
+              _SEvent(f"Y + band * {_BAND_SCALE}", 1, True, "band"),
               _SEvent("(y / esc) ** 2 + (Y / esc) ** 2 - 1.0", 1, True, "escape")]
     m = m_ell_point(params)
     if capture and m is not None and _m_ell_attracting_direction(params) == direction:

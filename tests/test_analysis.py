@@ -5,12 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from plap import analysis
 from plap.integrate import IntegrationConfig, integrate_s
 from plap.params import (ParameterError, ProblemParams, derive_constants,
                          m_ell_point)
-from plap.systems import PhaseState
+from plap.systems import PhaseState, _r_rhs
 from plap.trajectories import shoot_regular
 from plap.analysis import (
     AnalysisError,
@@ -239,10 +240,11 @@ class TestConnectionFunction:
 
     def test_decay_separatrix_is_integrated_as_stiff(self, solver_calls):
         # RK45 spent about 7,900 rhs evaluations on this orbit, held to
-        # steps of about 1e-6 by the stiffness near the center manifold
+        # steps of about 1e-6 by the stiffness near the center manifold;
+        # the double-zero separatrix runs on the scalar stepper
         phi_of_alpha(2, 3.0, -1.9)
-        (m0, _), (m1, n1) = solver_calls
-        assert (m0, m1) == ("RK45", "LSODA")
+        (m1, n1), = solver_calls
+        assert m1 == "LSODA"
         assert n1 <= 1000
 
     def test_inadmissible_launch_is_refused_before_integrating(self,
@@ -251,7 +253,40 @@ class TestConnectionFunction:
         # leaves the launch abscissa
         with pytest.raises(AnalysisError, match="admissible"):
             phi_of_alpha(1, 3.0, -0.7)
-        assert len(solver_calls) == 1
+        assert solver_calls == []
+
+    @pytest.mark.parametrize("offset", [0.0, -1e-7, math.nan, math.inf, 0.5])
+    def test_offset_must_lie_before_the_section(self, offset):
+        # the section of (2, 3, -1.8) is g = 1/gamma = 1/3; an offset past
+        # it once integrated nothing and returned a gap
+        params = ProblemParams(2, 3.0, -1.8, -1)
+        with pytest.raises(ParameterError, match="offset"):
+            phi_of_alpha(2, 3.0, -1.8, offset=offset)
+        with pytest.raises(ParameterError, match="offset"):
+            analysis._phi_shoot(params, IntegrationConfig(), offset)
+
+    @pytest.mark.parametrize("N, p", sorted(RECORDED_ALPHA_C) + [(1, 3.0)])
+    def test_double_zero_separatrix_meets_a_tight_reference(self, N, p):
+        # S0 at the search interval's quarter points against DOP853 at
+        # rel_tol 1e-12 on the graph dS/dg of chart R_beta
+        lo, hi = analysis._search_interval(*critical_bracket(N, p))
+        for k in (1, 2, 3):
+            alpha = lo + k * (hi - lo) / 4.0
+            params = ProblemParams(N, p, alpha, -1)
+            dc = derive_constants(params)
+            f = _r_rhs(params, dc.beta)
+            lam = (p - 2.0) / (p - 1.0)
+            start = 1.0 / dc.beta + 1e-7 * (alpha - N) / (dc.beta * (1.0 + lam))
+
+            def slope(g, u):
+                dg, dS = f(g, float(u[0]))
+                return [dS / dg]
+
+            ref = solve_ivp(slope, (1e-7, 1.0 / dc.gamma), [start],
+                            method="DOP853", rtol=1e-12, atol=1e-14)
+            assert ref.success
+            S0, _ = analysis._phi_shoot(params, IntegrationConfig())
+            assert abs(S0 - ref.y[0, -1]) <= 1e-8 * abs(ref.y[0, -1]), alpha
 
     def test_degenerate_decay_point_is_an_analysis_error(self):
         # alpha = eta = -1 for (N, p) = (1, 3): the center-manifold
@@ -260,13 +295,25 @@ class TestConnectionFunction:
         with pytest.raises(AnalysisError, match="degenerate"):
             phi_of_alpha(1, 3.0, -1.0)
 
-    @pytest.mark.parametrize("max_steps", [100, 300, 500])
-    def test_rhs_budget(self, max_steps, solver_calls):
-        # the double-zero solve takes about 280 rhs evaluations and the
-        # decay solve about 230: the budget stops each of them
+    @pytest.mark.parametrize("max_steps", [100, 300, 400])
+    def test_rhs_budget(self, max_steps, monkeypatch):
+        # the double-zero solve takes about 225 rhs evaluations and the
+        # decay solve about 235: the budget stops the first at 100 and the
+        # second at 300 and 400.  The evaluation past the budget raises
+        # before it reaches the field; the decay launch's admissibility
+        # check is the one evaluation outside the budget.
+        launched = max_steps > 225
+        calls = []
+        real = analysis._r_rhs
+
+        def counted(params, b=1.0):
+            f = real(params, b)
+            return lambda g, S: calls.append(g) or f(g, S)
+
+        monkeypatch.setattr(analysis, "_r_rhs", counted)
         with pytest.raises(AnalysisError, match="budget"):
             phi_of_alpha(2, 3.0, -1.9, IntegrationConfig(max_steps=max_steps))
-        assert sum(n for _, n in solver_calls) == max_steps + 1
+        assert len(calls) == max_steps + launched
 
     def test_fixed_seed_grid_ends_within_budget(self):
         # every draw returns a finite gap or a declared error, about 1 s

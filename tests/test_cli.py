@@ -390,6 +390,16 @@ class TestReports:
         lo, hi = json.loads(out)["bracket"]
         assert 0.0 < hi - lo <= 1e-6
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+    def test_bad_tol_is_declared(self, capsys, tol):
+        # --tol inf once ran with rel_tol = inf to a bogus BracketError
+        # report, and --tol -1 blamed IntegrationConfig.abs_tol
+        code, out, err = run(capsys, "alpha-c", "--N", "2", "--p", "3",
+                             "--tol", tol)
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "--tol" in line
+
     def test_classifier_report(self, capsys):
         code, out, _ = run(capsys, "classify", "--N", "1", "--p", "3",
                            "--alpha", "-2.1", "--eps", "-1")

@@ -3,6 +3,7 @@ axis crossings, and tail boundedness."""
 
 import itertools
 import math
+import struct
 import sys
 
 import numpy as np
@@ -222,6 +223,14 @@ def _reference_advance(events, values):
     return advance
 
 
+class TestConfig:
+    @pytest.mark.parametrize("name", ["abs_tol", "rel_tol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0, 0.0])
+    def test_tolerances_are_positive_and_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"IntegrationConfig.{name}"):
+            IntegrationConfig(**{name: value})
+
+
 class TestStepper:
     """The scalar Dormand-Prince stepper against scipy's RK45 itself."""
 
@@ -379,6 +388,18 @@ class TestStepper:
         with pytest.raises(IntegrationError, match="max_steps exceeded"):
             integrate_s(PhaseState(0.0, 0.3, 0.1), self.OSC,
                         config=IntegrationConfig(max_steps=50))
+
+    def test_band_scale_matches_max_abs(self):
+        # the band rows' comparison form of max(1.0, abs(y)), bit for bit
+        scale = eval("lambda y: " + integrate_mod._BAND_SCALE)
+        rng = np.random.default_rng(14)
+        ys = [math.nan, -math.nan, 0.0, -0.0, 1.0, -1.0, math.inf, -math.inf,
+              math.nextafter(1.0, 2.0), math.nextafter(-1.0, -2.0),
+              math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0), 5e-324, -5e-324]
+        ys += rng.standard_normal(1000).tolist()
+        ys += (rng.standard_normal(1000) * 10.0 ** rng.uniform(-300, 300, 1000)).tolist()
+        for y in ys:
+            assert struct.pack("<d", scale(y)) == struct.pack("<d", max(1.0, abs(y))), y
 
     def test_non_finite_state_raises_at_once(self):
         # backward in tau the orbit grows like exp((gamma + N) |tau|) and
