@@ -131,13 +131,16 @@ class Trajectory:
         return self.tau.size
 
     def profile(self):
-        """Arrays (r, w, dw) for S-chart trajectories."""
+        """Arrays (r, w, dw) for S-chart trajectories.  Past tau ~ 709.78,
+        r = e^tau overflows to inf (and w, dw to inf or nan) without a
+        warning; the writers render those as ``null``."""
         if self.chart_id != "S":
             raise ValueError("profile() requires an S-chart trajectory")
         dc = derive_constants(self.params)
-        r = np.exp(self.tau)
-        w = r ** dc.gamma * self.ys[0]
-        dw = -(r ** (dc.gamma - 1.0)) * np.asarray(phi_Y(self.ys[1], self.params.p))
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.exp(self.tau)
+            w = r ** dc.gamma * self.ys[0]
+            dw = -(r ** (dc.gamma - 1.0)) * np.asarray(phi_Y(self.ys[1], self.params.p))
         return r, w, dw
 
     def shift_tau(self, delta: float) -> None:

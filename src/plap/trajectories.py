@@ -13,9 +13,11 @@ component and the T_alpha launch is stiff, runs through ``solve_ivp``.
 Every launch counts its work against ``IntegrationConfig.max_steps``.
 ``_hand_off`` then lifts the launch samples to (y, Y) by
 ``systems._lift``, continues from the last one with the S-chart
-integrator and its full event machinery, and joins the two pieces.  A
-manifold launch runs again at delta/2 to report how far the hand-off
-point moves (``meta["offset_consistency"]``).  The seven kinds are
+integrator and its full event machinery, and joins the two pieces.  With
+``consistency_check=True`` (the library default; ``plap shoot`` passes
+False) a manifold launch runs again at delta/2 to report how far the
+hand-off point moves (``meta["offset_consistency"]``); the orbit is the
+first launch's either way.  The seven kinds are
 
 T_r      the regular family w(0) = a > 0, w'(0) = 0: unstable manifold of
          the slope-chart saddle (0, eps alpha / N);
@@ -697,7 +699,11 @@ def shoot(spec: SpecialTrajectorySpec, params: ProblemParams,
 
     Every kind takes the same keywords (``tau_span``, ``consistency_check``);
     ``spec.offset`` and ``consistency_check`` reach only the kinds that
-    launch at an offset from a stationary point, not T_plus / T_minus."""
+    launch at an offset from a stationary point, not T_plus / T_minus.
+    ``consistency_check`` (default True) adds the offset/2 rerun that fills
+    ``meta["offset_consistency"]`` and leaves the returned orbit as it is;
+    callers that do not read it (``plap shoot``, ``classify_regime``) pass
+    False and launch once."""
     kind = spec.kind
     if kind in ("T_plus", "T_minus"):
         a = spec.extra[0] if len(spec.extra) > 0 else 1.0

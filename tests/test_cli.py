@@ -4,16 +4,20 @@ and determinism."""
 import argparse
 import hashlib
 import json
+import math
 import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from plap import cli
+from plap import cli, trajectories
 from plap.cli import RECIPE_DIR, _build_config, main
-from plap.integrate import Trajectory
+from plap.integrate import Event, IntegrationConfig, Trajectory
 from plap.params import ParameterError, ProblemParams, m_ell_point
+from plap.systems import PhaseState
+from plap.trajectories import SpecialTrajectorySpec, shoot
 
 
 def run(capsys, *argv):
@@ -106,6 +110,35 @@ class TestShoot:
                          "--out", str(out))
         assert code == 0
         assert "double_zero_capture" in (tmp_path / "edge.events.csv").read_text()
+
+    @pytest.mark.parametrize("kind, N, p, alpha, eps", [
+        ("T_r", 2, 3.0, 2.0, 1), ("T_eps", 2, 3.0, 1.0, 1),
+        ("T_alpha", 1, 3.0, -2.53, -1), ("T_eta", 4, 3.0, 1.0, 1)])
+    def test_one_launch(self, capsys, tmp_path, monkeypatch, kind, N, p, alpha, eps):
+        # the CLI skips the offset/2 rerun, which only reports
+        # meta["offset_consistency"]; the orbit it writes is the one the
+        # library's default (rerun included) returns
+        monkeypatch.delenv("PLAP_CONFIG", raising=False)
+        launches = []
+        chart_phase = trajectories._chart_phase
+
+        def counted(*args, **kwargs):
+            launches.append(args[0])
+            return chart_phase(*args, **kwargs)
+
+        monkeypatch.setattr(trajectories, "_chart_phase", counted)
+        out = tmp_path / "cli.csv"
+        code, _, _ = run(capsys, "shoot", "--kind", kind, "--N", str(N),
+                         "--p", f"{p:g}", "--alpha", f"{alpha:g}", "--eps", str(eps),
+                         "--out", str(out))
+        assert code == 0 and len(launches) == 1
+        traj = shoot(SpecialTrajectorySpec(kind), ProblemParams(N, p, alpha, eps),
+                     IntegrationConfig())
+        assert len(launches) == 3 and "offset_consistency" in traj.meta
+        cli._write_trajectory_csv(traj, tmp_path / "lib.csv")
+        for name in ("{}.csv", "{}.events.csv"):
+            assert ((tmp_path / name.format("cli")).read_bytes()
+                    == (tmp_path / name.format("lib")).read_bytes())
 
     def test_inadmissible_kind(self, capsys, tmp_path):
         code, _, err = run(capsys, "shoot", "--kind", "T_u", "--N", "4",
@@ -344,6 +377,30 @@ class TestWriters:
             for i in range(traj.tau.size)]
         assert (tmp_path / "o.csv").read_text() == "\n".join(want) + "\n"
 
+    def test_non_finite_rows_and_events(self, tmp_path):
+        # r = e^tau overflows at tau 710 and 800: inf, -inf and nan reach
+        # r, w and dw, and the writer renders each as null
+        tau = np.array([0.0, 0.5, 709.0, 710.0, 800.0])
+        ys = np.array([[0.2, -0.1, 0.3, -0.4, 0.0], [0.1, 0.0, -0.3, 0.2, 0.0]])
+        events = [Event(kind, t, PhaseState(t, y, Y)) for kind, t, y, Y in
+                  [("y_zero_crossing", 0.25, 0.0, 0.05),
+                   ("max_time_span", 800.0, 0.0, -0.5),
+                   ("blowup", math.inf, -math.inf, math.nan)]]
+        traj = Trajectory("S", self.PARAMS, tau, ys, events, "time_span", 1)
+        cli._write_trajectory_csv(traj, tmp_path / "o.csv")
+        r, w, dw = traj.profile()
+        assert np.isinf(r[3:]).all() and np.isnan(w[4]) and np.isnan(dw[4])
+        assert (w[2], w[3], dw[2], dw[3]) == (math.inf, -math.inf, math.inf, -math.inf)
+        want = ["tau,y,Y,r,w,dw"] + [
+            ",".join(cli._num(v, 12) for v in (tau[i], ys[0][i], ys[1][i],
+                                               r[i], w[i], dw[i]))
+            for i in range(tau.size)]
+        assert (tmp_path / "o.csv").read_text() == "\n".join(want) + "\n"
+        want = ["kind,tau,y,Y"] + [
+            ",".join([e.kind] + [cli._num(v, 12) for v in (e.time, e.state.y, e.state.Y)])
+            for e in events]
+        assert (tmp_path / "o.events.csv").read_text() == "\n".join(want) + "\n"
+
     def test_svg_pixels(self, tmp_path):
         trajs = self._orbits()
         cli._write_portrait_svg(trajs, self.PARAMS, tmp_path / "o.svg")
@@ -373,6 +430,30 @@ class TestWriters:
         assert "-640," in got[1] and ",-480" in got[1]
         circles = re.findall(r'cx="([^"]*)" cy="([^"]*)"', svg)
         assert circles == [px(*q) for q in points]
+
+
+_SPECIAL_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                   5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                   -1.7976931348623157e308, 1e16, 123456789012.5, 0.1]
+
+
+class TestFormatter:
+    """``_nums`` renders a block with one format call; ``_num``, one value
+    at a time, is the reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(), max_size=12), sig=st.sampled_from([9, 12]))
+    @example(values=_SPECIAL_VALUES, sig=9)
+    @example(values=_SPECIAL_VALUES, sig=12)
+    def test_block_equals_per_value(self, values, sig):
+        got = cli._nums(values, sig, 1, ",", "\n")
+        assert got == "".join(cli._num(v, sig) + "\n" for v in values)
+
+    def test_rows_and_separators(self):
+        values = [1.0, math.inf, -math.inf, math.nan, -2.5, 1e-300]
+        assert cli._nums(values, 12, 3, ",", "\n") == "1,null,null\nnull,-2.5,1e-300\n"
+        assert cli._nums(values, 9, 2, ",", " ") == "1,null null,null -2.5,1e-300 "
+        assert cli._nums([], 9, 2, ",", " ") == ""
 
 
 class TestReports:

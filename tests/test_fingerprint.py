@@ -14,9 +14,16 @@ The cycles that ``classify_regime`` certifies for the osc, sou, orb and
 clin representatives are pinned bit for bit in ``CYCLES``.  The
 connection function and the alpha_c searches are pinned bit for bit in
 ``alpha_c_fingerprint.json``, which the same command re-records.
+
+The bytes that ``plap shoot`` and ``plap portrait`` write are pinned by
+their SHA-256 in ``write_fingerprint.json``: the CSV and events CSV of
+the benchmark's seven shootings and the SVG of recipe fig05.  The same
+command re-records it.
 """
 
+import hashlib
 import json
+import tempfile
 from collections import Counter
 from pathlib import Path
 
@@ -25,13 +32,14 @@ import pytest
 from plap.analysis import (_search_interval, asymptotic_label, classify_regime,
                            count_sign_changes, critical_bracket, find_alpha_c,
                            phi_of_alpha)
-from plap.cli import RECIPE_DIR
+from plap.cli import RECIPE_DIR, main
 from plap.integrate import integrate_s
 from plap.params import ProblemParams
 from plap.systems import PhaseState
 
 FINGERPRINT = Path(__file__).with_name("recipe_fingerprint.json")
 ALPHA_C_FINGERPRINT = Path(__file__).with_name("alpha_c_fingerprint.json")
+WRITE_FINGERPRINT = Path(__file__).with_name("write_fingerprint.json")
 TAU_SPAN = 30.0
 
 
@@ -118,7 +126,35 @@ def test_alpha_c_fingerprint():
     assert alpha_c_fingerprint() == json.loads(ALPHA_C_FINGERPRINT.read_text())
 
 
+# (kind, N, p, alpha, eps): the shootings of the benchmark's figures workload
+SHOOTS = [("T_r", 2, 3.0, 2.0, 1), ("T_eps", 2, 3.0, 1.0, 1),
+          ("T_alpha", 1, 3.0, -2.53, -1), ("T_eta", 4, 3.0, 1.0, 1),
+          ("T_u", 2, 3.0, 1.0, 1), ("T_plus", 1, 3.0, 1.0, 1),
+          ("T_minus", 2, 3.0, 1.0, 1)]
+
+
+def write_fingerprint() -> dict:
+    """Output file name -> the SHA-256 of the bytes the CLI wrote there."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for kind, N, p, alpha, eps in SHOOTS:
+            assert main(["shoot", "--kind", kind, "--N", str(N), "--p", f"{p:g}",
+                         "--alpha", f"{alpha:g}", "--eps", str(eps),
+                         "--out", str(out / f"shoot-{kind}.csv")]) == 0
+        assert main(["portrait", "--recipe", "fig05",
+                     "--out", str(out / "fig05.svg")]) == 0
+        return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                for f in sorted(out.iterdir()) if f.suffix in (".csv", ".svg")}
+
+
+def test_write_fingerprint(capsys):
+    got = write_fingerprint()
+    capsys.readouterr()
+    assert got == json.loads(WRITE_FINGERPRINT.read_text())
+
+
 if __name__ == "__main__":
     FINGERPRINT.write_text(json.dumps(recipe_fingerprint(), indent=1) + "\n")
     ALPHA_C_FINGERPRINT.write_text(json.dumps(alpha_c_fingerprint(), indent=1)
                                    + "\n")
+    WRITE_FINGERPRINT.write_text(json.dumps(write_fingerprint(), indent=1) + "\n")

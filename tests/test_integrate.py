@@ -5,16 +5,18 @@ import itertools
 import math
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from plap.params import ProblemParams, derive_constants, m_ell_point
-from plap.systems import PhaseState, from_profile, oracle
+from plap.systems import PhaseState, from_profile, oracle, phi_Y
 from plap.integrate import (
     IntegrationConfig,
     IntegrationError,
+    Trajectory,
     integrate,
     integrate_s,
 )
@@ -178,6 +180,26 @@ class TestTailBounds:
         E = np.abs(dw) ** 3.0 / dc.p_prime + 2.0 * w ** 2 / 2.0
         assert np.all(np.diff(E) <= 1e-10)
         assert params.epsilon == 1  # guard: the monotonicity needs eps = +1
+
+    def test_profile_overflow_is_silent(self):
+        # past tau ~ 709.78, r = e^tau overflows; a long orbit once printed
+        # numpy's RuntimeWarnings on the CLI's stderr
+        params = ProblemParams(1, 3.0, -4.0, -1)
+        dc = derive_constants(params)
+        tau = np.array([0.0, 709.0, 710.0, 800.0])
+        ys = np.array([[0.05, -0.02, 0.03, 0.0], [0.0, 0.01, -0.04, 0.02]])
+        traj = Trajectory("S", params, tau, ys, [], "time_span", 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, w, dw = traj.profile()
+        with np.errstate(all="ignore"):
+            want_r = np.exp(tau)
+            want_w = want_r ** dc.gamma * ys[0]
+            want_dw = -(want_r ** (dc.gamma - 1.0)) * phi_Y(ys[1], params.p)
+        np.testing.assert_array_equal(r, want_r)
+        np.testing.assert_array_equal(w, want_w)
+        np.testing.assert_array_equal(dw, want_dw)
+        assert np.isinf(r[2:]).all() and np.isnan(w[3])
 
 
 class TestChartDispatch:
