@@ -558,43 +558,3 @@ def oracle(kind: str, params: ProblemParams, free_constant: float = 1.0, sign: i
         edge = root
     return OracleSolution(kind, params, K, sgn, edge, w_fn, dw_fn, d2w_fn)
 
-
-# ---------------------------------------------------------------------------
-# residual diagnostics
-
-
-def profile_residual(r, w, dw, d2w, params: ProblemParams):
-    """Relative strong-form residual of the profile equation.
-
-    Uses (|w'|^{p-2} w')' = (p-1)|w'|^{p-2} w'' (exact wherever w' != 0 and,
-    by continuity with p > 2, at simple zeros of w').
-    """
-    r = np.asarray(r, dtype=float)
-    w = np.asarray(w, dtype=float)
-    dw = np.asarray(dw, dtype=float)
-    d2w = np.asarray(d2w, dtype=float)
-    p = params.p
-    t1 = (p - 1.0) * np.abs(dw) ** (p - 2.0) * d2w
-    t2 = (params.N - 1.0) / r * sgn_pow(dw, p - 1.0)
-    t3 = params.epsilon * (r * dw + params.alpha * w)
-    lhs = t1 + t2 + t3
-    scale = np.maximum(np.maximum(np.abs(t1), np.abs(t2)), np.abs(t3))
-    scale = np.maximum(scale, 1e-300)
-    return lhs / scale
-
-
-def profile_state_rates(sample: ProfileSample, d2w: float, params: ProblemParams):
-    """Analytic (dy/dtau, dY/dtau) of the phase-plane lift of a profile,
-    computed from (r, w, w', w'') alone.  Used to check that closed-form
-    profiles annihilate the S-field."""
-    dc = derive_constants(params)
-    r, w, dw = sample.r, sample.w, sample.dw
-    p = params.p
-    g = dc.gamma
-    dy = -g * r ** (-g) * w + r ** (1.0 - g) * dw
-    e = (1.0 - g) * (p - 1.0)
-    dY = -r * (
-        e * r ** (e - 1.0) * float(sgn_pow(dw, p - 1.0))
-        + r ** e * (p - 1.0) * abs(dw) ** (p - 2.0) * d2w
-    )
-    return dy, dY

@@ -1,6 +1,9 @@
 """The benchmark's tracer still interposes on every public plap function:
-``perfbench/check.py selftest`` passes against this source tree."""
+``perfbench/check.py selftest`` passes against this source tree, and a
+short traced alpha-c run ends ``correct``, so every span it requires
+still fires."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -12,3 +15,12 @@ def test_tracer_selftest():
     proc = subprocess.run([sys.executable, "perfbench/check.py", "selftest"],
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_traced_alpha_c_run_is_correct():
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload",
+                           "alpha-c", "--seed", "1", "--seconds", "1",
+                           "--trace", "1"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True, proc.stdout
