@@ -324,8 +324,10 @@ class CycleInfo:
     ``section`` describes the Poincaré section; ``fixed_point`` is the
     section coordinate of the cycle (Y at the crossing); ``orbit`` holds
     one sampled period as a (2, n) array; ``floquet_mean`` is the mean
-    divergence of the field over one period (non-positive for a cycle
-    that attracts in forward time).
+    divergence of the field over one period in forward time, ln P'(x*) /
+    ``period_tau`` by Liouville's formula, with the return map's slope
+    P'(x*) taken from two event returns (negative for a cycle that
+    attracts in forward time).
     """
 
     section: str
@@ -410,67 +412,6 @@ def _return_map(Y_sec: float, params: ProblemParams, center: str,
     return float(Y_k[0]), abs(float(t_k[0])), traj
 
 
-def _floquet_mean(traj: Trajectory, t0: float, t1: float,
-                  params: ProblemParams) -> float:
-    """Mean divergence of the field over one period [t0, t1] of tau.
-
-    div f = -2 gamma - N - eps |Y|^{(2-p)/(p-1)} / (p-1) is integrably
-    singular where Y crosses 0; the quadrature is a trapezoid away from
-    the crossings plus the analytic local integral
-    2 h^{1/(p-1)} |Y'|^{(2-p)/(p-1)} (p-1)/ ... at each crossing, using
-    the local linearization Y ~ Y'(tau - tau_c).
-    """
-    dc = derive_constants(params)
-    p, eps = params.p, float(params.epsilon)
-    d = traj.direction
-    tau = d * np.asarray(traj.tau, dtype=float)
-    lo, hi = sorted((d * t0, d * t1))
-    mask = (tau >= lo) & (tau <= hi)
-    t = tau[mask]
-    Y = traj.ys[1][mask]
-    y = traj.ys[0][mask]
-    if t.size < 8:
-        raise AnalysisError("floquet quadrature: too few samples on the period")
-    q = (p - 2.0) / (p - 1.0)  # singular exponent, in (0, 1)
-    Ymax = float(np.max(np.abs(Y)))
-    cut = 0.02 * Ymax
-    base = -2.0 * dc.gamma - float(params.N)
-    integ = 0.0
-    # trapezoid over sub-intervals where |Y| >= cut
-    sing = -eps / (p - 1.0) * np.where(np.abs(Y) >= cut,
-                                       np.abs(np.where(np.abs(Y) >= cut, Y, 1.0)) ** (-q),
-                                       0.0)
-    integ += float(np.trapezoid(sing, t))
-    # analytic pieces across each |Y| < cut excursion: int |Y|^{-q} dtau
-    # with Y ~ Y0 + Ydot (tau - tc)
-    inside = np.abs(Y) < cut
-    i = 0
-    n = t.size
-    while i < n:
-        if not inside[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and inside[j + 1]:
-            j += 1
-        ia, ib = max(i - 1, 0), min(j + 1, n - 1)
-        dt = t[ib] - t[ia]
-        if dt > 0.0:
-            Ydot = (Y[ib] - Y[ia]) / dt
-            if Ydot != 0.0 and Y[ia] * Y[ib] < 0.0:
-                # linear crossing: int_{Ya}^{Yb} |Y|^{-q} dY / Ydot
-                piece = (abs(Y[ia]) ** (1.0 - q) + abs(Y[ib]) ** (1.0 - q)) \
-                    / ((1.0 - q) * abs(Ydot))
-            else:
-                # shallow excursion without crossing: midpoint value
-                Ymid = max(abs(0.5 * (Y[ia] + Y[ib])), 1e-300)
-                piece = Ymid ** (-q) * dt
-            integ += (-eps / (p - 1.0)) * piece
-        i = j + 1
-    period = hi - lo
-    return base + integ / period
-
-
 _REFINE_TOL = 1e-8  # relative residual of the polished return-map fixed point
 
 
@@ -483,8 +424,14 @@ def detect_limit_cycle(trajectory: Trajectory, params: ProblemParams,
     the flat point on the tail's side.  At least 10 oriented section
     crossings are required; the return ordinates must approach a fixed
     point, which is then polished by secant iteration on the return map
-    until one more return reproduces it within ``_REFINE_TOL``.  Absence
-    of a cycle returns None.
+    until one more return reproduces it within ``_REFINE_TOL``.  Two more
+    returns, from x* -+ h with h = 1e-3 |x* - c| (c the center's ordinate
+    on the section), each read at its ``section_crossing`` event, give the
+    central difference P'(x*); by Liouville's formula (L. Perko,
+    *Differential Equations and Dynamical Systems*, section 3.4) the mean
+    divergence over one period is ln P'(x*) / T in the return map's
+    direction.  Absence of a cycle, a return without a section event or
+    P'(x*) <= 0 returns None.
     """
     cfg = config or IntegrationConfig()
     d = trajectory.direction
@@ -525,22 +472,29 @@ def detect_limit_cycle(trajectory: Trajectory, params: ProblemParams,
                 break
             x2 = x1 - f1 * (x1 - x0) / (f1 - f0)
             x0, f0, x1 = x1, f1, x2
+        if best is None:
+            return None
+        Y_fix, period, orbit_traj = best
+        c = 0.0 if center == "origin" else (m[1] if tail_y > 0.0 else -m[1])
+        h = 1e-3 * abs(Y_fix - c)
+        ends = []  # the returns from x* -+ h, each read off its section event
+        for x in (Y_fix - h, Y_fix + h):
+            events = _return_map(x, params, center, d, cfg, period_guess)[2].events
+            ends += [e.state.Y for e in events if e.kind == "section_crossing"][:1]
     except (AnalysisError, IntegrationError):
         return None
-    if best is None:
+    if len(ends) < 2:
         return None
-    Y_fix, period, orbit_traj = best
-    # one sampled period for the orbit and the Floquet quadrature
-    t_ret, _ = _section_crossings(orbit_traj, params, center)
-    t_ret = t_ret[np.abs(d * t_ret) > 1e-9]
-    t1 = float(t_ret[0])
-    tau = d * np.asarray(orbit_traj.tau)
-    sel = (tau >= min(0.0, d * t1)) & (tau <= max(0.0, d * t1))
-    orbit = orbit_traj.ys[:, sel]
-    fl = _floquet_mean(orbit_traj, 0.0, t1, params)
-    # the sign of the mean divergence decides forward-time stability,
-    # whichever direction the trajectory approached the cycle from
+    slope = (ends[1] - ends[0]) / (2.0 * h)  # P'(x*) in direction d
+    if not slope > 0.0:
+        return None
+    # Liouville: ln P'(x*) in forward time over the period is the mean
+    # divergence of the field along the cycle; its sign decides
+    # forward-time stability, whichever way the trajectory approached
+    fl = d * math.log(slope) / period
     stability = "attracting" if fl < 0.0 else ("repelling" if fl > 0.0 else "undetermined")
+    # one sampled period of the orbit
+    orbit = orbit_traj.ys[:, d * np.asarray(orbit_traj.tau) <= period]
     section = ("positive Y-axis" if center == "origin"
                else f"vertical ray below {center}")
     return CycleInfo(section=section, fixed_point=Y_fix, period_tau=period,

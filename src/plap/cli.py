@@ -35,6 +35,7 @@ from . import __version__
 from .params import ParameterError, ProblemParams, derive_constants, m_ell_point
 from .integrate import IntegrationConfig, PhaseState, Trajectory, integrate_s
 from .trajectories import (
+    DEFAULT_OFFSET,
     TRAJECTORY_KINDS,
     SpecialTrajectorySpec,
     IntegrationError,
@@ -323,15 +324,18 @@ def cmd_shoot(args) -> int:
     t_start = time.monotonic()
     params = _build_params(args)
     cfg = _build_config(args)
-    extra: tuple = ()
-    if args.kind in ("T_r", "T_eps") and args.a is not None:
-        extra = (args.a,)
-    elif args.kind in ("T_plus", "T_minus"):
-        extra = (args.a if args.a is not None else 1.0,
-                 args.c if args.c is not None else
-                 (1.0 if args.kind == "T_plus" else -1.0))
-    spec = SpecialTrajectorySpec(kind=args.kind, offset=args.offset,
-                                 extra=extra)
+    corner = args.kind in ("T_plus", "T_minus")
+    for flag, value, applies in (("--a", args.a, corner or args.kind in ("T_r", "T_eps")),
+                                 ("--c", args.c, corner),
+                                 ("--offset", args.offset, not corner)):
+        if value is not None and not applies:
+            raise ParameterError(f"{flag} does not apply to --kind {args.kind}")
+    # shoot() supplies the defaults of a missing a or c
+    extra = () if args.a is None else (args.a,)
+    if args.c is not None:
+        extra = (extra or (1.0,)) + (args.c,)
+    spec = SpecialTrajectorySpec(
+        args.kind, DEFAULT_OFFSET if args.offset is None else args.offset, extra)
     # one launch: the offset/2 rerun only fills meta["offset_consistency"],
     # which no output reads
     traj = shoot(spec, params, cfg, consistency_check=False)
@@ -506,9 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=float, help="amplitude (T_r: w(0); "
                     "T_eps: edge radius; T_plus/T_minus: leading amplitude)")
     sp.add_argument("--c", type=float, help="tail coefficient (T_plus/T_minus)")
-    sp.add_argument("--offset", type=float, default=1e-7,
+    sp.add_argument("--offset", type=float,
                     help="launch offset from the organizing point "
-                    "(T_plus/T_minus ignore it)")
+                    f"(default {DEFAULT_OFFSET:g}; not T_plus/T_minus)")
     sp.add_argument("--out", help="CSV output path")
 
     sp = sub.add_parser("portrait", help="render a phase portrait SVG")

@@ -425,7 +425,8 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
         return _hand_off("R", t, u, params, cfg, direction, tau_span, meta, stats)
 
     meta["launch_variant"] = "seeded"
-    meta["offset_consistency"] = 0.0  # the offset only truncates the tail
+    if consistency_check:
+        meta["offset_consistency"] = 0.0  # the offset only truncates the tail
     near_A = _event(lambda nu, u: math.hypot(u[0] - A[0], u[1] - A[1]) - offset, -1)
     s_flip = _event(lambda nu, u: u[1])
 

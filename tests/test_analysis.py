@@ -1,6 +1,7 @@
 """Stationary classification, labels, cycles, the connection function, the
 critical exponent, and the regime classifier."""
 
+import functools
 import math
 
 import numpy as np
@@ -191,6 +192,39 @@ class TestLimitCycles:
         cyc = detect_limit_cycle(traj, params)
         assert cyc is not None
         assert cyc.floquet_mean <= 1e-6
+
+
+@functools.lru_cache(maxsize=None)
+def _cycles(alpha: float, rel_tol: float):
+    """The cycles that classify_regime certifies at (1, 3, alpha, -1)."""
+    config = IntegrationConfig(rel_tol=rel_tol)
+    return classify_regime(ProblemParams(1, 3.0, alpha, -1), config).cycles
+
+
+class TestCycleStability:
+    def test_hopf_limit(self):
+        # N = 1, p = 3: M_ell is a sink spiral for alpha just above
+        # alpha* = -15/7, where its eigenvalues are +-i sqrt(6).  As alpha
+        # falls to alpha*, the M_ell cycle must repel, with its mean
+        # divergence falling to 0 and its period to 2 pi / sqrt(6) (Hopf's
+        # theorem; L. Perko, Differential Equations and Dynamical Systems,
+        # section 4.4)
+        means, periods = [], []
+        for alpha in (-2.13, -2.135, -2.14):
+            cyc, = [c for c in _cycles(alpha, 1e-8) if c.meta["center"] == "M_ell"]
+            assert cyc.stability == "repelling"
+            assert cyc.floquet_mean > 0.0
+            means.append(cyc.floquet_mean)
+            periods.append(cyc.period_tau)
+        assert means[0] > means[1] > means[2]
+        assert periods[0] > periods[1] > periods[2] > 2.0 * math.pi / math.sqrt(6.0)
+
+    @pytest.mark.parametrize("alpha", [-4.0, -2.1, -2.14])  # osc, orb, near Hopf
+    def test_labels_do_not_depend_on_rel_tol(self, alpha):
+        labels = [[(c.meta["source"], c.stability) for c in _cycles(alpha, tol)]
+                  for tol in (1e-8, 1.1e-8, 1e-10)]
+        assert labels[0]
+        assert labels[0] == labels[1] == labels[2]
 
 
 class TestReturnMap:

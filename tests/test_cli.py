@@ -202,6 +202,14 @@ class TestShoot:
         ("T_eps", "--a", "inf", "r_bar must be"),
         ("T_plus", "--a", "inf", "the flat-limit family requires"),
         ("T_plus", "--c", "nan", "the p > N flat-limit family requires"),
+        # a flag the kind does not read is refused, not ignored
+        ("T_alpha", "--a", "5", "--a does not apply to --kind T_alpha"),
+        ("T_eta", "--a", "5", "--a does not apply to --kind T_eta"),
+        ("T_u", "--a", "5", "--a does not apply to --kind T_u"),
+        ("T_r", "--c", "1", "--c does not apply to --kind T_r"),
+        ("T_alpha", "--c", "1", "--c does not apply to --kind T_alpha"),
+        ("T_plus", "--offset", "1e-6", "--offset does not apply to --kind T_plus"),
+        ("T_minus", "--offset", "1e-6", "--offset does not apply to --kind T_minus"),
     ])
     def test_bad_launch_input_is_declared(self, capsys, tmp_path, kind, flag,
                                           value, message):

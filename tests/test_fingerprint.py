@@ -75,19 +75,19 @@ def test_recipe_fingerprint():
 # the cycle's source orbit
 CYCLES = {
     -4.0: {  # osc
-        "O_r": (1.5007691155677074, 0.022858737181754133, -1.8130494556262615, 132, 127),
-        "O_eps": (1.5007691155537664, 0.022858737173453002, -1.813049455570301, 134, 127),
+        "O_r": (1.5007691155677074, 0.022858737181754133, -1.870128553666242, 132, 127),
+        "O_eps": (1.5007691155537664, 0.022858737173453002, -1.8701285535219987, 134, 127),
     },
     -2.53: {  # sou
-        "O_r": (2.3401156386795523, 0.01954999958636377, -1.597473820427096, 85, 140),
-        "O_eps": (2.340115638679609, 0.01954999958638341, -1.5974738206908023, 85, 140),
+        "O_r": (2.3401156386795523, 0.01954999958636377, -1.67115448526246, 85, 140),
+        "O_eps": (2.340115638679609, 0.01954999958638341, -1.6711544852609552, 85, 140),
     },
     -2.1: {  # orb
-        "O_alpha": (2.76687035258942, -0.008304600970643545, 0.4911168119390341, 72, 54),
-        "O_eps": (3.218694070966518, 0.01619262884577295, -1.2577264610433536, 62, 152),
+        "O_alpha": (2.76687035258942, -0.008304600970643545, 0.4936886576693594, 72, 54),
+        "O_eps": (3.218694070966518, 0.01619262884577295, -1.326544138685695, 62, 152),
     },
     -2.0: {  # clin
-        "O_r": (3.779740827579406, 0.014216165910833254, -0.8580957031515224, 53, 160),
+        "O_r": (3.779740827579406, 0.014216165910833254, -0.9996441781545913, 53, 160),
     },
 }
 

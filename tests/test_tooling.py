@@ -1,12 +1,15 @@
 """The benchmark's tracer still interposes on every public plap function:
 ``perfbench/check.py selftest`` passes against this source tree, and a
-short traced alpha-c run ends ``correct``, so every span it requires
-still fires."""
+short traced alpha-c run and a short traced cycles run each end
+``correct``: every span they require still fires, and every certified
+cycle period stays within the oracle's bound."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -17,9 +20,10 @@ def test_tracer_selftest():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_traced_alpha_c_run_is_correct():
+@pytest.mark.parametrize("workload", ["alpha-c", "cycles"])
+def test_traced_run_is_correct(workload):
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload",
-                           "alpha-c", "--seed", "1", "--seconds", "1",
+                           workload, "--seed", "1", "--seconds", "1",
                            "--trace", "1"],
                           cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr

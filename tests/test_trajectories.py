@@ -315,6 +315,7 @@ class TestDispatch:
         # T_plus / T_minus has no offset
         for kind, params in [("T_r", (2, 3.0, 1.0, 1)), ("T_eps", (2, 3.0, 1.0, 1)),
                              ("T_alpha", (1, 3.0, -2.53, -1)),
+                             ("T_alpha", (1, 3.0, -4.0, -1)),  # seeded variant
                              ("T_eta", (4, 3.0, 1.0, 1)), ("T_u", (2, 3.0, 1.0, 1)),
                              ("T_plus", (1, 3.0, 1.0, 1)),
                              ("T_minus", (2, 3.0, 1.0, 1))]:
