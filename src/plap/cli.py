@@ -324,18 +324,9 @@ def cmd_shoot(args) -> int:
     t_start = time.monotonic()
     params = _build_params(args)
     cfg = _build_config(args)
-    corner = args.kind in ("T_plus", "T_minus")
-    for flag, value, applies in (("--a", args.a, corner or args.kind in ("T_r", "T_eps")),
-                                 ("--c", args.c, corner),
-                                 ("--offset", args.offset, not corner)):
-        if value is not None and not applies:
-            raise ParameterError(f"{flag} does not apply to --kind {args.kind}")
-    # shoot() supplies the defaults of a missing a or c
-    extra = () if args.a is None else (args.a,)
-    if args.c is not None:
-        extra = (extra or (1.0,)) + (args.c,)
-    spec = SpecialTrajectorySpec(
-        args.kind, DEFAULT_OFFSET if args.offset is None else args.offset, extra)
+    # the spec refuses a flag its kind does not read, shoot() a kind or c
+    # the regime does not provide
+    spec = SpecialTrajectorySpec(args.kind, offset=args.offset, a=args.a, c=args.c)
     # one launch: the offset/2 rerun only fills meta["offset_consistency"],
     # which no output reads
     traj = shoot(spec, params, cfg, consistency_check=False)
@@ -507,9 +498,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("shoot", help="construct a special trajectory")
     _add_param_flags(sp)
     sp.add_argument("--kind", required=True, choices=TRAJECTORY_KINDS)
-    sp.add_argument("--a", type=float, help="amplitude (T_r: w(0); "
-                    "T_eps: edge radius; T_plus/T_minus: leading amplitude)")
-    sp.add_argument("--c", type=float, help="tail coefficient (T_plus/T_minus)")
+    sp.add_argument("--a", type=float, help="amplitude, default 1 (T_r: w(0); T_eps: "
+                    "edge radius; T_plus/T_minus: w(0), at p = N lim w/|ln r|)")
+    sp.add_argument("--c", type=float, help="tail coefficient of T_plus/T_minus "
+                    "at p > N (default +1/-1)")
     sp.add_argument("--offset", type=float,
                     help="launch offset from the organizing point "
                     f"(default {DEFAULT_OFFSET:g}; not T_plus/T_minus)")

@@ -606,6 +606,9 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
             ys_parts.append(np.vstack([y_arr, Y_arr]))
             events.append(ev)
             s_now = direction * (float(t_arr[-1]) - initial.tau)
+            # the tau the next segment starts at, so the junction dedup
+            # drops its repeated first sample
+            t_arr[-1] = tau_of(s_now)
             y, Y = float(y_arr[-1]), float(Y_arr[-1])
             if s_now >= span:
                 termination = "time_span"

@@ -7,8 +7,9 @@ where it is regular (Q, P or R), steps a small offset ``delta`` along
 the manifold, and integrates the chart's field from :mod:`plap.systems`
 (``_chart_phase``) until the hand-off event fires: the ordinate y,
 lifted from the chart point by y^{p-2} = ``systems._q``, reaches a fixed
-level.  Charts Q and P run on the scalar Dormand-Prince stepper of
-:mod:`plap.integrate`; chart R, where tau rides along as a third
+level.  Charts Q and P, and the corner charts of T_plus / T_minus, run
+on the scalar Dormand-Prince stepper of :mod:`plap.integrate`; chart R,
+where tau rides along as a third
 component and the T_alpha launch is stiff, runs through ``solve_ivp``.
 Every launch counts its work against ``IntegrationConfig.max_steps``.
 ``_hand_off`` then lifts the launch samples to (y, Y) by
@@ -17,7 +18,8 @@ integrator and its full event machinery, and joins the two pieces.  With
 ``consistency_check=True`` (the library default; ``plap shoot`` passes
 False) a manifold launch runs again at delta/2 to report how far the
 hand-off point moves (``meta["offset_consistency"]``); the orbit is the
-first launch's either way.  The seven kinds are
+first launch's either way.  ``_KINDS`` says what each of the seven kinds
+reads of a :class:`SpecialTrajectorySpec` and where it exists; they are
 
 T_r      the regular family w(0) = a > 0, w'(0) = 0: unstable manifold of
          the slope-chart saddle (0, eps alpha / N);
@@ -60,22 +62,43 @@ from .systems import PhaseState, _lift, _p_rhs, _q, _q_rhs, _r_rhs, to_profile
 
 DEFAULT_OFFSET = 1e-7
 
-TRAJECTORY_KINDS = ("T_r", "T_eps", "T_alpha", "T_eta", "T_u", "T_plus", "T_minus")
+# the spec fields each kind reads, with their defaults (a is T_r's w(0),
+# T_eps's edge radius rbar, and T_plus / T_minus's w(0), at p = N their
+# lim w/|ln r|), and the signs of p - N where the regime provides the kind
+_KINDS = {"T_r": ({"offset": DEFAULT_OFFSET, "a": 1.0}, (-1, 0, 1)),
+          "T_eps": ({"offset": DEFAULT_OFFSET, "a": 1.0}, (-1, 0, 1)),
+          "T_alpha": ({"offset": DEFAULT_OFFSET}, (-1, 0, 1)),
+          "T_eta": ({"offset": DEFAULT_OFFSET}, (-1,)),
+          "T_u": ({"offset": DEFAULT_OFFSET}, (1,)),
+          "T_plus": ({"a": 1.0, "c": 1.0}, (0, 1)),
+          "T_minus": ({"a": 1.0, "c": -1.0}, (1,))}
+
+TRAJECTORY_KINDS = tuple(_KINDS)
 
 
 @dataclass(frozen=True)
 class SpecialTrajectorySpec:
-    """Request record for a shooting construction."""
+    """Request record for a shooting construction: the kind and the fields
+    it reads (``_KINDS``), None for the kind's default.  A field the kind
+    does not read, an offset that is not finite and positive, and a ``c``
+    of the wrong sign are a :class:`ParameterError`."""
 
     kind: str
-    offset: float = DEFAULT_OFFSET
-    extra: tuple = ()
+    offset: Optional[float] = None
+    a: Optional[float] = None
+    c: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in TRAJECTORY_KINDS:
+        if self.kind not in _KINDS:
             raise ParameterError(f"unknown trajectory kind {self.kind!r}")
-        if not 0.0 < self.offset < math.inf:
+        for name in ("offset", "a", "c"):
+            if getattr(self, name) is not None and name not in _KINDS[self.kind][0]:
+                raise ParameterError(f"{name} does not apply to kind {self.kind}")
+        if self.offset is not None and not 0.0 < self.offset < math.inf:
             raise ParameterError(f"offset must be finite and positive, got {self.offset}")
+        if self.c is not None and self.c * _KINDS[self.kind][0]["c"] < 0.0:
+            raise ParameterError(f"{self.kind} requires c "
+                                 f"{'>' if self.kind == 'T_plus' else '<'} 0")
 
 
 # ---------------------------------------------------------------------------
@@ -127,23 +150,6 @@ def _rising_hand_off(params: ProblemParams):
 _RHS_PER_STEP = 6
 
 
-def _budgeted(rhs, stats: dict, cfg: IntegrationConfig, what: str):
-    """``rhs`` for one ``solve_ivp`` call, counted in ``stats``: the call
-    is a segment, and past ``_RHS_PER_STEP * cfg.max_steps`` rhs
-    evaluations of the launch it raises :class:`IntegrationError`."""
-    stats["segments"] += 1
-    budget = _RHS_PER_STEP * cfg.max_steps
-
-    def counted(t, u):
-        stats["rhs_evals"] += 1
-        if stats["rhs_evals"] > budget:
-            raise IntegrationError(f"{what} exceeded its budget of {budget} rhs "
-                                   f"evaluations (max_steps = {cfg.max_steps})")
-        return rhs(t, u)
-
-    return counted
-
-
 def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
                  span, stats: dict, goals=(), stops=(), *, method: str = "RK45",
                  max_step: float = np.inf):
@@ -181,8 +187,15 @@ def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
         return np.array(seg.t), np.array([seg.y, seg.Y])
 
     r_field = _r_rhs(params)
+    budget = _RHS_PER_STEP * cfg.max_steps
+    stats["segments"] += 1
 
     def rhs(t, u):
+        stats["rhs_evals"] += 1
+        if stats["rhs_evals"] > budget:
+            raise IntegrationError(f"launch phase in chart R exceeded its budget of "
+                                   f"{budget} rhs evaluations (max_steps = "
+                                   f"{cfg.max_steps})")
         g, s = float(u[0]), float(u[1])
         if not (math.isfinite(g) and math.isfinite(s)):
             raise IntegrationError(f"launch phase in chart R left the chart: "
@@ -191,8 +204,7 @@ def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
         return (dg, ds, g * s)
 
     try:
-        sol = solve_ivp(_budgeted(rhs, stats, cfg, "launch phase in chart R"), span,
-                        np.asarray(u0, dtype=float), method=method,
+        sol = solve_ivp(rhs, span, np.asarray(u0, dtype=float), method=method,
                         rtol=cfg.rel_tol, atol=atol, max_step=max_step,
                         events=[*goals, *stops])
     except ValueError as exc:
@@ -535,7 +547,6 @@ def _flat_chart_ode_pN(params: ProblemParams, k: float):
     p, al, eps, N = params.p, params.alpha, params.epsilon, float(params.N)
 
     def G(zeta, V):
-        V = float(V[0]) if np.ndim(V) else float(V)
         if zeta <= 0.0:
             return 0.0
         E = math.exp(-N / zeta)
@@ -548,52 +559,49 @@ def _flat_chart_ode_pN(params: ProblemParams, k: float):
     return G
 
 
-def _flat_chart_ode_pgtN(params: ProblemParams, c1: float):
-    """p > N corner chart: v = c (|c|^{p-2} c psi)^{1/kappa} / zeta -> 1;
-    v as a graph over zeta solves dv/dzeta = H(zeta, v), and psi = W zeta.
-    Returns (H, W); both raise :class:`IntegrationError` where W overflows
-    (kappa = N/|eta| is large for p just above N)."""
-    p, al, eps = params.p, params.alpha, params.epsilon
-    dc = derive_constants(params)
-    eta = dc.eta
-    kap = params.N / abs(eta)
-
-    def W(zeta, v):
-        try:
-            return abs(c1) ** (1.0 - p - kap) * abs(zeta) ** (kap - 1.0) * v ** kap
-        except OverflowError:
-            raise IntegrationError(f"flat-limit corner chart overflows at "
-                                   f"zeta = {zeta} (kappa = {kap})") from None
-
-    def H(zeta, v):
-        v = float(v[0]) if np.ndim(v) else float(v)
-        Wv = W(zeta, v)
-        num = (p - 1.0) * (kap + 1.0) - (kap + p - 1.0) * eps * (zeta - al) * Wv
-        den = (p - 1.0) * (zeta - eta) + eps * (al - zeta) * Wv * zeta
-        return -(v / kap) * num / den
-
-    return H, W
-
-
 def _corner_solve(rhs, v0: float, zeta0: float, cfg: IntegrationConfig,
                   stats: dict) -> float:
     """v(zeta0) on the graph dv/dzeta = ``rhs`` of a corner chart with
-    v(0) = v0, by RK45 counted against the launch budget."""
-    sol = solve_ivp(_budgeted(rhs, stats, cfg, "flat-limit corner chart"),
-                    (0.0, zeta0), [v0], method="RK45",
-                    rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14))
-    if not sol.success:
-        raise IntegrationError("flat-limit corner chart integration failed")
-    return float(sol.y[0, -1])
+    v(0) = v0.  The scalar Dormand-Prince stepper runs the pair (|zeta|, v)
+    in the time |zeta| (T_minus has zeta0 < 0), counted into the launch's
+    ``stats`` and its ``max_steps`` budget."""
+    sgn = math.copysign(1.0, zeta0)
+    try:
+        seg = _rk45_segment(lambda s, v: (1.0, sgn * rhs(sgn * s, v)), 0.0,
+                            abs(zeta0), 0.0, v0, cfg.rel_tol, min(cfg.abs_tol, 1e-14),
+                            math.inf, (), *_event_values(()), stats, cfg.max_steps)
+    except IntegrationError as exc:
+        raise IntegrationError(f"flat-limit corner chart: {exc}") from None
+    return seg.Y[-1]
 
 
 def _run_flat_launch_pgtN(params: ProblemParams, c1: float, tau0: float,
                           cfg: IntegrationConfig, stats: dict):
     """Integrate the p > N corner chart to zeta0 = c1 e^{|eta| tau0} and
-    return the chart-P launch point (zeta0, psi0)."""
-    H, W = _flat_chart_ode_pgtN(params, c1)
-    zeta0 = c1 * math.exp(abs(derive_constants(params).eta) * tau0)
-    return zeta0, W(zeta0, _corner_solve(H, 1.0, zeta0, cfg, stats)) * zeta0
+    return the chart-P launch point (zeta0, psi0).  The chart is v =
+    c (|c|^{p-2} c psi)^{1/kappa} / zeta -> 1; v as a graph over zeta solves
+    dv/dzeta = H(zeta, v), and psi = W zeta.  Raises
+    :class:`IntegrationError` where W overflows (kappa = N/|eta| is large
+    for p just above N)."""
+    p, al, eps = params.p, params.alpha, params.epsilon
+    eta = derive_constants(params).eta
+    kap = params.N / abs(eta)
+
+    def W(zeta, v):
+        return abs(c1) ** (1.0 - p - kap) * abs(zeta) ** (kap - 1.0) * v ** kap
+
+    def H(zeta, v):
+        Wv = W(zeta, v)
+        num = (p - 1.0) * (kap + 1.0) - (kap + p - 1.0) * eps * (zeta - al) * Wv
+        den = (p - 1.0) * (zeta - eta) + eps * (al - zeta) * Wv * zeta
+        return -(v / kap) * num / den
+
+    zeta0 = c1 * math.exp(abs(eta) * tau0)
+    try:
+        return zeta0, W(zeta0, _corner_solve(H, 1.0, zeta0, cfg, stats)) * zeta0
+    except OverflowError:
+        raise IntegrationError(f"flat-limit corner chart overflows before zeta0 = "
+                               f"{zeta0} (kappa = {kap})") from None
 
 
 def _measure_flat_limits(tau: float, y: float, Y: float, params: ProblemParams):
@@ -698,33 +706,29 @@ def shoot(spec: SpecialTrajectorySpec, params: ProblemParams,
           config: Optional[IntegrationConfig] = None, **kwargs) -> Trajectory:
     """Dispatch a :class:`SpecialTrajectorySpec` to its construction.
 
-    Every kind takes the same keywords (``tau_span``, ``consistency_check``);
-    ``spec.offset`` and ``consistency_check`` reach only the kinds that
-    launch at an offset from a stationary point, not T_plus / T_minus.
-    ``consistency_check`` (default True) adds the offset/2 rerun that fills
-    ``meta["offset_consistency"]`` and leaves the returned orbit as it is;
-    callers that do not read it (``plap shoot``, ``classify_regime``) pass
-    False and launch once."""
+    A kind the regime does not provide (``_KINDS``) and a ``c`` at p = N,
+    where the flat-limit family has no tail coefficient, are a
+    :class:`ParameterError` before any launch.  Every kind takes the same
+    keywords (``tau_span``, ``consistency_check``); ``consistency_check``
+    (default True) reaches only the kinds that launch at an offset, where
+    it adds the offset/2 rerun that fills ``meta["offset_consistency"]``
+    and leaves the orbit as it is; ``plap shoot`` and ``classify_regime``
+    do not read it, pass False and launch once."""
     kind = spec.kind
+    side = (params.p > params.N) - (params.p < params.N)
+    if side not in _KINDS[kind][1]:
+        raise ParameterError(f"{kind} is inadmissible at p {'<=>'[side + 1]} N")
+    if side == 0 and spec.c is not None:
+        raise ParameterError("c does not apply at p = N: the flat-limit family "
+                             "there is parameterized by a alone")
+    read = {name: default if getattr(spec, name) is None else getattr(spec, name)
+            for name, default in _KINDS[kind][0].items()}
     if kind in ("T_plus", "T_minus"):
-        a = spec.extra[0] if len(spec.extra) > 0 else 1.0
-        c = spec.extra[1] if len(spec.extra) > 1 else (1.0 if kind == "T_plus" else -1.0)
-        if kind == "T_minus" and c > 0.0:
-            raise ParameterError("T_minus requires c < 0")
-        if kind == "T_plus" and c < 0.0:
-            raise ParameterError("T_plus requires c > 0")
         kwargs.pop("consistency_check", None)
-        return shoot_T_pm(params, a, c, config, **kwargs)
+        return shoot_T_pm(params, read["a"], read["c"], config, **kwargs)
     if kind == "T_r":
-        a = spec.extra[0] if spec.extra else 1.0
-        return shoot_regular(params, config, a=a, offset=spec.offset, **kwargs)
+        return shoot_regular(params, config, **read, **kwargs)
     if kind == "T_eps":
-        r_bar = spec.extra[0] if spec.extra else 1.0
-        return shoot_double_zero(params, r_bar, config, offset=spec.offset, **kwargs)
-    if kind == "T_alpha":
-        return shoot_T_alpha(params, config, offset=spec.offset, **kwargs)
-    traj = shoot_T_eta_or_u(params, config, offset=spec.offset, **kwargs)
-    if traj.meta["kind"] != kind:
-        raise ParameterError(
-            f"{kind} is inadmissible here: the regime provides {traj.meta['kind']}")
-    return traj
+        return shoot_double_zero(params, read["a"], config, offset=read["offset"], **kwargs)
+    construct = shoot_T_alpha if kind == "T_alpha" else shoot_T_eta_or_u
+    return construct(params, config, **read, **kwargs)

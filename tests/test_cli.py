@@ -217,8 +217,25 @@ class TestShoot:
                            "--p", "3", "--alpha", "1", "--eps", "1",
                            flag, value, "--out", str(tmp_path / "x.csv"))
         assert code == 2
+        # the flags set the spec's fields of the same names, and the error
+        # names the field: the flag without its dashes
+        assert err.startswith(f"error: {message.replace('--', '')}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("kind, N, flags, message", [
+        ("T_minus", 3, [], "T_minus is inadmissible at p = N"),
+        ("T_plus", 3, ["--c", "5"], "c does not apply at p = N"),
+        ("T_eta", 2, [], "T_eta is inadmissible at p > N"),
+    ])
+    def test_kind_outside_its_regime_is_declared(self, capsys, tmp_path, kind, N,
+                                                 flags, message):
+        code, _, err = run(capsys, "shoot", "--kind", kind, "--N", str(N),
+                           "--p", "3", "--alpha", "1", "--eps", "1", *flags,
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 2
         assert err.startswith(f"error: {message}")
         assert err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestIntegrate:

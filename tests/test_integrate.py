@@ -13,6 +13,7 @@ from scipy.integrate import solve_ivp
 
 from plap.params import ProblemParams, derive_constants, m_ell_point
 from plap.systems import PhaseState, from_profile, oracle, phi_Y
+from plap.trajectories import SpecialTrajectorySpec, shoot
 from plap.integrate import (
     IntegrationConfig,
     IntegrationError,
@@ -151,6 +152,15 @@ class TestEventsAndCaptures:
         traj = integrate_s(PhaseState(0.0, 0.4, 0.3), params, direction=-1,
                            capture=False, tau_span=1.0)
         assert np.all(np.diff(traj.tau) < 0.0)
+
+    def test_axis_crossing_junction_holds_no_duplicate(self):
+        # an axis crossing ends on the state the next stepper segment
+        # starts from, and the two must share one tau, or the junction
+        # keeps the state twice, an ulp of tau apart
+        traj = shoot(SpecialTrajectorySpec("T_r"), ProblemParams(1, 3.0, -4.0, -1),
+                     consistency_check=False)
+        assert sum(e.kind == "Y_zero_crossing" for e in traj.events) > 100
+        assert not np.any(np.all(traj.ys[:, 1:] == traj.ys[:, :-1], axis=0))
 
 
 class TestTailBounds:

@@ -1,8 +1,9 @@
 """The benchmark's tracer still interposes on every public plap function:
 ``perfbench/check.py selftest`` passes against this source tree, and a
-short traced alpha-c run and a short traced cycles run each end
-``correct``: every span they require still fires, and every certified
-cycle period stays within the oracle's bound."""
+short traced alpha-c, cycles and figures run each end ``correct``: every
+span they require still fires, every certified cycle period stays within
+the oracle's bound, and every shooting the figures run drives through
+the CLI writes its files."""
 
 import json
 import subprocess
@@ -20,7 +21,7 @@ def test_tracer_selftest():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("workload", ["alpha-c", "cycles"])
+@pytest.mark.parametrize("workload", ["alpha-c", "cycles", "figures"])
 def test_traced_run_is_correct(workload):
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload",
                            workload, "--seed", "1", "--seconds", "1",

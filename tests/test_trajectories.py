@@ -1,6 +1,7 @@
 """Shooting constructions: agreement with closed forms, local laws at the
 launch points, scaling, and admissibility errors."""
 
+import itertools
 import math
 
 import numpy as np
@@ -238,13 +239,18 @@ class TestBoundedSlopeFamily:
 
     def test_sign_constraints_on_dispatch(self):
         with pytest.raises(ParameterError):
-            shoot(SpecialTrajectorySpec(kind="T_minus", extra=(1.0, 1.0)),
+            shoot(SpecialTrajectorySpec(kind="T_minus", c=1.0),
                   ProblemParams(1, 3.0, 1.0, 1))
 
 
 class TestLaunchBudget:
-    """The solve_ivp launches (chart R, the corner charts of the flat-limit
-    family) stop at their rhs-evaluation budget."""
+    """The launches stop at their budget: the solve_ivp launches of chart R
+    at ``6 * max_steps`` rhs evaluations, the corner charts of the
+    flat-limit family, on the stepper, at ``max_steps`` attempted steps."""
+
+    BUDGET_MESSAGE = {"launch phase in chart R": " exceeded its budget of 6 rhs "
+                                                 "evaluations",
+                      "flat-limit corner chart": ": max_steps exceeded"}
 
     @pytest.mark.parametrize("kind, params, what", [
         ("T_eps", (2, 3.0, 1.0, 1), "launch phase in chart R"),
@@ -255,8 +261,7 @@ class TestLaunchBudget:
     ])
     def test_small_budget_raises(self, kind, params, what):
         cfg = IntegrationConfig(max_steps=1)
-        with pytest.raises(IntegrationError, match=f"{what} exceeded its budget "
-                                                   "of 6 rhs evaluations"):
+        with pytest.raises(IntegrationError, match=what + self.BUDGET_MESSAGE[what]):
             shoot(SpecialTrajectorySpec(kind), ProblemParams(*params), cfg,
                   tau_span=1.0)
 
@@ -309,6 +314,62 @@ class TestDispatch:
     def test_nonpositive_offset_rejected(self):
         with pytest.raises(ValueError):
             SpecialTrajectorySpec(kind="T_r", offset=0.0)
+
+    # the spec fields each kind reads, and a kind's regime: (N, p, alpha,
+    # eps) where it exists
+    READS = {"T_r": ("offset", "a"), "T_eps": ("offset", "a"),
+             "T_alpha": ("offset",), "T_eta": ("offset",), "T_u": ("offset",),
+             "T_plus": ("a", "c"), "T_minus": ("a", "c")}
+    REGIME = {"T_r": (2, 3.0, 1.0, 1), "T_eps": (2, 3.0, 1.0, 1),
+              "T_alpha": (1, 3.0, -2.53, -1), "T_eta": (4, 3.0, 1.0, 1),
+              "T_u": (2, 3.0, 1.0, 1), "T_plus": (2, 3.0, 1.0, 1),
+              "T_minus": (2, 3.0, 1.0, 1)}
+
+    @staticmethod
+    def _fields(kind, names):
+        values = {"offset": 2e-7, "a": 2.0, "c": -2.0 if kind == "T_minus" else 2.0}
+        return {name: values[name] for name in names}
+
+    @pytest.mark.parametrize("kind", sorted(READS))
+    def test_a_field_the_kind_does_not_read_is_refused(self, kind):
+        for n in range(4):
+            for names in itertools.combinations(("offset", "a", "c"), n):
+                if set(names) <= set(self.READS[kind]):
+                    SpecialTrajectorySpec(kind, **self._fields(kind, names))
+                else:
+                    with pytest.raises(ParameterError, match="does not apply"):
+                        SpecialTrajectorySpec(kind, **self._fields(kind, names))
+
+    @pytest.mark.parametrize("kind", sorted(READS))
+    def test_every_field_the_kind_reads_moves_the_orbit(self, kind):
+        params = ProblemParams(*self.REGIME[kind])
+
+        def orbit(**fields):
+            t = shoot(SpecialTrajectorySpec(kind, **fields), params, tau_span=1.0,
+                      consistency_check=False)
+            return t.tau, t.ys
+
+        tau, ys = orbit()
+        for name in self.READS[kind]:
+            tau_f, ys_f = orbit(**self._fields(kind, [name]))
+            assert not (np.array_equal(tau, tau_f) and np.array_equal(ys, ys_f)), name
+
+    @pytest.mark.parametrize("kind, params, fields", [
+        ("T_eta", (2, 3.0, 1.0, 1), {}),   # p > N
+        ("T_u", (4, 3.0, 1.0, 1), {}),     # p < N
+        ("T_eta", (3, 3.0, 1.0, 1), {}),   # p = N
+        ("T_u", (3, 3.0, 1.0, 1), {}),
+        ("T_plus", (4, 3.0, 1.0, 1), {}),
+        ("T_minus", (3, 3.0, 1.0, 1), {}),
+        ("T_minus", (4, 3.0, 1.0, 1), {}),
+        ("T_plus", (3, 3.0, 1.0, 1), {"c": 5.0}),  # no c at p = N
+    ])
+    def test_request_outside_the_regime_is_refused_before_launching(
+            self, kind, params, fields):
+        # one attempted step would end a launch in IntegrationError
+        with pytest.raises(ParameterError):
+            shoot(SpecialTrajectorySpec(kind, **fields), ProblemParams(*params),
+                  IntegrationConfig(max_steps=1))
 
     def test_dispatch_reaches_every_kind(self):
         # every kind takes the same keywords; the flat-limit launch of
