@@ -324,8 +324,8 @@ def cmd_shoot(args) -> int:
     t_start = time.monotonic()
     params = _build_params(args)
     cfg = _build_config(args)
-    # the spec refuses a flag its kind does not read, shoot() a kind or c
-    # the regime does not provide
+    # the spec refuses a flag its kind does not read, shoot() a kind the
+    # regime does not provide, and shoot_T_pm a c at p = N
     spec = SpecialTrajectorySpec(args.kind, offset=args.offset, a=args.a, c=args.c)
     # one launch: the offset/2 rerun only fills meta["offset_consistency"],
     # which no output reads

@@ -10,8 +10,10 @@ and
     dy/dY  = (-gamma y - phi(Y)) / (-(gamma+N) Y + eps(alpha y - phi(Y)))
     dtau/dY =                1.0 / (-(gamma+N) Y + eps(alpha y - phi(Y)))
 
-is smooth in y and integrable in Y across 0.  The crossing is recorded as a
-``Y_zero_crossing`` event and ordinary integration resumes on the far side.
+is smooth in y and integrable in Y across 0.  The solve takes one RK45 step
+to the axis and one beyond it, so no stage straddles the Hölder point; a
+dY/dtau that vanishes or turns in the band abandons it.  The crossing is
+a ``Y_zero_crossing`` event, and the stepper resumes on the far side.
 
 Between the bands, chart S is integrated by a scalar Dormand-Prince 5(4)
 stepper on Python floats (``_rk45_segment``).  It follows scipy's RK45
@@ -179,25 +181,33 @@ def _band_width(y: float, params: ProblemParams, cfg: IntegrationConfig) -> floa
 
 def _cross_axis(y0: float, Y0: float, tau0: float,
                 params: ProblemParams, cfg: IntegrationConfig):
-    """Integrate across {Y = 0} using Y as the independent variable.
+    """Integrate across {Y = 0} using Y as the independent variable; over
+    (Y0, -Y0) with ``max_step`` |Y0|, the first step ends exactly on the axis.
 
     Returns (samples_tau, samples_y, samples_Y, event), the event marking
     the exact crossing, or None when the crossing is degenerate (y too
-    small for the transversality estimate) or the solve fails."""
+    small for the transversality estimate, or dY/dtau vanishing or turning
+    in the band) or the solve fails."""
     f = _s_rhs(params, 1)
 
     # transversality guard: |dY/dtau| must dominate the band scale
     # |phi(Y0)| = |f(0, Y0)[0]|
     if abs(f(y0, 0.0)[1]) < 2.0 * abs(f(0.0, Y0)[0]):
         return None
+    den0 = f(y0, Y0)[1]
 
     def rhs(Y, u):
-        f1, den = f(u[0], Y)
+        f1, den = f(float(u[0]), float(Y))
+        if not den * den0 > 0.0:
+            raise ZeroDivisionError  # dY/dtau vanished or turned
         return [f1 / den, 1.0 / den]
 
-    sol = solve_ivp(rhs, (Y0, -Y0), [y0, tau0], method="RK45",
-                    rtol=min(cfg.rel_tol, 1e-10), atol=cfg.abs_tol,
-                    dense_output=True, max_step=abs(Y0) / 4.0)
+    try:
+        sol = solve_ivp(rhs, (Y0, -Y0), [y0, tau0], method="RK45",
+                        rtol=min(cfg.rel_tol, 1e-10), atol=cfg.abs_tol,
+                        dense_output=True, max_step=abs(Y0))
+    except ZeroDivisionError:
+        return None
     if not sol.success:
         return None
     y_mid, tau_mid = sol.sol(0.0)

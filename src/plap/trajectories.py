@@ -62,15 +62,15 @@ from .systems import PhaseState, _lift, _p_rhs, _q, _q_rhs, _r_rhs, to_profile
 
 DEFAULT_OFFSET = 1e-7
 
-# the spec fields each kind reads, with their defaults (a is T_r's w(0),
-# T_eps's edge radius rbar, and T_plus / T_minus's w(0), at p = N their
-# lim w/|ln r|), and the signs of p - N where the regime provides the kind
+# the spec fields each kind reads, with their defaults (a is T_r's w(0), T_eps's
+# edge radius rbar, and T_plus / T_minus's w(0), at p = N their lim w/|ln r|;
+# None is the constructor's default), and the signs of p - N where the regime has it
 _KINDS = {"T_r": ({"offset": DEFAULT_OFFSET, "a": 1.0}, (-1, 0, 1)),
           "T_eps": ({"offset": DEFAULT_OFFSET, "a": 1.0}, (-1, 0, 1)),
           "T_alpha": ({"offset": DEFAULT_OFFSET}, (-1, 0, 1)),
           "T_eta": ({"offset": DEFAULT_OFFSET}, (-1,)),
           "T_u": ({"offset": DEFAULT_OFFSET}, (1,)),
-          "T_plus": ({"a": 1.0, "c": 1.0}, (0, 1)),
+          "T_plus": ({"a": 1.0, "c": None}, (0, 1)),
           "T_minus": ({"a": 1.0, "c": -1.0}, (1,))}
 
 TRAJECTORY_KINDS = tuple(_KINDS)
@@ -96,7 +96,7 @@ class SpecialTrajectorySpec:
                 raise ParameterError(f"{name} does not apply to kind {self.kind}")
         if self.offset is not None and not 0.0 < self.offset < math.inf:
             raise ParameterError(f"offset must be finite and positive, got {self.offset}")
-        if self.c is not None and self.c * _KINDS[self.kind][0]["c"] < 0.0:
+        if self.c is not None and (self.c < 0.0 if self.kind == "T_plus" else self.c > 0.0):
             raise ParameterError(f"{self.kind} requires c "
                                  f"{'>' if self.kind == 'T_plus' else '<'} 0")
 
@@ -620,21 +620,21 @@ def _measure_flat_limits(tau: float, y: float, Y: float, params: ProblemParams):
     return a_meas, c_meas
 
 
-def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: float = 1.0,
+def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: Optional[float] = None,
                config: Optional[IntegrationConfig] = None,
                *, tau_span: Optional[float] = None) -> Trajectory:
     """Construct the flat-limit orbit for p >= N.
 
-    p = N: the family is parameterized by k = a > 0 and satisfies
-    w/|ln r| -> k and r w' -> -k as r -> 0.  The corner chart
-    V = psi e^{N/zeta} zeta has V -> k^{2-p}; V as a graph over zeta is a
-    regular scalar ODE, integrated from zeta = 0 to zeta0 = -1/tau0, and
-    the launch time tau0 = -1/zeta0 calibrates the logarithm.
+    p = N: the family is parameterized by k = a > 0 alone, so a ``c`` is a
+    ParameterError; it satisfies w/|ln r| -> k and r w' -> -k as r -> 0.
+    The corner chart V = psi e^{N/zeta} zeta has V -> k^{2-p}; V as a graph
+    over zeta is a regular scalar ODE, integrated from zeta = 0 to zeta0 =
+    -1/tau0, and the launch time tau0 = -1/zeta0 calibrates the logarithm.
 
-    p > N: the family satisfies w -> a and -r^{(N-1)/(p-1)} w' -> c; the
-    corner chart v(zeta) with v(0) = 1 realizes one member per chart
-    parameter c1, and a tau translation (the scaling map) adjusts (a, c)
-    along the one-parameter orbit family: c scales as mu^{1 - |eta|/gamma}
+    p > N: the family satisfies w -> a and -r^{(N-1)/(p-1)} w' -> c (1.0
+    for None); the corner chart v(zeta) with v(0) = 1 realizes one member
+    per chart parameter c1, and a tau translation (the scaling map) adjusts
+    (a, c) along the one-parameter family: c scales as mu^{1 - |eta|/gamma}
     when a scales as mu.  A short fixed-point iteration on c1 meets both
     requested limits, measured at the launch point.
 
@@ -643,6 +643,9 @@ def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: float = 1.0,
     """
     if params.p < params.N:
         raise ParameterError("the flat-limit family requires p >= N")
+    if params.p == params.N and c is not None:
+        raise ParameterError("c does not apply at p = N: the flat-limit family "
+                             "there is parameterized by a alone")
     if not 0.0 < a < math.inf:
         raise ParameterError(f"the flat-limit family requires a finite a > 0, got {a}")
     cfg = config or IntegrationConfig()
@@ -662,7 +665,7 @@ def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: float = 1.0,
                       "launch_coords": u0}
         shift = 0.0
     else:
-        eta = dc.eta
+        eta, c = dc.eta, 1.0 if c is None else c
         tau0 = -16.0
         if c == 0.0 or not math.isfinite(c):
             raise ParameterError(f"the p > N flat-limit family requires a finite "
@@ -718,9 +721,6 @@ def shoot(spec: SpecialTrajectorySpec, params: ProblemParams,
     side = (params.p > params.N) - (params.p < params.N)
     if side not in _KINDS[kind][1]:
         raise ParameterError(f"{kind} is inadmissible at p {'<=>'[side + 1]} N")
-    if side == 0 and spec.c is not None:
-        raise ParameterError("c does not apply at p = N: the flat-limit family "
-                             "there is parameterized by a alone")
     read = {name: default if getattr(spec, name) is None else getattr(spec, name)
             for name, default in _KINDS[kind][0].items()}
     if kind in ("T_plus", "T_minus"):

@@ -75,19 +75,19 @@ def test_recipe_fingerprint():
 # the cycle's source orbit
 CYCLES = {
     -4.0: {  # osc
-        "O_r": (1.5007691155677074, 0.022858737181754133, -1.870128553666242, 132, 127),
-        "O_eps": (1.5007691155537664, 0.022858737173453002, -1.8701285535219987, 134, 127),
+        "O_r": (1.5007691148384916, 0.02285873716918111, -1.870128553414873, 132, 116),
+        "O_eps": (1.5007691148401348, 0.02285873717015068, -1.8701285534327172, 134, 116),
     },
     -2.53: {  # sou
-        "O_r": (2.3401156386795523, 0.01954999958636377, -1.67115448526246, 85, 140),
-        "O_eps": (2.340115638679609, 0.01954999958638341, -1.6711544852609552, 85, 140),
+        "O_r": (2.340115630969469, 0.019549999610192388, -1.6711544958107472, 85, 130),
+        "O_eps": (2.340115630969316, 0.01954999961028141, -1.6711544958052291, 85, 130),
     },
     -2.1: {  # orb
         "O_alpha": (2.76687035258942, -0.008304600970643545, 0.4936886576693594, 72, 54),
-        "O_eps": (3.218694070966518, 0.01619262884577295, -1.326544138685695, 62, 152),
+        "O_eps": (3.2186940732086136, 0.01619262896479972, -1.3265441373085107, 62, 142),
     },
     -2.0: {  # clin
-        "O_r": (3.779740827579406, 0.014216165910833254, -0.9996441781545913, 53, 160),
+        "O_r": (3.779740837120766, 0.014216165854395021, -0.9996444754110323, 53, 151),
     },
 }
 

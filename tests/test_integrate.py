@@ -4,15 +4,17 @@ axis crossings, and tail boundedness."""
 import itertools
 import math
 import struct
+import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
 from plap.params import ProblemParams, derive_constants, m_ell_point
-from plap.systems import PhaseState, from_profile, oracle, phi_Y
+from plap.systems import PhaseState, _s_rhs, from_profile, oracle, phi_Y
 from plap.trajectories import SpecialTrajectorySpec, shoot
 from plap.integrate import (
     IntegrationConfig,
@@ -161,6 +163,79 @@ class TestEventsAndCaptures:
                      consistency_check=False)
         assert sum(e.kind == "Y_zero_crossing" for e in traj.events) > 100
         assert not np.any(np.all(traj.ys[:, 1:] == traj.ys[:, :-1], axis=0))
+
+
+# the osc orbit of (1, 3, -4, -1) from (0.05, 0) over tau 50, with 66 axis
+# crossings
+OSC = ProblemParams(1, 3.0, -4.0, -1)
+
+
+@pytest.fixture(scope="module")
+def osc_crossings():
+    """The osc orbit, and the (Y span, start, solution) of each crossing's
+    solve."""
+    calls = []
+    real = integrate_mod.solve_ivp
+
+    def recorded(fun, t_span, y0, **kwargs):
+        sol = real(fun, t_span, y0, **kwargs)
+        calls.append((t_span, list(y0), sol))
+        return sol
+
+    integrate_mod.solve_ivp = recorded
+    try:
+        traj = integrate_s(PhaseState(0.0, 0.05, 0.0), OSC, tau_span=50.0)
+    finally:
+        integrate_mod.solve_ivp = real
+    return traj, calls
+
+
+class TestAxisCrossing:
+    def test_one_step_per_side_with_the_axis_as_step_boundary(self, osc_crossings):
+        traj, calls = osc_crossings
+        assert len(calls) == sum(e.kind == "Y_zero_crossing" for e in traj.events) == 66
+        assert all(sol.t.size == 3 and sol.t[1] == 0.0 for _, _, sol in calls)
+        # each crossing leaves its on-axis sample in the orbit; the start is
+        # the other exact zero of Y
+        assert np.count_nonzero(traj.ys[1] == 0.0) == 67
+
+    def test_crossing_matches_a_fine_reference(self, osc_crossings):
+        # DOP853 with at least 3,000 steps a side; the crossings settle onto
+        # the cycle's, so every 11th one is checked
+        f = _s_rhs(OSC, 1)
+
+        def rhs(Y, u):
+            f1, den = f(float(u[0]), float(Y))
+            return [f1 / den, 1.0 / den]
+
+        for (Y0, Y1), start, sol in osc_crossings[1][::11]:
+            ref = solve_ivp(rhs, (Y0, Y1), start, method="DOP853", rtol=1e-13,
+                            atol=1e-15, max_step=abs(Y0) / 3000)
+            assert abs(sol.y[0, -1] - ref.y[0, -1]) <= 1e-9 * abs(ref.y[0, -1])
+
+    def test_orbit_end_state_matches_a_tight_run(self, osc_crossings):
+        # the gap is the stepper's, about 1.1e-7 on this orbit of |state|
+        # ~ 0.03, so it is bounded on the scale max(1, |state|)
+        traj = osc_crossings[0]
+        ref = integrate_s(PhaseState(0.0, 0.05, 0.0), OSC, tau_span=50.0,
+                          config=IntegrationConfig(rel_tol=1e-12, abs_tol=1e-15))
+        assert traj.tau[-1] == ref.tau[-1] == 50.0
+        end = ref.ys[:, -1]
+        assert np.max(np.abs(traj.ys[:, -1] - end)) <= 2e-7 * max(1.0, np.max(np.abs(end)))
+
+    @pytest.mark.parametrize("point", [(1, 2.3033482, 1.1361302, 1),
+                                       (2, 2.2375, 6.8192, 1)])
+    def test_degenerate_crossing_ends(self, point):
+        # dY/dtau turns inside the band on these launches, where the crossing
+        # solve once ran without end; a subprocess bounds a regression
+        code = ("from plap.params import ProblemParams\n"
+                "from plap.trajectories import shoot_regular\n"
+                f"print(shoot_regular(ProblemParams{point}, tau_span=30,"
+                " consistency_check=False).termination)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=20,
+                              cwd=Path(__file__).resolve().parents[1] / "src")
+        assert proc.stdout.strip() == "origin_flagged", proc.stderr
 
 
 class TestTailBounds:

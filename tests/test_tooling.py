@@ -21,7 +21,7 @@ def test_tracer_selftest():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-@pytest.mark.parametrize("workload", ["alpha-c", "cycles", "figures"])
+@pytest.mark.parametrize("workload", ["alpha-c", "cycles", "figures", "sweep"])
 def test_traced_run_is_correct(workload):
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload",
                            workload, "--seed", "1", "--seconds", "1",

@@ -237,6 +237,11 @@ class TestBoundedSlopeFamily:
         with pytest.raises(ParameterError):
             shoot_T_pm(ProblemParams(4, 3.0, 1.0, 1), a=1.0, c=1.0)
 
+    def test_c_at_p_equal_N_rejected(self):
+        # the p = N family has no tail coefficient, called directly or by spec
+        with pytest.raises(ParameterError, match="c does not apply at p = N"):
+            shoot_T_pm(ProblemParams(3, 3.0, 1.0, 1), a=1.0, c=-5.0)
+
     def test_sign_constraints_on_dispatch(self):
         with pytest.raises(ParameterError):
             shoot(SpecialTrajectorySpec(kind="T_minus", c=1.0),
@@ -411,28 +416,28 @@ LAUNCH_PINS = [
      (-5.106349792861578, 57784103.79764854, 834750903891954.2),
      (1.7418270845536448, 0.0009989980761643377, 1e-06),
      1.4857526578524904e-07),
-    ("T_u", (2, 3.0, 1.0, 1), None, "origin_flagged", ["Y_zero_crossing"], 429,
+    ("T_u", (2, 3.0, 1.0, 1), None, "origin_flagged", ["Y_zero_crossing"], 423,
      (-7.004856863968591, 40311290.74149282, -406250020155645.06),
-     (1.6355377009100263, 0.0009969565753701435, 1.0000000000000012e-06),
+     (1.6355377009097154, 0.0009969565753701027, 1.0000000000000025e-06),
      3.542091048089028e-14),
     ("T_plus", (1, 3.0, 1.0, 1), None, "origin_flagged",
-     ["Y_zero_crossing", "y_zero_crossing"], 427,
+     ["Y_zero_crossing", "y_zero_crossing"], 422,
      (-16.000000168802735, 7.016738675801294e+20, 6.2351532908539e+27),
-     (1.7282043523963682, -0.000995950393240246, -1.000000000000002e-06),
+     (1.728204352406326, -0.000995950393200616, -9.999999999999993e-07),
      None),
-    ("T_minus", (2, 3.0, 1.0, 1), None, "origin_flagged", ["Y_zero_crossing"], 475,
+    ("T_minus", (2, 3.0, 1.0, 1), None, "origin_flagged", ["Y_zero_crossing"], 469,
      (-15.998657699146243, 6.993228949413676e+20, -5.503560981607365e+34),
-     (1.9964732126629532, 0.0009969434216708067, 1.000000000000003e-06),
+     (1.9964732126626876, 0.0009969434216707295, 9.999999999999983e-07),
      None),
     ("T_alpha", (1, 3.0, -4.0, -1), 30.0, "time_span",
-     ["Y_zero_crossing", "y_zero_crossing"], 3618,
+     ["Y_zero_crossing", "y_zero_crossing"], 3380,
      (-11.785508932502415, 5.852055648029697e-09, -5.479450388392606e-16),
-     (30.0, 0.004542514919814167, -0.024440201356902225),
+     (30.0, 0.004542515370384248, -0.02444020147735241),
      0.0),
     ("T_eps", (1, 3.0, -4.0, -1), 30.0, "time_span",
-     ["Y_zero_crossing", "double_zero_capture", "y_zero_crossing"], 2955,
+     ["Y_zero_crossing", "double_zero_capture", "y_zero_crossing"], 2710,
      (5.7469577113269076e-08, 8.256879943079212e-16, -8.256879152213548e-16),
-     (30.654276777394006, 0.025004206368212167, 0.0056531543662073315),
+     (30.654276777394006, 0.025004204450657774, 0.005653156302576024),
      0.012202438898384571),
 ]
 
