@@ -13,11 +13,14 @@ and
 is smooth in y and integrable in Y across 0.  The solve takes one RK45 step
 to the axis and one beyond it, so no stage straddles the Hölder point; a
 dY/dtau that vanishes or turns in the band abandons it.  The crossing is
-a ``Y_zero_crossing`` event, and the stepper resumes on the far side.
+a ``Y_zero_crossing`` event, the end state of the step on the axis (a
+solve whose first step is rejected runs again with a dense output, read
+at Y = 0), and the stepper resumes on the far side.
 
 Between the bands, chart S is integrated by a scalar Dormand-Prince 5(4)
-stepper on Python floats (``_rk45_segment``).  It follows scipy's RK45
-rule step for step, up to rounding: the same initial step, tableau, error
+stepper on Python floats (``_rk45_segment``), compiled once per field
+text with the field written into its loop.  It follows scipy's RK45 rule
+step for step, up to rounding: the same initial step, tableau, error
 norm, step controller and quartic dense output, with events located by
 Brent's method on the dense output.  It counts every attempted step
 against ``IntegrationConfig.max_steps`` and stops at the first non-finite
@@ -46,8 +49,9 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.integrate import RK45, solve_ivp
@@ -182,7 +186,9 @@ def _band_width(y: float, params: ProblemParams, cfg: IntegrationConfig) -> floa
 def _cross_axis(y0: float, Y0: float, tau0: float,
                 params: ProblemParams, cfg: IntegrationConfig):
     """Integrate across {Y = 0} using Y as the independent variable; over
-    (Y0, -Y0) with ``max_step`` |Y0|, the first step ends exactly on the axis.
+    (Y0, -Y0) with ``max_step`` |Y0|, the first step ends exactly on the axis
+    and its end state is the crossing, unless it is rejected (or starts
+    smaller): then the solve runs again with a dense output, read at Y = 0.
 
     Returns (samples_tau, samples_y, samples_Y, event), the event marking
     the exact crossing, or None when the crossing is degenerate (y too
@@ -202,15 +208,17 @@ def _cross_axis(y0: float, Y0: float, tau0: float,
             raise ZeroDivisionError  # dY/dtau vanished or turned
         return [f1 / den, 1.0 / den]
 
+    opts = dict(method="RK45", rtol=min(cfg.rel_tol, 1e-10), atol=cfg.abs_tol,
+                max_step=abs(Y0))
     try:
-        sol = solve_ivp(rhs, (Y0, -Y0), [y0, tau0], method="RK45",
-                        rtol=min(cfg.rel_tol, 1e-10), atol=cfg.abs_tol,
-                        dense_output=True, max_step=abs(Y0))
+        sol = solve_ivp(rhs, (Y0, -Y0), [y0, tau0], **opts)
+        if sol.success and sol.t[1] != 0.0:
+            sol = solve_ivp(rhs, (Y0, -Y0), [y0, tau0], dense_output=True, **opts)
     except ZeroDivisionError:
         return None
     if not sol.success:
         return None
-    y_mid, tau_mid = sol.sol(0.0)
+    y_mid, tau_mid = sol.y[:, 1] if sol.sol is None else sol.sol(0.0)
     ev = Event("Y_zero_crossing", float(tau_mid), PhaseState(float(tau_mid), float(y_mid), 0.0))
     return sol.y[1], sol.y[0], sol.t, ev
 
@@ -226,7 +234,8 @@ _A, _B, _E = RK45.A.tolist(), RK45.B.tolist(), RK45.E.tolist()
 # _rk45_segment unpacks them
 _TABLEAU = (_A[1][0], *_A[2][:2], *_A[3][:3], *_A[4][:4], *_A[5],
             _B[0], *_B[2:], _E[0], *_E[2:])
-_P = [row if any(row) else None for row in RK45.P.tolist()]
+# the dense output's P by powers of x, over stages 1 and 3 to 7
+_PT = [(c[0], *c[2:]) for c in zip(*RK45.P.tolist())]
 
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1 / (RK45.error_estimator_order + 1)
@@ -267,9 +276,9 @@ def _crossed(i: int, direction: int) -> str:
 
 @functools.lru_cache(maxsize=64)
 def _values_code(rows: tuple):
-    """The compiled definitions of ``values`` and ``advance`` for one tuple
-    of (expression, direction) rows; a table's shape, not its constants,
-    decides it."""
+    """The compiled definitions of ``values``, ``advance`` and ``roots``
+    for one tuple of (expression, direction) rows; a table's shape, not its
+    constants, decides it."""
     body = "(" + "".join(f"{e}, " for e, _ in rows) + ")"
     a = "".join(f"a{i}, " for i in range(len(rows)))
     b = "".join(f"b{i}, " for i in range(len(rows)))
@@ -281,6 +290,10 @@ def _values_code(rows: tuple):
                    "        y, Y = np.float64(y), np.float64(Y)\n"
                    "        with np.errstate(over='ignore'):\n"
                    f"            return tuple(map(float, {body}))\n"
+                   + "".join(f"def root{i}(y, Y):\n    try:\n        return {e}\n"
+                             f"    except OverflowError:\n        return values(y, Y)[{i}]\n"
+                             for i, (e, _) in enumerate(rows))
+                   + f"roots = ({''.join(f'root{i}, ' for i in range(len(rows)))})\n"
                    "def advance(y, Y, g):\n"
                    f"    ({a}) = g\n"
                    "    try:\n"
@@ -295,7 +308,7 @@ def _values_code(rows: tuple):
 
 
 def _event_values(events: Sequence[_SEvent], **consts):
-    """Two functions of one table, from one compiled code object; ``consts``
+    """The functions of one table, from one compiled code object; ``consts``
     binds the names the rows use besides y and Y.
 
     ``values(y, Y)`` returns every row's value, in table order, from a
@@ -303,7 +316,8 @@ def _event_values(events: Sequence[_SEvent], **consts):
     accepted step, with ``g`` the values at the step's start: it returns
     the values at (y, Y) and the rows that fired on the step, in index
     order, or None when none fired; each row's crossing test is unrolled
-    with its direction built in.
+    with its direction built in.  ``roots[i](y, Y)`` is ``values(y,
+    Y)[i]`` alone, what ``brentq`` evaluates on the row that fired.
 
     The rows keep the float ``**`` of their expressions (``x ** 2`` and
     ``x * x`` round differently for about 1 in 1,000 floats).  Where the
@@ -312,7 +326,7 @@ def _event_values(events: Sequence[_SEvent], **consts):
     inf, so only the overflowing rows read inf."""
     namespace = {"np": np, **consts}
     exec(_values_code(tuple((ev.expr, ev.direction) for ev in events)), namespace)
-    return namespace["values"], namespace["advance"]
+    return namespace["values"], namespace["advance"], namespace["roots"]
 
 
 @dataclass
@@ -329,12 +343,15 @@ class _Segment:
     terminal: Optional[int]
 
 
-def _dense(t_old: float, h: float, y_old: float, Y_old: float, k):
-    """The quartic interpolant of one accepted step from its seven stages."""
+def _dense(t_old: float, h: float, y_old: float, Y_old: float, ky, kY):
+    """The quartic interpolant of one accepted step from its stages 1 and 3
+    to 7 (``ky`` of y, ``kY`` of Y).  Each coefficient is the sum ``sum()``
+    formed, written out: from 0.0, in stage order, zero P entries included,
+    so inf and -0.0 stages give the same bits."""
     (a1, a2, a3, a4), (b1, b2, b3, b4) = (
-        [sum(kk[i] * row[j] for kk, row in zip(k, _P) if row is not None)
-         for j in range(4)]
-        for i in (0, 1))
+        [0.0 + k1 * p1 + k3 * p3 + k4 * p4 + k5 * p5 + k6 * p6 + k7 * p7
+         for p1, p3, p4, p5, p6, p7 in _PT]
+        for k1, k3, k4, k5, k6, k7 in (ky, kY))
 
     def sol(t):
         x = (t - t_old) / h
@@ -356,59 +373,36 @@ def _new_stats() -> dict:
     return {"rhs_evals": 0, "accepted": 0, "rejected": 0, "segments": 0}
 
 
-def _rk45_segment(fun, t0: float, t_bound: float, y0: float, Y0: float,
-                  rtol: float, atol: float, max_step: float,
-                  events: Sequence[_SEvent],
-                  values: Callable[[float, float], tuple],
-                  advance: Callable[[float, float, tuple], tuple],
-                  stats: dict, max_steps: int,
-                  tau_of: Callable[[float], float] = float) -> _Segment:
-    """Integrate the autonomous 2-D field ``fun(y, Y) -> (dy, dY)`` from
-    ``t0`` to ``t_bound >= t0`` by scipy's RK45 rule on Python floats.
-
-    One call does what one ``solve_ivp(method="RK45", rtol=..., atol=...,
-    max_step=..., events=...)`` call does: the same initial step selection,
-    tableau, RMS error norm with scale ``atol + max(|y|, |y_new|) rtol``,
-    step controller (safety 0.9, factors 0.2 to 10, no growth right after a
-    rejection), events located by ``brentq`` on the dense output, terminal
-    events ordered in time, and the last sample at the terminal event.
-    ``values`` and ``advance`` (from :func:`_event_values`) evaluate every
-    row of ``events`` at once: ``advance`` once per accepted step, with the
-    crossing test, and ``values`` at the start and inside ``brentq``.
-    The arithmetic matches scipy's up to rounding: scipy's sums go through
-    BLAS, which fuses multiply-adds.  ``stats`` accumulates ``rhs_evals``,
-    ``accepted``, ``rejected`` and ``segments`` over the calls that share
-    it; every attempted step counts against ``max_steps``.  A non-finite
-    field or state raises :class:`IntegrationError` at once; ``tau_of``
-    maps t to tau there.
-    """
-    y, Y = y0, Y0
-    fy, fY = fun(y, Y)
+# The stepper, one template for every field (_stepper compiles it): each
+# FIELD(a, b) is written in place from the field's text, or calls a callable
+# ``fun``, and CONSTS unpacks the field's constants (or ``fun``) to locals.
+# The state is (u, U), so a field's names (y, Y in chart S) never shadow it.
+_SEGMENT = """\
+def segment(field, t0, t_bound, u, U, rtol, atol, max_step, events,
+            values, advance, roots, stats, max_steps, tau_of=float):
+    CONSTS = field
+    fu, fU = FIELD(u, U)
     nfev, n_acc, n_rej = 1, 0, 0
-    ts, ys, Ys = [t0], [y0], [Y0]
-    hits: list = []
-    terminal = None
+    ts, us, Us = [t0], [u], [U]
+    hits, terminal = [], None
     stats["segments"] += 1
     try:
-        if not (math.isfinite(fy) and math.isfinite(fY)):
+        if not (math.isfinite(fu) and math.isfinite(fU)):
             raise IntegrationError(f"non-finite field near tau={tau_of(t0)}")
         if t0 == t_bound:
-            ts.append(t0)
-            ys.append(y0)
-            Ys.append(Y0)
-            return _Segment(ts, ys, Ys, hits, None)
+            return _Segment([t0, t0], [u, u], [U, U], hits, None)
 
         # initial step: Hairer, Norsett & Wanner, sec. II.4
         interval = t_bound - t0
-        sy, sY = atol + abs(y) * rtol, atol + abs(Y) * rtol
-        d0 = _rms(y / sy, Y / sY)
-        d1 = _rms(fy / sy, fY / sY)
+        su, sU = atol + abs(u) * rtol, atol + abs(U) * rtol
+        d0 = _rms(u / su, U / sU)
+        d1 = _rms(fu / su, fU / sU)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval)
-        gy, gY = fun(y + h0 * fy, Y + h0 * fY)
+        gu, gU = FIELD(u + h0 * fu, U + h0 * fU)
         nfev += 1
         # h0 is 0 only when d1 overflowed, and then h1 is 0 either way
-        d2 = _rms((gy - fy) / sy, (gY - fY) / sY) / h0 if h0 else math.inf
+        d2 = _rms((gu - fu) / su, (gU - fU) / sU) / h0 if h0 else math.inf
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
@@ -420,7 +414,7 @@ def _rk45_segment(fun, t0: float, t_bound: float, y0: float, Y0: float,
         safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
         err_exp, sqrt2, sqrt, isfinite = _ERR_EXP, _SQRT2, math.sqrt, math.isfinite
         nextafter, inf = math.nextafter, math.inf
-        g = values(y, Y)
+        g = values(u, U)
         budget = max_steps - stats["accepted"] - stats["rejected"]
         t = t0
         while t < t_bound:
@@ -430,7 +424,7 @@ def _rk45_segment(fun, t0: float, t_bound: float, y0: float, Y0: float,
                 h_abs = min_step
             if max_step < h_abs:
                 h_abs = max_step
-            ay, aY = abs(y), abs(Y)
+            au, aU = abs(u), abs(U)
             rejected = False
             while True:
                 if h_abs < min_step:
@@ -443,32 +437,32 @@ def _rk45_segment(fun, t0: float, t_bound: float, y0: float, Y0: float,
                 if t_new > t_bound:
                     t_new = t_bound
                 h = h_abs = t_new - t
-                k2y, k2Y = fun(y + fy * A21 * h, Y + fY * A21 * h)
-                k3y, k3Y = fun(y + (fy * A31 + k2y * A32) * h,
-                               Y + (fY * A31 + k2Y * A32) * h)
-                k4y, k4Y = fun(y + (fy * A41 + k2y * A42 + k3y * A43) * h,
-                               Y + (fY * A41 + k2Y * A42 + k3Y * A43) * h)
-                k5y, k5Y = fun(
-                    y + (fy * A51 + k2y * A52 + k3y * A53 + k4y * A54) * h,
-                    Y + (fY * A51 + k2Y * A52 + k3Y * A53 + k4Y * A54) * h)
-                k6y, k6Y = fun(
-                    y + (fy * A61 + k2y * A62 + k3y * A63 + k4y * A64
-                         + k5y * A65) * h,
-                    Y + (fY * A61 + k2Y * A62 + k3Y * A63 + k4Y * A64
-                         + k5Y * A65) * h)
-                y_new = y + h * (fy * B1 + k3y * B3 + k4y * B4 + k5y * B5
-                                 + k6y * B6)
-                Y_new = Y + h * (fY * B1 + k3Y * B3 + k4Y * B4 + k5Y * B5
-                                 + k6Y * B6)
-                k7y, k7Y = fun(y_new, Y_new)
+                k2u, k2U = FIELD(u + fu * A21 * h, U + fU * A21 * h)
+                k3u, k3U = FIELD(u + (fu * A31 + k2u * A32) * h,
+                                 U + (fU * A31 + k2U * A32) * h)
+                k4u, k4U = FIELD(u + (fu * A41 + k2u * A42 + k3u * A43) * h,
+                                 U + (fU * A41 + k2U * A42 + k3U * A43) * h)
+                k5u, k5U = FIELD(
+                    u + (fu * A51 + k2u * A52 + k3u * A53 + k4u * A54) * h,
+                    U + (fU * A51 + k2U * A52 + k3U * A53 + k4U * A54) * h)
+                k6u, k6U = FIELD(
+                    u + (fu * A61 + k2u * A62 + k3u * A63 + k4u * A64
+                         + k5u * A65) * h,
+                    U + (fU * A61 + k2U * A62 + k3U * A63 + k4U * A64
+                         + k5U * A65) * h)
+                u_new = u + h * (fu * B1 + k3u * B3 + k4u * B4 + k5u * B5
+                                 + k6u * B6)
+                U_new = U + h * (fU * B1 + k3U * B3 + k4U * B4 + k5U * B5
+                                 + k6U * B6)
+                k7u, k7U = FIELD(u_new, U_new)
                 nfev += 6
-                ny, nY = abs(y_new), abs(Y_new)
-                ey = ((fy * E1 + k3y * E3 + k4y * E4 + k5y * E5 + k6y * E6
-                       + k7y * E7) * h / (atol + (ny if ny > ay else ay) * rtol))
-                eY = ((fY * E1 + k3Y * E3 + k4Y * E4 + k5Y * E5 + k6Y * E6
-                       + k7Y * E7) * h / (atol + (nY if nY > aY else aY) * rtol))
-                err = sqrt(ey * ey + eY * eY) / sqrt2
-                if not (isfinite(err) and isfinite(y_new) and isfinite(Y_new)):
+                nu, nU = abs(u_new), abs(U_new)
+                eu = ((fu * E1 + k3u * E3 + k4u * E4 + k5u * E5 + k6u * E6
+                       + k7u * E7) * h / (atol + (nu if nu > au else au) * rtol))
+                eU = ((fU * E1 + k3U * E3 + k4U * E4 + k5U * E5 + k6U * E6
+                       + k7U * E7) * h / (atol + (nU if nU > aU else aU) * rtol))
+                err = sqrt(eu * eu + eU * eU) / sqrt2
+                if not (isfinite(err) and isfinite(u_new) and isfinite(U_new)):
                     n_rej += 1
                     raise IntegrationError(f"non-finite state near tau={tau_of(t)}")
                 if err < 1:
@@ -484,13 +478,12 @@ def _rk45_segment(fun, t0: float, t_bound: float, y0: float, Y0: float,
                 rejected = True
                 n_rej += 1
 
-            g, active = advance(y_new, Y_new, g)
+            g, active = advance(u_new, U_new, g)
             if active is not None:
-                sol = _dense(t, h, y, Y,
-                             ((fy, fY), (k2y, k2Y), (k3y, k3Y), (k4y, k4Y),
-                              (k5y, k5Y), (k6y, k6Y), (k7y, k7Y)))
-                found = [(i, brentq(lambda s, i=i: values(*sol(s))[i], t, t_new,
-                                    xtol=_ROOT_TOL, rtol=_ROOT_TOL))
+                sol = _dense(t, h, u, U, (fu, k3u, k4u, k5u, k6u, k7u),
+                             (fU, k3U, k4U, k5U, k6U, k7U))
+                found = [(i, brentq(lambda s, root=roots[i]: root(*sol(s)), t,
+                                    t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL))
                          for i in active]
                 if any(events[i].terminal for i in active):
                     found.sort(key=lambda hit: hit[1])
@@ -501,20 +494,67 @@ def _rk45_segment(fun, t0: float, t_bound: float, y0: float, Y0: float,
                 hits.extend((i, te, *sol(te)) for i, te in found)
                 if terminal is not None:
                     t_new = found[-1][1]
-                    y_new, Y_new = sol(t_new)
+                    u_new, U_new = sol(t_new)
                 terminal = next((i for i, _ in found if events[i].step_end),
                                 terminal)
-            t, y, Y, fy, fY = t_new, y_new, Y_new, k7y, k7Y
+            t, u, U, fu, fU = t_new, u_new, U_new, k7u, k7U
             ts.append(t)
-            ys.append(y)
-            Ys.append(Y)
+            us.append(u)
+            Us.append(U)
             if terminal is not None:
                 break
-        return _Segment(ts, ys, Ys, hits, terminal)
+        return _Segment(ts, us, Us, hits, terminal)
     finally:
         stats["rhs_evals"] += nfev
         stats["accepted"] += n_acc
         stats["rejected"] += n_rej
+"""
+_FIELD_AT = re.compile(r"^( *)(\w+, \w+) = FIELD\((.*?)\)$", re.M | re.S)
+
+
+@functools.lru_cache(maxsize=16)
+def _stepper(text):
+    """The stepper compiled for one field text (``systems._FieldText``), or
+    for a callable ``fun`` when ``text`` is None."""
+    def evaluation(m):
+        indent, out, at = m.groups()
+        if text is None:
+            return f"{indent}{out} = fun({at})"
+        return (f"{indent}{text.args} = ({at})\n{indent}{text.prelude}\n"
+                f"{indent}{out} = {text.dy}, {text.dY}")
+
+    source = _FIELD_AT.sub(evaluation, _SEGMENT).replace(
+        "CONSTS", "fun" if text is None else text.consts)
+    namespace: dict = {}
+    exec(compile(source, "<rk45 segment>", "exec"), globals(), namespace)
+    return namespace["segment"]
+
+
+def _rk45_segment(fun, *args, **kwargs) -> _Segment:
+    """Integrate the autonomous 2-D field ``fun(y, Y) -> (dy, dY)`` from
+    ``t0`` to ``t_bound >= t0`` by scipy's RK45 rule on Python floats; the
+    arguments after ``fun`` are those of ``segment`` in ``_SEGMENT``.
+
+    One call does what one ``solve_ivp(method="RK45", rtol=..., atol=...,
+    max_step=..., events=...)`` call does: the same initial step selection,
+    tableau, RMS error norm with scale ``atol + max(|y|, |y_new|) rtol``,
+    step controller (safety 0.9, factors 0.2 to 10, no growth right after a
+    rejection), events located by ``brentq`` on the dense output, terminal
+    events ordered in time, and the last sample at the terminal event.
+    Of the functions of :func:`_event_values`, ``values`` runs at the
+    start, ``advance`` once per accepted step, and ``brentq`` evaluates
+    only a fired row, through its function in ``roots``.
+    The arithmetic matches scipy's up to rounding: scipy's sums go through
+    BLAS, which fuses multiply-adds.  ``stats`` accumulates ``rhs_evals``,
+    ``accepted``, ``rejected`` and ``segments`` over the calls that share
+    it; every attempted step counts against ``max_steps``.  A non-finite
+    field or state raises :class:`IntegrationError` at once; ``tau_of``
+    maps t to tau there.  A field compiled from its text (``systems``)
+    runs with its evaluations written into the stepper and its constants
+    as locals, any other callable with a call per evaluation, to the same
+    bits."""
+    text = getattr(fun, "text", None)
+    return _stepper(text)(fun if text is None else fun.consts, *args, **kwargs)
 
 
 def integrate_s(initial: PhaseState, params: ProblemParams,
@@ -586,7 +626,7 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
     if capture:
         consts["orad"] = cfg.origin_radius
         table.append(_SEvent("y ** 2 + Y ** 2 - orad ** 2", -1, True, "origin"))
-    values, advance = _event_values(table, **consts)
+    table_fns = _event_values(table, **consts)
 
     taus: list[np.ndarray] = []
     ys_parts: list[np.ndarray] = []
@@ -626,7 +666,7 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
             continue
 
         seg = _rk45_segment(f, s_now, span, y, Y, cfg.rel_tol, cfg.abs_tol,
-                            cfg.max_step, table, values, advance, stats,
+                            cfg.max_step, table, *table_fns, stats,
                             cfg.max_steps, tau_of)
         taus.append(initial.tau + direction * np.array(seg.t))
         ys_parts.append(np.array([seg.y, seg.Y]))

@@ -22,15 +22,19 @@ Four auxiliary charts cover the ends of the phase plane:
 *  R_beta: chart R with s = beta S, used by the homoclinic connection
    function.
 
-Each chart's field is written once here (``_s_rhs``, ``_q_rhs``, ``_p_rhs``,
-and ``_r_rhs`` for both R charts), and so is the one lift of charts Q, P
-and R to chart S (``_lift``, through y^{p-2} = ``_q``).  All operations here
-are pure closed forms; integration lives in :mod:`plap.integrate`.
+Each chart's field is written once here.  The fields of charts S, Q and P,
+which the scalar stepper drives, are defined as source text, which compiles
+into their closures (``_s_rhs``, ``_qp_rhs``) and into the stepper's loop;
+``_r_rhs`` serves both R charts.  So is the one lift of charts Q, P and R to
+chart S (``_lift``, through y^{p-2} = ``_q``).  All operations here are pure
+closed forms; integration lives in :mod:`plap.integrate`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -102,57 +106,55 @@ class ProfileSample:
 # vector fields
 
 
+# A field the scalar stepper drives, defined once as source text: its
+# coordinates, the names of its constants, a prelude and the dy and dY
+# expressions, which compile into its closure and into the stepper's loop.
+_FieldText = namedtuple("_FieldText", "args consts prelude dy dY")
+_S_TEXT = _FieldText("y, Y", "e, mg, mgN, al, eps",
+                     "ph = Y ** e if Y >= 0.0 else -((-Y) ** e)",
+                     "mg * y - ph", "mgN * Y + eps * (al * y - ph)")
+# the exact negation of the forward field, so no evaluation multiplies by
+# the tau direction
+_S_BACK = _S_TEXT._replace(dy=f"-({_S_TEXT.dy})", dY=f"-({_S_TEXT.dY})")
+_Q_TEXT = _FieldText("zeta, sigma", "eta, N, pm1, al, eps", "",
+                     "zeta * (zeta - eta) + eps * zeta * (al - zeta) / (pm1 * sigma)",
+                     "eps * (al - zeta) + (zeta - N) * sigma")
+_P_TEXT = _FieldText("zeta, psi", "eta, N, pm1, al, eps", "",
+                     "zeta * (zeta - eta + eps * (al - zeta) * psi / pm1)",
+                     "psi * (N - zeta + eps * (zeta - al) * psi)")
+
+
+@functools.lru_cache(maxsize=None)
+def _compiled(text: _FieldText):
+    """``make(*consts)``: the field ``text`` on Python floats with its
+    constants bound, a closure carrying both (``f.text``, ``f.consts``)."""
+    namespace = {"text": text}
+    exec(f"def make({text.consts}):\n    def f({text.args}):\n        {text.prelude}\n"
+         f"        return {text.dy}, {text.dY}\n"
+         f"    f.text, f.consts = text, ({text.consts},)\n    return f\n", namespace)
+    return namespace["make"]
+
+
 def _s_rhs(params: ProblemParams, direction: int):
     """The S field on Python floats, signed for the tau direction; the one
-    definition of chart S (``field("S")``, the integrator and its axis
-    crossings evaluate it).
+    definition of chart S is its text (``field("S")``, the integrator and
+    its axis crossings evaluate it).
 
     Bit for bit the numpy evaluation through :func:`phi_Y`: the float
-    ``**`` equals numpy's power on a 0-d array, and the signs are exact.
-    The backward field (``direction`` -1) is the exact negation of the
-    forward one; each direction has its own closure, so no evaluation
-    multiplies by ``direction``."""
+    ``**`` equals numpy's power on a 0-d array, and the signs are exact."""
     dc = derive_constants(params)
-    e = 1.0 / (params.p - 1.0)
-    mg, mgN = -dc.gamma, -(dc.gamma + float(params.N))
-    al, eps = params.alpha, params.epsilon
-
-    def forward(y, Y):
-        ph = Y ** e if Y >= 0.0 else -((-Y) ** e)
-        return mg * y - ph, mgN * Y + eps * (al * y - ph)
-
-    def backward(y, Y):
-        ph = Y ** e if Y >= 0.0 else -((-Y) ** e)
-        return -(mg * y - ph), -(mgN * Y + eps * (al * y - ph))
-
-    return forward if direction == 1 else backward
+    return _compiled(_S_TEXT if direction == 1 else _S_BACK)(
+        1.0 / (params.p - 1.0), -dc.gamma, -(dc.gamma + float(params.N)),
+        params.alpha, params.epsilon)
 
 
-def _q_rhs(params: ProblemParams):
-    """The Q field on Python floats; the one definition of chart Q
-    (``field("Q")`` and the launch stepper evaluate it).  At sigma = 0
-    it raises ``ZeroDivisionError``."""
-    eta, N, pm1 = derive_constants(params).eta, float(params.N), params.p - 1.0
-    al, eps = params.alpha, params.epsilon
-
-    def f(zeta, sigma):
-        return (zeta * (zeta - eta) + eps * zeta * (al - zeta) / (pm1 * sigma),
-                eps * (al - zeta) + (zeta - N) * sigma)
-
-    return f
-
-
-def _p_rhs(params: ProblemParams):
-    """The P field on Python floats; the one definition of chart P
-    (``field("P")`` and the launch stepper evaluate it)."""
-    eta, N, pm1 = derive_constants(params).eta, float(params.N), params.p - 1.0
-    al, eps = params.alpha, params.epsilon
-
-    def f(zeta, psi):
-        return (zeta * (zeta - eta + eps * (al - zeta) * psi / pm1),
-                psi * (N - zeta + eps * (zeta - al) * psi))
-
-    return f
+def _qp_rhs(params: ProblemParams, chart: str):
+    """The field of chart Q or P on Python floats, from its text
+    (``field`` and the launch stepper evaluate it).  Chart Q raises
+    ``ZeroDivisionError`` at sigma = 0."""
+    return _compiled(_Q_TEXT if chart == "Q" else _P_TEXT)(
+        derive_constants(params).eta, float(params.N), params.p - 1.0,
+        params.alpha, params.epsilon)
 
 
 def _r_rhs(params: ProblemParams, b: float = 1.0):
@@ -185,12 +187,10 @@ def field(chart_id: str, coords, params: ProblemParams) -> np.ndarray:
     beta = derive_constants(params).beta  # validates the parameters first
     if chart_id == "S":
         return np.array(_s_rhs(params, 1)(a, b))
-    if chart_id == "Q":
-        if b == 0.0:
-            raise ChartDomainError("chart Q requires sigma != 0")
-        return np.array(_q_rhs(params)(a, b))
-    if chart_id == "P":
-        return np.array(_p_rhs(params)(a, b))
+    if chart_id == "Q" and b == 0.0:
+        raise ChartDomainError("chart Q requires sigma != 0")
+    if chart_id in ("Q", "P"):
+        return np.array(_qp_rhs(params, chart_id)(a, b))
     if chart_id == "R_beta" and beta == 0.0:
         raise ChartDomainError("chart R_beta requires beta != 0")
     return np.array(_r_rhs(params, beta if chart_id == "R_beta" else 1.0)(a, b))

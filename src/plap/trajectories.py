@@ -57,7 +57,7 @@ from .integrate import (
     _rk45_segment,
     integrate_s,
 )
-from .systems import PhaseState, _lift, _p_rhs, _q, _q_rhs, _r_rhs, to_profile
+from .systems import PhaseState, _lift, _q, _qp_rhs, _r_rhs, to_profile
 
 
 DEFAULT_OFFSET = 1e-7
@@ -171,12 +171,12 @@ def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
     atol = min(cfg.abs_tol, 1e-14)
     if chart != "R":
         rows = [_SEvent(_HAND_EXPR[chart], -1, True)]
-        values, advance = _event_values(rows, p=params.p,
-                                        q_hand=_q_hand(params, grow=False))
-        rhs = (_q_rhs if chart == "Q" else _p_rhs)(params)
+        table_fns = _event_values(rows, p=params.p,
+                                  q_hand=_q_hand(params, grow=False))
+        rhs = _qp_rhs(params, chart)
         try:
             seg = _rk45_segment(rhs, span[0], span[1], float(u0[0]), float(u0[1]),
-                                cfg.rel_tol, atol, max_step, rows, values, advance,
+                                cfg.rel_tol, atol, max_step, rows, *table_fns,
                                 stats, cfg.max_steps)
         except ZeroDivisionError as exc:
             raise IntegrationError(f"launch phase in chart {chart} left the chart: "

@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import RK45, solve_ivp
 
 from plap.params import ProblemParams, derive_constants, m_ell_point
-from plap.systems import PhaseState, _s_rhs, from_profile, oracle, phi_Y
-from plap.trajectories import SpecialTrajectorySpec, shoot
+from plap.systems import (PhaseState, _P_TEXT, _Q_TEXT, _s_rhs, from_profile,
+                          oracle, phi_Y)
+from plap.trajectories import SpecialTrajectorySpec, shoot, shoot_regular
 from plap.integrate import (
     IntegrationConfig,
     IntegrationError,
@@ -172,29 +173,40 @@ OSC = ProblemParams(1, 3.0, -4.0, -1)
 
 @pytest.fixture(scope="module")
 def osc_crossings():
-    """The osc orbit, and the (Y span, start, solution) of each crossing's
-    solve."""
+    """The osc orbit, and the (Y span, start, solution, rhs, options) of
+    each crossing's solve."""
+    return _recorded_crossings(
+        lambda: integrate_s(PhaseState(0.0, 0.05, 0.0), OSC, tau_span=50.0))
+
+
+def _recorded_crossings(run):
+    """The result of ``run()`` and the crossing solves it made, in order."""
     calls = []
     real = integrate_mod.solve_ivp
 
     def recorded(fun, t_span, y0, **kwargs):
         sol = real(fun, t_span, y0, **kwargs)
-        calls.append((t_span, list(y0), sol))
+        calls.append((t_span, list(y0), sol, fun, kwargs))
         return sol
 
     integrate_mod.solve_ivp = recorded
     try:
-        traj = integrate_s(PhaseState(0.0, 0.05, 0.0), OSC, tau_span=50.0)
+        return run(), calls
     finally:
         integrate_mod.solve_ivp = real
-    return traj, calls
+
+
+def _event_state(ev):
+    """(y, tau) of a ``Y_zero_crossing`` event, the crossing solve's state."""
+    assert ev.kind == "Y_zero_crossing" and ev.state.Y == 0.0
+    return [ev.state.y, ev.time]
 
 
 class TestAxisCrossing:
     def test_one_step_per_side_with_the_axis_as_step_boundary(self, osc_crossings):
         traj, calls = osc_crossings
         assert len(calls) == sum(e.kind == "Y_zero_crossing" for e in traj.events) == 66
-        assert all(sol.t.size == 3 and sol.t[1] == 0.0 for _, _, sol in calls)
+        assert all(sol.t.size == 3 and sol.t[1] == 0.0 for _, _, sol, *_ in calls)
         # each crossing leaves its on-axis sample in the orbit; the start is
         # the other exact zero of Y
         assert np.count_nonzero(traj.ys[1] == 0.0) == 67
@@ -208,7 +220,7 @@ class TestAxisCrossing:
             f1, den = f(float(u[0]), float(Y))
             return [f1 / den, 1.0 / den]
 
-        for (Y0, Y1), start, sol in osc_crossings[1][::11]:
+        for (Y0, Y1), start, sol, *_ in osc_crossings[1][::11]:
             ref = solve_ivp(rhs, (Y0, Y1), start, method="DOP853", rtol=1e-13,
                             atol=1e-15, max_step=abs(Y0) / 3000)
             assert abs(sol.y[0, -1] - ref.y[0, -1]) <= 1e-9 * abs(ref.y[0, -1])
@@ -222,6 +234,52 @@ class TestAxisCrossing:
         assert traj.tau[-1] == ref.tau[-1] == 50.0
         end = ref.ys[:, -1]
         assert np.max(np.abs(traj.ys[:, -1] - end)) <= 2e-7 * max(1.0, np.max(np.abs(end)))
+
+    def test_event_is_the_on_axis_step(self, osc_crossings):
+        # every first step ends on the axis, so no solve keeps a dense
+        # output, and the event is that step's end state: the bits the
+        # dense output gave there
+        traj, calls = osc_crossings
+        events = [e for e in traj.events if e.kind == "Y_zero_crossing"]
+        for ev, (span, start, sol, fun, opts) in zip(events, calls, strict=True):
+            assert "dense_output" not in opts and sol.sol is None
+            assert _event_state(ev) == sol.y[:, 1].tolist()
+            dense = solve_ivp(fun, span, start, dense_output=True, **opts)
+            assert _event_state(ev) == dense.sol(0.0).tolist()
+
+    def test_rejected_first_step_reads_the_dense_output(self, monkeypatch):
+        # a criterion-8 draw at loose tolerances whose crossings include
+        # first steps that are rejected: those solve again with a dense
+        # output, and the event is its value on the axis
+        orbits = []  # the shooting's S-chart orbit, before its tau shift
+
+        def recorded(*args, **kwargs):
+            orbits.append(integrate_s(*args, **kwargs))
+            return orbits[-1]
+
+        monkeypatch.setattr(sys.modules["plap.trajectories"], "integrate_s", recorded)
+        cfg = IntegrationConfig(rel_tol=1e-6, abs_tol=1e-9)
+        _, calls = _recorded_crossings(lambda: shoot_regular(
+            ProblemParams(3, 2.803964977677713, 8.654846463549482, 1),
+            config=cfg, tau_span=30.0, consistency_check=False))
+        (traj,) = orbits
+        crossings = []
+        for span, start, sol, fun, opts in calls:
+            if opts.pop("dense_output", False):
+                assert crossings[-1][:2] == (span, start) and sol.t[1] != 0.0
+                crossings[-1] = (span, start, sol, fun, opts)
+            else:
+                crossings.append((span, start, sol, fun, opts))
+        reruns = len(calls) - len(crossings)
+        assert reruns > 0
+        events = [e for e in traj.events if e.kind == "Y_zero_crossing"]
+        for ev, (span, start, sol, fun, opts) in zip(events, crossings, strict=True):
+            if sol.sol is None:
+                assert sol.t[1] == 0.0
+                assert _event_state(ev) == sol.y[:, 1].tolist()
+            else:
+                direct = solve_ivp(fun, span, start, dense_output=True, **opts)
+                assert _event_state(ev) == direct.sol(0.0).tolist()
 
     @pytest.mark.parametrize("point", [(1, 2.3033482, 1.1361302, 1),
                                        (2, 2.2375, 6.8192, 1)])
@@ -315,6 +373,30 @@ _CAPTURE_EVENT = integrate_mod._SEvent("(y - my) ** 2 + (Y - mY) ** 2 - r ** 2",
                                        -1, True)
 
 
+def _reference_dense_coefficients(k):
+    """The dense output's coefficients of the stages ``k`` (seven (y, Y)
+    pairs) as the generator sums the stepper once formed."""
+    P = [row if any(row) else None for row in RK45.P.tolist()]
+    return [[sum(kk[i] * row[j] for kk, row in zip(k, P) if row is not None)
+             for j in range(4)] for i in (0, 1)]
+
+
+def _text_and_callable(fun, args, stats, **kwargs):
+    """``_rk45_segment`` on a field compiled from its text, and on the same
+    field as a plain callable: for each, the segment (or the error it
+    raised) and the counters, from a copy of ``stats``."""
+    assert fun.text is not None
+    outcomes = []
+    for f in (fun, lambda a, b: fun(a, b)):
+        counted = dict(stats)
+        try:
+            seg = integrate_mod._rk45_segment(f, *args, stats=counted, **kwargs)
+            outcomes.append(((seg.t, seg.y, seg.Y, seg.hits, seg.terminal), counted))
+        except (IntegrationError, ZeroDivisionError) as exc:
+            outcomes.append((repr(exc), counted))
+    return outcomes
+
+
 def _reference_advance(events, values):
     """The stepper's crossing test written as one comprehension over the
     rows: the rule the generated ``advance`` unrolls."""
@@ -365,13 +447,13 @@ class TestStepper:
     @pytest.mark.parametrize("case", ["plain", "sections", "capture"])
     def test_replicates_scipy_rk45(self, case):
         params, (y0, Y0), span, events, consts = self._segment_cases()[case]
-        values, advance = integrate_mod._event_values(events, **consts)
+        values, advance, roots = integrate_mod._event_values(events, **consts)
         cfg = IntegrationConfig()
         f = integrate_mod._s_rhs(params, 1)
         stats = {"rhs_evals": 0, "accepted": 0, "rejected": 0, "segments": 0}
         seg = integrate_mod._rk45_segment(
             f, 0.0, span, y0, Y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step,
-            events, values, advance, stats, cfg.max_steps)
+            events, values, advance, roots, stats, cfg.max_steps)
 
         def scipy_event(i, e):
             g = lambda t, u: values(u[0], u[1])[i]  # noqa: E731
@@ -414,7 +496,7 @@ class TestStepper:
                   ev("(y / esc) ** 2 + (Y / esc) ** 2 - 1.0", 1, True),
                   *_BAND_EVENTS]
         consts = {"orad": 1e-8, "esc": 1e12, "band": 1e-6}
-        fused, advance = integrate_mod._event_values(events, **consts)
+        fused, advance, roots = integrate_mod._event_values(events, **consts)
 
         def per_row(y, Y):
             out = []
@@ -426,21 +508,83 @@ class TestStepper:
             return tuple(out)
 
         assert fused(2e160, 1e160)[1] == math.inf
-        assert fused(2e160, 1e160) == per_row(2e160, 1e160)
-        assert fused(0.3, -0.2) == per_row(0.3, -0.2)
+        for y, Y in ((2e160, 1e160), (0.3, -0.2), (2e160, 0.3)):
+            assert fused(y, Y) == per_row(y, Y)
+            # each row's root function alone, as brentq evaluates it
+            assert tuple(root(y, Y) for root in roots) == fused(y, Y)
+        per_row_roots = [lambda y, Y, i=i: per_row(y, Y)[i] for i in range(len(events))]
         cfg = IntegrationConfig()
         segs = []
-        for values, adv in ((fused, advance),
-                            (per_row, _reference_advance(events, per_row))):
+        for values, adv, rts in ((fused, advance, roots),
+                                 (per_row, _reference_advance(events, per_row),
+                                  per_row_roots)):
             stats = {"rhs_evals": 0, "accepted": 0, "rejected": 0, "segments": 0}
             segs.append(integrate_mod._rk45_segment(
                 integrate_mod._s_rhs(self.OSC, 1), 0.0, 2.0, 2e160, 1e160,
                 cfg.rel_tol, cfg.abs_tol, cfg.max_step, events, values, adv,
-                stats, cfg.max_steps))
+                rts, stats, cfg.max_steps))
         got, want = segs
         assert [i for i, *_ in got.hits] == [0]
         assert (got.t, got.y, got.Y, got.hits, got.terminal) \
             == (want.t, want.y, want.Y, want.hits, want.terminal)
+
+    @pytest.mark.parametrize("direction", [1, -1])
+    @pytest.mark.parametrize("case", ["plain", "sections", "capture"])
+    def test_field_text_and_callable_agree(self, case, direction):
+        # the stepper with the S field written in place, and the same
+        # template calling the S closure, give the same bits and counts
+        params, (y0, Y0), span, events, consts = self._segment_cases()[case]
+        cfg = IntegrationConfig()
+        args = (0.0, span, y0, Y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step,
+                events, *integrate_mod._event_values(events, **consts))
+        text, call = _text_and_callable(integrate_mod._s_rhs(params, direction),
+                                        args, integrate_mod._new_stats(),
+                                        max_steps=cfg.max_steps)
+        assert text == call
+        assert text[1]["accepted"] > 0
+
+    @pytest.mark.parametrize("kind, params, text", [
+        ("T_r", (2, 3.0, 2.0, 1), _Q_TEXT), ("T_u", (2, 3.0, 1.0, 1), _P_TEXT)])
+    def test_launch_field_text_and_callable_agree(self, kind, params, text,
+                                                  monkeypatch):
+        # every stepper call of a chart-Q or chart-P launch, run both ways
+        trajectories_mod = sys.modules["plap.trajectories"]
+        real, texts = trajectories_mod._rk45_segment, []
+
+        def checked(fun, *args):
+            *head, stats, max_steps = args
+            text, call = _text_and_callable(fun, head, stats, max_steps=max_steps)
+            assert text == call
+            texts.append(fun.text)
+            return real(fun, *args)
+
+        monkeypatch.setattr(trajectories_mod, "_rk45_segment", checked)
+        shoot(SpecialTrajectorySpec(kind), ProblemParams(*params))
+        assert texts and set(texts) == {text}
+
+    def test_dense_matches_the_sum_form(self):
+        # the written-out coefficients against the generator sums they
+        # replaced, bit for bit, through inf, nan and -0.0 stages; repr
+        # compares every bit but a NaN's sign, which IEEE 754 leaves open
+        # and the interpreter's two float-add paths set differently
+        rng = np.random.default_rng(20)
+        specials = [math.inf, -math.inf, math.nan, -0.0, 0.0]
+        cases = [rng.standard_normal((7, 2)).tolist() for _ in range(100)]
+        for _ in range(300):
+            k = rng.standard_normal((7, 2)).tolist()
+            for _ in range(int(rng.integers(1, 4))):
+                k[rng.integers(7)][rng.integers(2)] = specials[rng.integers(5)]
+            cases.append(k)
+        cases += [[[-0.0, -0.0]] * 7, [[math.inf, -0.0]] * 7]
+        bits = lambda rows: [repr(c) for row in rows for c in row]  # noqa: E731
+        for k in cases:
+            sol = integrate_mod._dense(0.0, 0.1, 0.0, 0.0,
+                                       *([s[i] for j, s in enumerate(k) if j != 1]
+                                         for i in (0, 1)))
+            cells = dict(zip(sol.__code__.co_freevars,
+                             (c.cell_contents for c in sol.__closure__)))
+            got = [[cells[f"{c}{j}"] for j in range(1, 5)] for c in "ab"]
+            assert bits(got) == bits(_reference_dense_coefficients(k)), k
 
     def test_generated_crossing_test_matches_the_rule(self):
         # every direction and every pair of start and end values, on one
@@ -456,7 +600,7 @@ class TestStepper:
             events = [integrate_mod._SEvent(f"v{i}", d)
                       for i, (d, _, _) in enumerate(rows)]
             consts = {f"v{i}": b for i, (_, _, b) in enumerate(rows)}
-            values, advance = integrate_mod._event_values(events, **consts)
+            values, advance, _ = integrate_mod._event_values(events, **consts)
             start = tuple(a for _, a, _ in rows)
             got = advance(0.5, -0.5, start)
             want = _reference_advance(events, values)(0.5, -0.5, start)
