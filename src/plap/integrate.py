@@ -557,6 +557,16 @@ def _rk45_segment(fun, *args, **kwargs) -> _Segment:
     return _stepper(text)(fun if text is None else fun.consts, *args, **kwargs)
 
 
+def _join(taus, ys_parts, direction: int):
+    """The junction rule: the pieces (tau, ys) of an orbit joined in
+    integration order, dropping every sample whose tau does not advance on
+    the one before it (the repeated first sample of a piece)."""
+    tau, ys = np.concatenate(taus), np.hstack(ys_parts)
+    keep = np.ones(tau.size, dtype=bool)
+    keep[1:] = np.diff(direction * tau) > 0.0
+    return tau[keep], ys[:, keep]
+
+
 def integrate_s(initial: PhaseState, params: ProblemParams,
                 direction: int = 1,
                 config: Optional[IntegrationConfig] = None,
@@ -628,8 +638,9 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
         table.append(_SEvent("y ** 2 + Y ** 2 - orad ** 2", -1, True, "origin"))
     table_fns = _event_values(table, **consts)
 
-    taus: list[np.ndarray] = []
-    ys_parts: list[np.ndarray] = []
+    # seeded with the start: an orbit that ends before its first step keeps it
+    taus = [np.array([tau_of(0.0)])]
+    ys_parts = [np.array([[y], [Y]])]
     events: list[Event] = []
     stats = _new_stats()
 
@@ -707,12 +718,7 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
         events.append(Event(ev_kind, tau_here, PhaseState(tau_here, y, Y)))
         break
 
-    tau_all = np.concatenate(taus)
-    ys_all = np.hstack(ys_parts)
-    # drop duplicated segment-junction samples
-    keep = np.ones(tau_all.size, dtype=bool)
-    keep[1:] = np.diff(direction * tau_all) > 0.0
-    traj = Trajectory("S", params, tau_all[keep], ys_all[:, keep], events,
+    traj = Trajectory("S", params, *_join(taus, ys_parts, direction), events,
                       termination, direction)
     traj.meta["stats"] = stats
     return traj

@@ -1,7 +1,8 @@
 """Shooting constructions of the distinguished orbits of the profile
 phase plane.
 
-Every construction runs one pipeline.  The launch expands the local
+Every construction hands one launch phase to ``_hand_off``, the one
+path from a launch to its S-chart orbit.  The launch expands the local
 invariant manifold of a degenerate or hyperbolic point in the chart
 where it is regular (Q, P or R), steps a small offset ``delta`` along
 the manifold, and integrates the chart's field from :mod:`plap.systems`
@@ -9,14 +10,15 @@ the manifold, and integrates the chart's field from :mod:`plap.systems`
 lifted from the chart point by y^{p-2} = ``systems._q``, reaches a fixed
 level.  Charts Q and P, and the corner charts of T_plus / T_minus, run
 on the scalar Dormand-Prince stepper of :mod:`plap.integrate`; chart R,
-where tau rides along as a third
-component and the T_alpha launch is stiff, runs through ``solve_ivp``.
-Every launch counts its work against ``IntegrationConfig.max_steps``.
-``_hand_off`` then lifts the launch samples to (y, Y) by
-``systems._lift``, continues from the last one with the S-chart
-integrator and its full event machinery, and joins the two pieces.  With
+where tau rides along as a third component and the T_alpha launch is
+stiff, runs through ``solve_ivp``.  Every launch counts its work against
+``IntegrationConfig.max_steps``.  ``_hand_off`` runs the launch, lifts
+every sample to (y, Y) by ``systems._lift`` (one that does not lift to a
+finite (y, Y) with y > 0 is an :class:`IntegrationError`; no sample is
+dropped), continues from the last one with :func:`integrate_s` and joins
+the two pieces by the junction rule of :mod:`plap.integrate`.  With
 ``consistency_check=True`` (the library default; ``plap shoot`` passes
-False) a manifold launch runs again at delta/2 to report how far the
+False) it runs a manifold launch again at delta/2 to report how far the
 hand-off point moves (``meta["offset_consistency"]``); the orbit is the
 first launch's either way.  ``_KINDS`` says what each of the seven kinds
 reads of a :class:`SpecialTrajectorySpec` and where it exists; they are
@@ -53,6 +55,7 @@ from .integrate import (
     Trajectory,
     _SEvent,
     _event_values,
+    _join,
     _new_stats,
     _rk45_segment,
     integrate_s,
@@ -151,15 +154,14 @@ _RHS_PER_STEP = 6
 
 
 def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
-                 span, stats: dict, goals=(), stops=(), *, method: str = "RK45",
-                 max_step: float = np.inf):
+                 span, stats: dict, goals=(), stops=(), *, method: str = "RK45"):
     """Integrate a launch chart from ``u0`` over ``span`` until it reaches
     its goal; returns the chart times and points ``(t, u)``, the last
     sample where the goal fired.
 
     Charts Q and P run on the scalar Dormand-Prince stepper (scipy's RK45
-    rule), and their goal is the lifted ordinate falling through the
-    hand-off level.  Chart R, whose launches may be stiff, runs through
+    rule, steps of at most 0.25), and their goal is the lifted ordinate
+    falling through the hand-off level.  Chart R, whose launches may be stiff, runs through
     ``solve_ivp`` with ``method`` in its own time nu, carries tau (d tau =
     g s d nu) as a third component and ends at one of the ``goals`` events.
     ``stats`` accumulates the work; every attempted step (Q, P) counts
@@ -176,7 +178,7 @@ def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
         rhs = _qp_rhs(params, chart)
         try:
             seg = _rk45_segment(rhs, span[0], span[1], float(u0[0]), float(u0[1]),
-                                cfg.rel_tol, atol, max_step, rows, *table_fns,
+                                cfg.rel_tol, atol, 0.25, rows, *table_fns,
                                 stats, cfg.max_steps)
         except ZeroDivisionError as exc:
             raise IntegrationError(f"launch phase in chart {chart} left the chart: "
@@ -205,8 +207,7 @@ def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
 
     try:
         sol = solve_ivp(rhs, span, np.asarray(u0, dtype=float), method=method,
-                        rtol=cfg.rel_tol, atol=atol, max_step=max_step,
-                        events=[*goals, *stops])
+                        rtol=cfg.rel_tol, atol=atol, events=[*goals, *stops])
     except ValueError as exc:
         # scipy's event root search on a zero-length step, where the
         # event function has blown up
@@ -219,44 +220,38 @@ def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
     return sol.t, sol.y
 
 
-def _launch(phase, offset: float, consistency_check: bool, meta: dict):
-    """Run the manifold launch ``phase(delta)`` at ``offset`` and, when
-    asked, again at offset/2; the distance between the two hand-off points
-    is ``meta["offset_consistency"]``."""
+def _hand_off(phase, params: ProblemParams, cfg: IntegrationConfig, direction: int,
+              tau_span: Optional[float], meta: dict, stats: dict,
+              offset: Optional[float] = None, consistency_check: bool = False) -> Trajectory:
+    """Run the launch ``phase(offset)`` in chart ``meta["launch_chart"]``
+    (chart times and points; in chart R tau is the third row) and, with
+    ``consistency_check``, again at offset/2: the distance between the two
+    hand-off points is ``meta["offset_consistency"]``.  Lift every launch
+    sample to (y, Y) (one that does not lift to a finite (y, Y) with y > 0
+    is an :class:`IntegrationError`), continue from the last one with
+    :func:`integrate_s` and join the pieces.  ``meta`` gains the S-chart
+    stepper counts ``meta["stats"]`` and the launch's ``stats`` as
+    ``meta["launch_stats"]``: rhs evaluations, accepted and rejected steps
+    and segments (stepper or ``solve_ivp`` starts), the offset/2 rerun and
+    the corner charts of T_plus / T_minus included."""
+    chart = meta["launch_chart"]
     t, u = phase(offset)
     if consistency_check:
         _, half = phase(offset / 2.0)
         meta["offset_consistency"] = float(np.hypot(*(u[:2, -1] - half[:2, -1])))
-    return t, u
-
-
-def _hand_off(chart: str, t, u, params: ProblemParams, cfg: IntegrationConfig,
-              direction: int, tau_span: Optional[float], meta: dict,
-              stats: dict, events=()) -> Trajectory:
-    """Lift the launch samples (chart times ``t``, chart points ``u``; in
-    chart R tau is ``u[2]``) to (y, Y), drop the unliftable ones, continue
-    from the last one with :func:`integrate_s` and join the pieces.
-
-    ``events`` are launch-phase events; the result's ``meta`` is the
-    launch's plus the S-chart stepper counts ``meta["stats"]`` and the
-    launch's counts ``meta["launch_stats"]`` (``stats``: rhs evaluations,
-    accepted and rejected stepper steps, and segments, a segment being one
-    stepper or ``solve_ivp`` start; the offset-consistency rerun and the
-    corner charts of T_plus / T_minus included)."""
-    ok, y, Y = _lift(chart, u[0], u[1], params.p)
-    tau = (u[2] if chart == "R" else t)[ok]
-    y, Y = y[ok], Y[ok]
+    with np.errstate(all="ignore"):  # a bad lift is refused just below
+        ok, y, Y = _lift(chart, u[0], u[1], params.p)
+    if not np.all(ok & (y > 0.0) & np.isfinite(y) & np.isfinite(Y)):
+        raise IntegrationError(f"launch phase in chart {chart} reached a point that "
+                               f"does not lift to a finite (y, Y) with y > 0")
+    tau = u[2] if chart == "R" else t
     s_traj = integrate_s(PhaseState(float(tau[-1]), float(y[-1]), float(Y[-1])),
                          params, direction=direction, config=cfg, tau_span=tau_span)
-    tau = np.concatenate([tau[:-1], s_traj.tau])
-    ys = np.hstack([np.vstack([y[:-1], Y[:-1]]), s_traj.ys])
-    keep = np.ones(tau.size, dtype=bool)
-    keep[1:] = np.diff(direction * tau) > 0.0
-    events = sorted([*events, *s_traj.events], key=lambda e: direction * e.time)
     meta["stats"] = s_traj.meta["stats"]
     meta["launch_stats"] = stats
-    return Trajectory("S", params, tau[keep], ys[:, keep], events,
-                      s_traj.termination, direction, meta=meta)
+    tau, ys = _join([tau, s_traj.tau], [np.array([y, Y]), s_traj.ys], direction)
+    return Trajectory("S", params, tau, ys, s_traj.events, s_traj.termination,
+                      direction, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +278,7 @@ def shoot_regular(params: ProblemParams, config: Optional[IntegrationConfig] = N
         raise ParameterError(f"the regular family requires a finite a > 0, got {a}")
     cfg = config or IntegrationConfig()
     dc = derive_constants(params)  # also validates alpha != 0
-    p, al, eps, N = params.p, params.alpha, params.epsilon, float(params.N)
+    al, eps, N = params.alpha, params.epsilon, float(params.N)
 
     sigma_star = eps * al / N
     slope = eps * (al - N) / (N * (N + dc.p_prime))
@@ -297,12 +292,9 @@ def shoot_regular(params: ProblemParams, config: Optional[IntegrationConfig] = N
     u0 = start(offset)
     meta: dict = {"kind": "T_r", "a": a, "offset": offset,
                   "launch_chart": "Q", "launch_coords": u0}
-    t, u = _launch(lambda delta: _chart_phase("Q", start(delta), params, cfg,
-                                              (0.0, 80.0), stats, max_step=0.25),
-                   offset, consistency_check, meta)
-    if not np.all(_q("Q", u[0], u[1], p) > 0.0):
-        raise IntegrationError("regular launch left the liftable cone")
-    traj = _hand_off("Q", t, u, params, cfg, 1, tau_span, meta, stats)
+    traj = _hand_off(lambda delta: _chart_phase("Q", start(delta), params, cfg,
+                                                (0.0, 80.0), stats),
+                     params, cfg, 1, tau_span, meta, stats, offset, consistency_check)
 
     # amplitude carried by the launch point (the first sample), with the
     # first-order tail correction int zeta dtau = zeta0/p'
@@ -353,18 +345,17 @@ def shoot_double_zero(params: ProblemParams, r_bar: float = 1.0,
     u0 = start(offset)
     meta: dict = {"kind": "T_eps", "r_bar": r_bar, "offset": offset,
                   "launch_chart": "R", "launch_coords": (float(u0[0]), float(u0[1]))}
-    t, u = _launch(lambda delta: _chart_phase("R", start(delta), params, cfg,
-                                              nu_span, stats, goals),
-                   offset, consistency_check, meta)
+    # tau runs away from the edge
+    traj = _hand_off(lambda delta: _chart_phase("R", start(delta), params, cfg,
+                                                nu_span, stats, goals),
+                     params, cfg, -eps, tau_span, meta, stats, offset, consistency_check)
 
     tau_edge_est = -float(u0[0]) * (p - 1.0) / (p - 2.0)
     shift = math.log(r_bar) - tau_edge_est
     meta["tau_bar"] = math.log(r_bar)
-    edge_event = Event("double_zero_capture", tau_edge_est,
-                       PhaseState(tau_edge_est, 0.0, 0.0))
-    # tau runs away from the edge
-    traj = _hand_off("R", t, u, params, cfg, -eps, tau_span, meta, stats,
-                     [edge_event])
+    # the edge precedes the launch, and so every event of the orbit
+    traj.events.insert(0, Event("double_zero_capture", tau_edge_est,
+                                PhaseState(tau_edge_est, 0.0, 0.0)))
     traj.shift_tau(shift)
     traj.meta["tau_edge_estimate"] = tau_edge_est + shift
     return traj
@@ -431,10 +422,10 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
         meta["launch_coords"] = (float(u0[0]), float(u0[1]))
         # the transverse mode makes the slow center traverse stiff for an
         # explicit pair; LSODA switches to BDF there
-        t, u = _launch(lambda delta: _chart_phase(
+        return _hand_off(lambda delta: _chart_phase(
             "R", start(delta), params, cfg, (0.0, direction * nu_max), stats,
-            [hand], [g_blowup], method="LSODA"), offset, consistency_check, meta)
-        return _hand_off("R", t, u, params, cfg, direction, tau_span, meta, stats)
+            [hand], [g_blowup], method="LSODA"),
+            params, cfg, direction, tau_span, meta, stats, offset, consistency_check)
 
     meta["launch_variant"] = "seeded"
     if consistency_check:
@@ -442,33 +433,32 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
     near_A = _event(lambda nu, u: math.hypot(u[0] - A[0], u[1] - A[1]) - offset, -1)
     s_flip = _event(lambda nu, u: u[1])
 
-    # a macroscopic seed may sit outside the backward basin of the
-    # stationary point (the backward flow can spiral into the axis);
-    # shrink the seed geometrically until the tail collapses; the first
-    # seed lifts to about the hand-off ordinate
-    s_mac = s_sign * _q_hand(params, grow=True) * abs(al) ** (p - 1.0)
-    tail = None
-    for _ in range(24):
-        g_seed = A[0] + (v[0] / v[1]) * s_mac
-        try:
-            tail = _chart_phase("R", (g_seed, s_mac, 0.0), params, cfg,
-                                (0.0, -direction * nu_max), stats, [near_A],
-                                [g_blowup, s_flip], method="LSODA")
-            break
-        except IntegrationError:
-            if stats["rhs_evals"] > _RHS_PER_STEP * cfg.max_steps:
-                raise
-            s_mac *= 0.5
-            if abs(s_mac) < 1e3 * offset:
-                break
-    if tail is None:
+    def collapse(_delta):
+        # a macroscopic seed may sit outside the backward basin of the
+        # stationary point (the backward flow can spiral into the axis);
+        # shrink the seed geometrically until the tail collapses; the first
+        # seed lifts to about the hand-off ordinate
+        s_mac = s_sign * _q_hand(params, grow=True) * abs(al) ** (p - 1.0)
+        for _ in range(24):
+            g_seed = A[0] + (v[0] / v[1]) * s_mac
+            try:
+                t, u = _chart_phase("R", (g_seed, s_mac, 0.0), params, cfg,
+                                    (0.0, -direction * nu_max), stats, [near_A],
+                                    [g_blowup, s_flip], method="LSODA")
+            except IntegrationError:
+                if stats["rhs_evals"] > _RHS_PER_STEP * cfg.max_steps:
+                    raise
+                s_mac *= 0.5
+                if abs(s_mac) < 1e3 * offset:
+                    break
+                continue
+            meta["launch_coords"] = (float(g_seed), float(s_mac))
+            # the tail in backward order; reversed into integration order
+            return t[::-1], u[:, ::-1]
         raise IntegrationError(
             "algebraic-decay tail did not collapse onto the stationary point")
-    meta["launch_coords"] = (float(g_seed), float(s_mac))
-    # tail in backward order; reverse into forward (integration) order
-    t, u = tail
-    return _hand_off("R", t[::-1], u[:, ::-1], params, cfg, direction,
-                     tau_span, meta, stats)
+
+    return _hand_off(collapse, params, cfg, direction, tau_span, meta, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -519,10 +509,9 @@ def shoot_T_eta_or_u(params: ProblemParams, config: Optional[IntegrationConfig] 
     u0 = start(offset)
     meta: dict = {"kind": kind, "offset": offset, "launch_chart": "P",
                   "launch_coords": u0, "c": 1.0}
-    t, u = _launch(lambda delta: _chart_phase("P", start(delta), params, cfg,
-                                              (0.0, 80.0), stats, max_step=0.25),
-                   offset, consistency_check, meta)
-    traj = _hand_off("P", t, u, params, cfg, 1, tau_span, meta, stats)
+    traj = _hand_off(lambda delta: _chart_phase("P", start(delta), params, cfg,
+                                                (0.0, 80.0), stats),
+                     params, cfg, 1, tau_span, meta, stats, offset, consistency_check)
 
     # c = lim y e^{(gamma+eta) tau}, read at the launch point (the first
     # sample); the drift is d/dtau ln(.) = eta - zeta, integrable over the
@@ -588,6 +577,8 @@ def _run_flat_launch_pgtN(params: ProblemParams, c1: float, tau0: float,
     kap = params.N / abs(eta)
 
     def W(zeta, v):
+        if not v > 0.0:
+            raise IntegrationError(f"left the chart at v = {v} <= 0 (zeta = {zeta})")
         return abs(c1) ** (1.0 - p - kap) * abs(zeta) ** (kap - 1.0) * v ** kap
 
     def H(zeta, v):
@@ -677,7 +668,7 @@ def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: Optional[float] = None,
         a1 = a
         for _ in range(6):
             zeta0, psi0 = _run_flat_launch_pgtN(params, c1, tau0, cfg, stats)
-            with np.errstate(over="ignore"):  # inf is rejected just below
+            with np.errstate(all="ignore"):  # inf is rejected just below
                 _, yp, Yp = _lift("P", np.array([zeta0]), np.array([psi0]), p)
             a1, c1_meas = _measure_flat_limits(tau0, float(yp[0]), float(Yp[0]), params)
             if not a1 > 0.0:
@@ -693,9 +684,9 @@ def shoot_T_pm(params: ProblemParams, a: float = 1.0, c: Optional[float] = None,
                 "launch_chart": "P", "launch_coords": u0, "chart_parameter": c1}
         shift = math.log(a / a1) / dc.gamma
 
-    t, u = _chart_phase("P", u0, params, cfg, (tau0, tau0 + 80.0), stats,
-                        max_step=0.25)
-    traj = _hand_off("P", t, u, params, cfg, 1, tau_span, meta, stats)
+    traj = _hand_off(lambda _: _chart_phase("P", u0, params, cfg, (tau0, tau0 + 80.0),
+                                            stats),
+                     params, cfg, 1, tau_span, meta, stats)
     if shift:
         traj.shift_tau(shift)
     return traj

@@ -523,6 +523,19 @@ class TestReports:
         assert code == 0
         assert json.loads(out)["regime_tag"] == "ent"
 
+    def test_regular_launch_that_does_not_lift(self, capsys, tmp_path):
+        # p = 2.01: the chart-Q launch lifts to y = inf; classify records
+        # T_r's error and reports, shoot exits 1 with one error line
+        flags = ["--N", "1", "--p", "2.01", "--alpha", "3", "--eps", "1"]
+        code, out, _ = run(capsys, "classify", *flags)
+        assert code == 0
+        assert "does not lift" in json.loads(out)["trajectories"]["T_r"]["error"]
+        code, _, err = run(capsys, "shoot", "--kind", "T_r", *flags,
+                           "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        (line,) = err.splitlines()
+        assert line.startswith("error: launch phase in chart Q") and "does not lift" in line
+
     def test_classifier_degenerate_decay_point(self, capsys):
         # alpha = eta: the connection function is undefined, not a crash
         code, out, _ = run(capsys, "classify", "--N", "1", "--p", "3",
@@ -531,3 +544,25 @@ class TestReports:
         doc = json.loads(out)
         assert doc["regime_tag"] == "pom"
         assert doc["phi_value"] is None
+
+
+# (N, alpha, eps) of the no-traceback grid near p = 2, with p in GRID_P
+GRID_CASES = [(1, 3.0, 1), (2, 1.0, 1), (1, -3.0, -1), (2, -1.5, -1), (1, 0.7, -1),
+              (3, 2.0, 1), (1, -40.0, -1)]
+GRID_P = [2.01, 2.02, 2.05]
+
+
+@pytest.mark.parametrize("p", GRID_P)
+@pytest.mark.parametrize("N, alpha, eps", GRID_CASES)
+def test_no_traceback_near_p_2(capsys, tmp_path, p, N, alpha, eps):
+    # classify and every kind's shoot return an exit code, whatever the
+    # launch meets: 0, 1 (a declared failure) or 2 (a bad request)
+    flags = ["--N", str(N), "--p", f"{p:g}", "--alpha", f"{alpha:g}", "--eps", str(eps)]
+    calls = [["classify", *flags]] + [
+        ["shoot", "--kind", kind, *flags, "--out", str(tmp_path / "x.csv")]
+        for kind in trajectories.TRAJECTORY_KINDS]
+    for argv in calls:
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err, argv
+        assert len(err.splitlines()) == (code != 0), (argv, err)

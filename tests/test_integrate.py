@@ -281,6 +281,16 @@ class TestAxisCrossing:
                 direct = solve_ivp(fun, span, start, dense_output=True, **opts)
                 assert _event_state(ev) == direct.sol(0.0).tolist()
 
+    def test_refused_first_crossing_keeps_the_start(self):
+        # the orbit's first action is a crossing whose transversality test
+        # fails: it ends at once, with its start as its one sample
+        start = PhaseState(0.0, 1e-9, 5e-7)
+        traj = integrate_s(start, ProblemParams(1, 3.0, 1.0, 1))
+        assert traj.termination == "origin_flagged"
+        assert traj.tau.tolist() == [0.0]
+        assert traj.ys.tolist() == [[1e-9], [5e-7]]
+        assert traj.events == []
+
     @pytest.mark.parametrize("point", [(1, 2.3033482, 1.1361302, 1),
                                        (2, 2.2375, 6.8192, 1)])
     def test_degenerate_crossing_ends(self, point):

@@ -110,6 +110,14 @@ class TestRegular:
         assert st["rhs_evals"] == 2 * st["segments"] \
             + 6 * (st["accepted"] + st["rejected"])
 
+    def test_launch_that_does_not_lift_is_refused(self):
+        # at p = 2.01 the lift y = q^(1/(p-2)) of about half the chart-Q
+        # launch, the launch point among them, overflows to inf; the
+        # amplitude calibration once took log(0) there
+        with pytest.raises(IntegrationError, match="chart Q reached a point that does "
+                                                   "not lift to a finite"):
+            shoot_regular(ProblemParams(1, 2.01, 3.0, 1), consistency_check=False)
+
     def test_launch_budget_counts_both_runs(self):
         params = ProblemParams(2, 3.0, 1.0, 1)
         st = shoot_regular(params, tau_span=0.0).meta["launch_stats"]
@@ -233,6 +241,30 @@ class TestBoundedSlopeFamily:
         assert np.count_nonzero(mask) >= 3
         assert np.all(dw[mask] > 0.0)
 
+    @pytest.mark.parametrize("alpha, eps", [(1.0, 1), (-1.5, -1)])
+    def test_corner_chart_left_below_zero_is_declared(self, alpha, eps):
+        # kappa = 42: a stage of the corner solve reaches v < 0, where
+        # v ** kappa once turned complex
+        with pytest.raises(IntegrationError, match=r"flat-limit corner chart: left "
+                                                   r"the chart at v = -\d"):
+            shoot(SpecialTrajectorySpec("T_minus"), ProblemParams(2, 2.05, alpha, eps),
+                  tau_span=1.0)
+
+    def test_limits_at_p_equal_N(self):
+        # w/|ln r| -> k and r w' -> -k as r -> 0 (k = a = 1); the launch at
+        # tau0 = -18 (r = 1.5e-8) is calibrated to them, and inward of
+        # r = 1e-3 both approach k monotonically as r falls
+        traj = shoot_T_pm(ProblemParams(3, 3.0, 1.0, 1), a=1.0)
+        r, w, dw = traj.profile()
+        inner = r < 1e-3
+        assert np.all(np.diff(r[inner]) > 0.0)  # the launch end comes first
+        for ratio in (w[inner] / np.abs(np.log(r[inner])), -r[inner] * dw[inner]):
+            assert np.all(np.diff(ratio) <= 1e-12)
+            assert np.all(np.abs(ratio - 1.0) <= 1e-3)
+            near = ratio[r[inner] < 2e-8]
+            assert near.size >= 3
+            assert np.max(np.abs(near - 1.0)) <= 1e-5
+
     def test_p_below_N_rejected(self):
         with pytest.raises(ParameterError):
             shoot_T_pm(ProblemParams(4, 3.0, 1.0, 1), a=1.0, c=1.0)
@@ -261,8 +293,9 @@ class TestLaunchBudget:
         ("T_eps", (2, 3.0, 1.0, 1), "launch phase in chart R"),
         ("T_alpha", (1, 3.0, -2.53, -1), "launch phase in chart R"),  # manifold
         ("T_alpha", (1, 3.0, -4.0, -1), "launch phase in chart R"),   # seeded
-        ("T_plus", (1, 3.0, 1.0, 1), "flat-limit corner chart"),      # p = N
+        ("T_plus", (1, 3.0, 1.0, 1), "flat-limit corner chart"),      # p > N
         ("T_plus", (2, 3.0, 1.0, 1), "flat-limit corner chart"),      # p > N
+        ("T_plus", (3, 3.0, 1.0, 1), "flat-limit corner chart"),      # p = N
     ])
     def test_small_budget_raises(self, kind, params, what):
         cfg = IntegrationConfig(max_steps=1)
@@ -288,7 +321,7 @@ def test_launch_replicates_scipy_rk45(kind, params, span):
     chart, u0 = meta["launch_chart"], meta["launch_coords"]
     cfg = IntegrationConfig()
     stats = _new_stats()
-    t, u = _chart_phase(chart, u0, params, cfg, span, stats, max_step=0.25)
+    t, u = _chart_phase(chart, u0, params, cfg, span, stats)
 
     q_hand = _q_hand(params, grow=False)
 
@@ -459,3 +492,17 @@ def test_launch_fingerprint(kind, params, span, termination, kinds, n, first,
     else:
         assert traj.meta["offset_consistency"] == pytest.approx(
             consistency, rel=1e-6, abs=1e-15)
+
+
+# T_plus at p = N, recorded before the hand-off ran its own launch (same
+# fields as LAUNCH_PINS)
+P_EQUAL_N_PIN = (
+    "T_plus", (3, 3.0, 1.0, 1), None, "origin_flagged",
+    ["Y_zero_crossing", "y_zero_crossing"], 468,
+    (-18.0, 5.095355945894449e+24, 8.013164264000591e+46),
+    (1.5400765487051618, -0.0009979991392768306, -9.999999999999995e-07),
+    None)
+
+
+def test_p_equal_N_launch_fingerprint():
+    test_launch_fingerprint(*P_EQUAL_N_PIN)
