@@ -4,7 +4,7 @@ heat equation with p > 2.
 Submodules
 ----------
 params        parameter validation and closed-form constants
-systems       vector fields, chart conversions, first integrals, oracles
+systems       vector fields, chart conversions, oracles
 integrate     adaptive integration with events and the Y = 0 crossing rule
 trajectories  shooting constructions of the special trajectories
 analysis      stationary points, cycles, labels, the connection function,
@@ -22,11 +22,8 @@ from .systems import (
     OracleSolution,
     PhaseState,
     ProfileSample,
-    J_N,
-    J_alpha,
     convert,
     field,
-    from_profile,
     invert,
     oracle,
     to_profile,
@@ -76,11 +73,8 @@ __all__ = [
     "OracleSolution",
     "PhaseState",
     "ProfileSample",
-    "J_N",
-    "J_alpha",
     "convert",
     "field",
-    "from_profile",
     "invert",
     "oracle",
     "to_profile",

@@ -378,11 +378,19 @@ def cmd_portrait(args) -> int:
     params, seeds = _load_recipe(args)
     cfg = _build_config(args)
     derive_constants(params)
-    trajs = []
+    # an arc whose negated seed was integrated in the same direction is its
+    # twin's mirror (Trajectory.negated); such an arc only reaches the SVG,
+    # where the sign of an exact zero does not show
+    trajs, integrated = [], {}
     for (y, Y) in seeds:
         for direction in (1, -1):
+            twin = integrated.get((-y, -Y, direction))
+            if twin is not None:
+                trajs.append(twin.negated())
+                continue
             trajs.append(integrate_s(PhaseState(0.0, y, Y), params,
                                      direction=direction, config=cfg))
+            integrated[(y, Y, direction)] = trajs[-1]
     out = Path(args.out) if args.out else Path("portrait.svg")
     _write_portrait_svg(trajs, params, out)
     mpath = _write_manifest("portrait", params, cfg, [out], t_start)

@@ -156,6 +156,25 @@ class Trajectory:
         self.events = [Event(e.kind, e.time + delta, PhaseState(e.state.tau + delta, e.state.y, e.state.Y))
                        for e in self.events]
 
+    def negated(self) -> "Trajectory":
+        """The mirror orbit (y, Y) -> (-y, -Y) of an S-chart trajectory.
+
+        The S field, its event table and the stepper are odd in (y, Y), so
+        for any :class:`IntegrationConfig` this equals :func:`integrate_s`
+        from the negated start (without ``section_y``) up to the sign of
+        exact zeros: the same tau and direction, -ys, each event of the
+        same kind and time at the negated state, M_ell and minus_M_ell
+        swapped in the termination, and a copy of ``meta["stats"]``."""
+        if self.chart_id != "S":
+            raise ValueError("negated() requires an S-chart trajectory")
+        swap = {"captured:M_ell": "captured:minus_M_ell",
+                "captured:minus_M_ell": "captured:M_ell"}
+        events = [Event(e.kind, e.time, PhaseState(e.state.tau, -e.state.y, -e.state.Y))
+                  for e in self.events]
+        meta = {"stats": dict(self.meta["stats"])} if "stats" in self.meta else {}
+        return Trajectory("S", self.params, self.tau.copy(), -self.ys, events,
+                          swap.get(self.termination, self.termination), self.direction, meta)
+
 
 # ---------------------------------------------------------------------------
 # S-chart integration

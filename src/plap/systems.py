@@ -1,4 +1,4 @@
-"""Vector fields, chart conversions, first integrals, and closed-form profiles.
+"""Vector fields, chart conversions, and closed-form profiles.
 
 The profile equation
 
@@ -277,7 +277,7 @@ def invert(chart_state: ChartState, params: ProblemParams, sign_y: int = 1) -> P
 
 
 # ---------------------------------------------------------------------------
-# profile <-> phase state
+# phase state -> profile
 
 
 def to_profile(state: PhaseState, params: ProblemParams) -> ProfileSample:
@@ -287,36 +287,6 @@ def to_profile(state: PhaseState, params: ProblemParams) -> ProfileSample:
     w = r ** dc.gamma * state.y
     dw = -(r ** (dc.gamma - 1.0)) * float(phi_Y(state.Y, params.p))
     return ProfileSample(r, w, dw)
-
-
-def from_profile(sample: ProfileSample, params: ProblemParams) -> PhaseState:
-    """Inverse of :func:`to_profile`."""
-    if sample.r <= 0.0:
-        raise ValueError("profile samples require r > 0")
-    dc = derive_constants(params)
-    tau = math.log(sample.r)
-    y = sample.r ** (-dc.gamma) * sample.w
-    Y = -(sample.r ** ((1.0 - dc.gamma) * (params.p - 1.0))) * float(
-        sgn_pow(sample.dw, params.p - 1.0)
-    )
-    return PhaseState(tau, y, Y)
-
-
-# ---------------------------------------------------------------------------
-# first integrals
-
-
-def J_N(sample: ProfileSample, params: ProblemParams) -> float:
-    """r^N (w + eps r^{-1} |w'|^{p-2} w'); constant along alpha = N orbits."""
-    r, w, dw = sample.r, sample.w, sample.dw
-    return r ** float(params.N) * (
-        w + params.epsilon * float(sgn_pow(dw, params.p - 1.0)) / r
-    )
-
-
-def J_alpha(sample: ProfileSample, params: ProblemParams) -> float:
-    """r^{alpha - N} J_N; its r-derivative is -eps(N-alpha) r^{alpha-2}|w'|^{p-2}w'."""
-    return sample.r ** (params.alpha - float(params.N)) * J_N(sample, params)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,8 @@ import pytest
 
 from plap.params import ProblemParams, derive_constants, m_ell_point
 from plap.systems import (
-    J_N,
     PhaseState,
     ProfileSample,
-    from_profile,
     oracle,
     phi_Y,
 )
@@ -28,6 +26,7 @@ from plap.analysis import (
     find_alpha_c,
     phi_of_alpha,
 )
+from profile_tools import J_N, from_profile
 
 
 def _report(capsys, num, label, check):

@@ -10,7 +10,7 @@ from hypothesis import assume, given, seed, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from plap import analysis
-from plap.integrate import IntegrationConfig, integrate_s
+from plap.integrate import IntegrationConfig, Trajectory, integrate_s
 from plap.params import (ParameterError, ProblemParams, derive_constants,
                          m_ell_point)
 from plap.systems import PhaseState, _r_rhs
@@ -157,6 +157,16 @@ class TestSignCounting:
         assert 0 < last < total
 
 
+# sigma -> +inf and -inf as tau falls: the tails of TestAsymptoticLabels on
+# which zeta -> 0 grow backward in tau
+def _sigma_up(tau):
+    return np.exp(-0.5 * tau)
+
+
+def _sigma_down(tau):
+    return -np.exp(-0.5 * tau)
+
+
 class TestAsymptoticLabels:
     def test_flat_convergence(self):
         params = ProblemParams(2, 3.0, -6.0, 1)
@@ -167,6 +177,40 @@ class TestAsymptoticLabels:
         params = ProblemParams(1, 3.0, -4.0, -1)
         traj = shoot_regular(params, tau_span=50.0, consistency_check=False)
         assert asymptotic_label(traj, params) == "oscillating_sign"
+
+    @staticmethod
+    def _vertical_tail(params, zeta, sigma=None, span=20.0):
+        """A synthetic orbit with d ln|w| / d ln r = -zeta that runs to
+        |y| -> infinity: on zeta's level curve Y = phi^-1(zeta y) when
+        ``sigma`` is None, else on Y = sigma(tau) y."""
+        rate = -zeta - derive_constants(params).gamma  # d ln y / d tau
+        direction = 1 if rate > 0 else -1
+        tau = direction * np.linspace(0.0, span, 2001)
+        y = np.exp(rate * tau)
+        if sigma is None:
+            Y = np.sign(zeta) * np.abs(zeta * y) ** (params.p - 1.0)
+        else:
+            Y = sigma(tau) * y
+        return Trajectory("S", params, tau, np.vstack([y, Y]), [], "time_span",
+                          direction)
+
+    @pytest.mark.parametrize("N, p, zeta_off, sigma, label", [
+        (1, 3.0, 0.0, None, "L_eta"),
+        (3, 2.5, 0.0, None, "L_eta"),
+        (1, 3.0, None, _sigma_up, "L_plus"),
+        (3, 3.0, None, _sigma_up, "L_plus"),     # p = N
+        (2, 4.0, None, _sigma_down, "L_minus"),
+        # near misses
+        (1, 3.0, 0.05, None, "undetermined"),         # zeta off eta: not L_eta
+        (3, 2.5, None, _sigma_up, "undetermined"),    # p < N: not L_plus
+        (3, 3.0, None, _sigma_down, "undetermined"),  # p = N: not L_minus
+        (2, 4.0, None, _sigma_up, "L_plus"),          # sigma -> +inf: not L_minus
+    ])
+    def test_vertical_line_limits(self, N, p, zeta_off, sigma, label):
+        params = ProblemParams(N, p, 1.0, 1)
+        zeta = 0.0 if zeta_off is None else derive_constants(params).eta + zeta_off
+        traj = self._vertical_tail(params, zeta, sigma)
+        assert asymptotic_label(traj, params) == label
 
 
 class TestLimitCycles:

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from plap import cli, trajectories
 from plap.cli import RECIPE_DIR, _build_config, main
-from plap.integrate import Event, IntegrationConfig, Trajectory
+from plap.integrate import Event, IntegrationConfig, Trajectory, integrate_s
 from plap.params import ParameterError, ProblemParams, m_ell_point
 from plap.systems import PhaseState
 from plap.trajectories import SpecialTrajectorySpec, shoot
@@ -346,6 +346,51 @@ class TestPortrait:
         code, _, err = run(capsys, "portrait", "--recipe", "fig99",
                            "--out", str(tmp_path / "x.svg"))
         assert code == 2
+
+    @staticmethod
+    def _count_integrations(monkeypatch):
+        calls, real = [], cli.integrate_s
+
+        def counted(state, *args, **kwargs):
+            calls.append((state.y, state.Y, kwargs["direction"]))
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "integrate_s", counted)
+        return calls
+
+    def test_negated_seeds_are_drawn_from_their_twins(self, capsys, tmp_path,
+                                                      monkeypatch):
+        # fig05's seeds (-0.5, 0) and (0, -0.3) negate (0.5, 0) and (0, 0.3)
+        calls = self._count_integrations(monkeypatch)
+        code, out, _ = run(capsys, "portrait", "--recipe", "fig05",
+                           "--out", str(tmp_path / "fig05.svg"))
+        assert code == 0
+        assert "(12 arcs)" in out
+        assert calls == [(y, Y, d) for y, Y in [(0.2, 0.0), (0.5, 0.0), (1.0, 0.0),
+                                                (0.0, 0.3)] for d in (1, -1)]
+
+    def test_derived_arcs_draw_the_same_svg(self, capsys, tmp_path, monkeypatch):
+        # the negated pair in the other order: -1.05 M_ell is integrated, and
+        # 1.05 M_ell, listed later, is drawn from it
+        params = ProblemParams(2, 3.0, -6.0, 1)
+        my, mY = m_ell_point(params)
+        seeds = [(-1.05 * my, -1.05 * mY), (0.2, 0.05), (1.05 * my, 1.05 * mY)]
+        seed_file = tmp_path / "seeds.txt"
+        seed_file.write_text("".join(f"{y!r} {Y!r}\n" for y, Y in seeds))
+        calls = self._count_integrations(monkeypatch)
+        out = tmp_path / "derived.svg"
+        code, _, _ = run(capsys, "portrait", "--N", "2", "--p", "3",
+                         "--alpha", "-6", "--eps", "1", "--tau-max", "30",
+                         "--seed-file", str(seed_file), "--out", str(out))
+        assert code == 0
+        assert [c[:2] for c in calls] == [seeds[0]] * 2 + [seeds[1]] * 2
+        cfg = IntegrationConfig(max_time_span=30.0)
+        every = [integrate_s(PhaseState(0.0, y, Y), params, direction=d, config=cfg)
+                 for y, Y in seeds for d in (1, -1)]
+        assert {t.termination for t in every} >= {"captured:M_ell",
+                                                 "captured:minus_M_ell"}
+        cli._write_portrait_svg(every, params, tmp_path / "every.svg")
+        assert out.read_bytes() == (tmp_path / "every.svg").read_bytes()
 
 
     @pytest.mark.parametrize("text", ["0.1 0.2\n0.1 0.2 0.3\n",

@@ -17,8 +17,8 @@ connection function and the alpha_c searches are pinned bit for bit in
 
 The bytes that ``plap shoot`` and ``plap portrait`` write are pinned by
 their SHA-256 in ``write_fingerprint.json``: the CSV and events CSV of
-the benchmark's seven shootings and the SVG of recipe fig05.  The same
-command re-records it.
+the benchmark's seven shootings and the SVG of every bundled recipe.
+The same command re-records it.
 """
 
 import hashlib
@@ -141,8 +141,9 @@ def write_fingerprint() -> dict:
             assert main(["shoot", "--kind", kind, "--N", str(N), "--p", f"{p:g}",
                          "--alpha", f"{alpha:g}", "--eps", str(eps),
                          "--out", str(out / f"shoot-{kind}.csv")]) == 0
-        assert main(["portrait", "--recipe", "fig05",
-                     "--out", str(out / "fig05.svg")]) == 0
+        for recipe in sorted(RECIPE_DIR.glob("fig*.json")):
+            assert main(["portrait", "--recipe", recipe.stem,
+                         "--out", str(out / f"{recipe.stem}.svg")]) == 0
         return {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                 for f in sorted(out.iterdir()) if f.suffix in (".csv", ".svg")}
 

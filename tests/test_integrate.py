@@ -11,11 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings, strategies as st
 from scipy.integrate import RK45, solve_ivp
 
 from plap.params import ProblemParams, derive_constants, m_ell_point
-from plap.systems import (PhaseState, _P_TEXT, _Q_TEXT, _s_rhs, from_profile,
-                          oracle, phi_Y)
+from plap.systems import PhaseState, _P_TEXT, _Q_TEXT, _s_rhs, oracle, phi_Y
 from plap.trajectories import SpecialTrajectorySpec, shoot, shoot_regular
 from plap.integrate import (
     IntegrationConfig,
@@ -24,6 +24,7 @@ from plap.integrate import (
     integrate,
     integrate_s,
 )
+from profile_tools import from_profile
 
 # the package re-exports the function ``integrate`` over the module's name
 integrate_mod = sys.modules["plap.integrate"]
@@ -353,6 +354,75 @@ class TestTailBounds:
         np.testing.assert_array_equal(w, want_w)
         np.testing.assert_array_equal(dw, want_dw)
         assert np.isinf(r[2:]).all() and np.isnan(w[3])
+
+
+def _mirror_mismatch(start, params, direction, **kwargs):
+    """What differs between ``integrate_s`` from -start and the negation of
+    the orbit from start (empty when they agree); an orbit that raises must
+    raise the same error from both starts."""
+    runs = []
+    for s0 in ((-start[0], -start[1]), start):
+        try:
+            runs.append(integrate_s(PhaseState(0.0, *s0), params, direction, **kwargs))
+        except IntegrationError as exc:
+            runs.append(str(exc))
+    direct, twin = runs
+    if isinstance(direct, str) or isinstance(twin, str):
+        return [] if direct == twin else ["error"]
+    mirror = twin.negated()
+    checks = {
+        "tau": direct.tau.tobytes() == mirror.tau.tobytes(),
+        "ys": direct.ys.shape == mirror.ys.shape and bool(np.all(direct.ys == mirror.ys)),
+        "events": ([(e.kind, e.time) for e in direct.events]
+                   == [(e.kind, e.time) for e in mirror.events]),
+        "termination": direct.termination == mirror.termination,
+        "stats": direct.meta["stats"] == mirror.meta["stats"],
+    }
+    return [name for name, ok in checks.items() if not ok]
+
+
+class TestOddSymmetry:
+    """The S field, its event table and the stepper are odd in (y, Y), so
+    the orbit from -s0 is the one from s0 negated (``Trajectory.negated``),
+    which ``plap portrait`` draws in place of integrating it."""
+
+    @seed(22)
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(N=st.integers(1, 3), p=st.floats(2.3, 6.0),
+           alpha=st.floats(-8.0, 8.0).filter(lambda a: abs(a) > 1e-3),
+           eps=st.sampled_from([-1, 1]),
+           y=st.floats(-2.0, 2.0), Y=st.floats(-2.0, 2.0),
+           direction=st.sampled_from([1, -1]), tau_span=st.floats(1.0, 30.0))
+    def test_negated_start_gives_the_negated_orbit(self, N, p, alpha, eps, y, Y,
+                                                   direction, tau_span):
+        if y == 0.0 and Y == 0.0:
+            return
+        params = ProblemParams(N, p, alpha, eps)
+        assert _mirror_mismatch((y, Y), params, direction, tau_span=tau_span) == []
+
+    @pytest.mark.parametrize("start", [(0.5, 0.0), (0.0, 0.3)])
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_fig05_pairs_over_the_full_span(self, start, direction):
+        # the recipe's two negated seed pairs, over max_time_span
+        assert _mirror_mismatch(start, ProblemParams(1, 3.0, -4.0, -1),
+                                direction) == []
+
+    def test_capture_discs_swap(self):
+        params = ProblemParams(2, 3.0, -6.0, 1)
+        m = m_ell_point(params)
+        traj = integrate_s(PhaseState(0.0, m[0] * 1.05, m[1] * 1.05), params)
+        assert traj.termination == "captured:M_ell"
+        mirror = traj.negated()
+        assert mirror.termination == "captured:minus_M_ell"
+        assert mirror.negated().termination == "captured:M_ell"
+        assert mirror.meta["stats"] is not traj.meta["stats"]
+        assert _mirror_mismatch((m[0] * 1.05, m[1] * 1.05), params, 1) == []
+
+    def test_other_charts_refused(self):
+        traj = integrate("P", (0.3, 0.5), ProblemParams(2, 3.0, -1.3, -1),
+                         t_span=(0.0, 1.0))
+        with pytest.raises(ValueError, match="S-chart"):
+            traj.negated()
 
 
 class TestChartDispatch:

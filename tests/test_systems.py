@@ -15,11 +15,8 @@ from plap.systems import (
     OracleConstraintError,
     PhaseState,
     ProfileSample,
-    J_N,
-    J_alpha,
     convert,
     field,
-    from_profile,
     invert,
     oracle,
     phi_Y,
@@ -27,6 +24,7 @@ from plap.systems import (
     to_profile,
     _s_rhs,
 )
+from profile_tools import J_N, J_alpha, from_profile
 
 
 # ---------------------------------------------------------------------------
