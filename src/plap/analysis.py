@@ -48,6 +48,7 @@ from .params import (
     m_ell_point,
 )
 from .integrate import (
+    NEAR_ORIGIN,
     IntegrationConfig,
     IntegrationError,
     Trajectory,
@@ -76,22 +77,6 @@ LOCAL_TYPES = (
     "source_spiral",
     "weak_source",
     "center_like",
-)
-
-ASYMPTOTIC_LABELS = (
-    "A_gamma",
-    "A_r",
-    "A_alpha",
-    "L_eta",
-    "L_plus",
-    "L_minus",
-    "M_ell",
-    "minus_M_ell",
-    "origin",
-    "cycle",
-    "oscillating_sign",
-    "escape",
-    "undetermined",
 )
 
 # ---------------------------------------------------------------------------
@@ -234,7 +219,9 @@ def asymptotic_label(trajectory: Trajectory, params: ProblemParams) -> str:
     ``_FIT_TOL`` relative to max(1, |zeta|).  Oscillating tails (sign
     changes of y) are labeled ``oscillating_sign``; constant-sign
     non-convergent bounded tails around a flat point are labeled
-    ``cycle``; escape and capture terminations short-circuit.  If no
+    ``cycle``; ``escape``, ``M_ell``, ``minus_M_ell`` (``A_gamma`` when
+    the slope fits) and ``origin`` name the end of a terminated orbit, the
+    last also of an ``origin_flagged`` one within ``NEAR_ORIGIN``.  If no
     detector fires the label is ``undetermined``.
     """
     dc = derive_constants(params)
@@ -299,7 +286,7 @@ def asymptotic_label(trajectory: Trajectory, params: ProblemParams) -> str:
         return "A_gamma" if fit_ok(-dc.gamma) else "M_ell"
     if trajectory.termination == "captured:minus_M_ell":
         return "A_gamma" if fit_ok(-dc.gamma) else "minus_M_ell"
-    if math.hypot(float(y[-1]), float(Y[-1])) <= 1e-5 and \
+    if math.hypot(float(y[-1]), float(Y[-1])) <= NEAR_ORIGIN and \
             trajectory.termination == "origin_flagged":
         return "origin"
 

@@ -11,8 +11,8 @@ Output formats
   output with its SHA-256 checksum.
 
 The environment variable ``PLAP_CONFIG`` may point at a ``key=value``
-file holding :class:`~plap.integrate.IntegrationConfig` overrides;
-``--tol`` and ``--tau-max`` override in turn.
+file setting the four :class:`~plap.integrate.IntegrationConfig` fields
+(any other key is an error); ``--tol`` and ``--tau-max`` override it.
 """
 
 from __future__ import annotations

@@ -67,26 +67,20 @@ class IntegrationError(RuntimeError):
 
 @dataclass
 class IntegrationConfig:
-    """Tolerances and guards for all integrations.
-
-    ``y_axis_band`` is the relative half-width delta of the |Y| band where
-    the axis-crossing chart takes over; the absolute width adapts to the
-    local y scale.
-    """
+    """The four settings of every integration: the tolerances, the tau span
+    and the step budget (``PLAP_CONFIG``, ``--tol`` and ``--tau-max`` set
+    them).  The guards around chart S's Hölder axis and its non-Lipschitz
+    origin are not settings but the module constants ``AXIS_BAND``,
+    ``MAX_STEP``, ``ESCAPE_RADIUS``, ``CAPTURE_RADIUS`` and
+    ``ORIGIN_RADIUS``."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
     max_time_span: float = 200.0
     max_steps: int = 10 ** 6
-    y_axis_band: float = 1e-6
-    max_step: float = 0.1
-    escape_threshold: float = 1e12
-    capture_radius: float = 1e-6
-    origin_radius: float = 1e-8
 
     def __post_init__(self) -> None:
-        for name in ("abs_tol", "rel_tol", "max_time_span", "y_axis_band",
-                     "max_step", "escape_threshold", "capture_radius", "origin_radius"):
+        for name in ("abs_tol", "rel_tol", "max_time_span"):
             if not getattr(self, name) > 0:  # rejects NaN too
                 raise ValueError(f"IntegrationConfig.{name} must be positive")
         for name in ("abs_tol", "rel_tol"):
@@ -96,14 +90,14 @@ class IntegrationConfig:
             raise ValueError("IntegrationConfig.max_steps must be positive")
 
 
-EVENT_KINDS = (
-    "y_zero_crossing",
-    "Y_zero_crossing",
-    "section_crossing",
-    "stationary_capture",
-    "escape_to_infinity",
-    "double_zero_capture",
-)
+# The fixed guards of chart S: the axis band's half-width relative to
+# max(1, |y|), the stepper's largest step, the escape radius, the capture
+# disc's radius relative to |M_ell|, and the origin disc's radius.
+AXIS_BAND, MAX_STEP, ESCAPE_RADIUS, CAPTURE_RADIUS, ORIGIN_RADIUS = 1e-6, 0.1, 1e12, 1e-6, 1e-8
+# An orbit refused at the axis (or flagged at the origin) this close to the
+# origin has reached it: ``captured:origin`` on the double-zero contact,
+# and the ``origin`` label of :func:`plap.analysis.asymptotic_label`.
+NEAR_ORIGIN = 1e-5
 
 
 @dataclass(frozen=True)
@@ -191,15 +185,6 @@ def _m_ell_attracting_direction(params: ProblemParams) -> int:
     if params.alpha < dc.alpha_star:
         return -1
     return 0  # weak source: no exponential attraction either way
-
-
-def _band_width(y: float, params: ProblemParams, cfg: IntegrationConfig) -> float:
-    """Half-width of the axis band at local ordinate y.
-
-    Scaled so that the drift |eps alpha y| dominates |phi(Y)| on the band
-    boundary, which is the transversality estimate the crossing chart
-    relies on."""
-    return cfg.y_axis_band * max(1.0, abs(y))
 
 
 def _cross_axis(y0: float, Y0: float, tau0: float,
@@ -602,8 +587,11 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
     the step is not cut at the crossing, so the samples are a prefix of
     the same call's samples without ``section_y``.  With ``capture``, the
     orbit ends in the capture disc of M_ell or minus_M_ell when that point
-    attracts in this direction, and in the origin disc; escape terminates
-    at the configured threshold.  The returned trajectory's
+    attracts in this direction, and in the origin disc (before a step
+    when it starts there); escape terminates at ``ESCAPE_RADIUS``.  The
+    events are of six kinds: ``y_zero_crossing``, ``Y_zero_crossing``,
+    ``section_crossing``, ``stationary_capture``, ``escape_to_infinity``
+    and ``double_zero_capture``.  The returned trajectory's
     ``meta["stats"]`` counts the stepper's work: ``rhs_evals``,
     ``accepted`` and ``rejected`` steps, and ``segments`` (solver starts);
     the axis crossings are not in it.
@@ -634,7 +622,7 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
         return (y * fy + Y * fY) < 0.0 and abs(sigma - eps) < 0.25
 
     y, Y = float(initial.y), float(initial.Y)
-    consts = {"band": cfg.y_axis_band, "esc": cfg.escape_threshold}
+    consts = {"band": AXIS_BAND, "esc": ESCAPE_RADIUS}
     table = [_SEvent("y", kind="y_zero_crossing")]
     if section_y is not None:
         # the return to the line, crossed the way the orbit leaves it
@@ -647,13 +635,13 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
               _SEvent("(y / esc) ** 2 + (Y / esc) ** 2 - 1.0", 1, True, "escape")]
     m = m_ell_point(params)
     if capture and m is not None and _m_ell_attracting_direction(params) == direction:
-        consts.update(my=m[0], mY=m[1], rad=cfg.capture_radius * math.hypot(*m))
+        consts.update(my=m[0], mY=m[1], rad=CAPTURE_RADIUS * math.hypot(*m))
         table += [_SEvent("(y - my) ** 2 + (Y - mY) ** 2 - rad ** 2",
                           -1, True, "M_ell"),
                   _SEvent("(y + my) ** 2 + (Y + mY) ** 2 - rad ** 2",
                           -1, True, "minus_M_ell")]
     if capture:
-        consts["orad"] = cfg.origin_radius
+        consts["orad"] = ORIGIN_RADIUS
         table.append(_SEvent("y ** 2 + Y ** 2 - orad ** 2", -1, True, "origin"))
     table_fns = _event_values(table, **consts)
 
@@ -664,17 +652,21 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
     stats = _new_stats()
 
     s_now = 0.0
+    # a start inside the origin disc has no unique exit from the origin:
+    # it ends by the refused crossing's rule, before a step
+    inside = capture and math.hypot(y, Y) <= ORIGIN_RADIUS
     while True:
-        # on the band edge and moving toward the axis: cross it over Y
-        if 0.0 < abs(Y) <= _band_width(y, params, cfg) * (1.0 + 1e-6) \
-                and f(y, Y)[1] * (-Y) > 0.0:
-            crossing = _cross_axis(y, Y, tau_of(s_now), params, cfg)
+        # on the band edge (where |eps alpha y| dominates |phi(Y)|) and
+        # moving toward the axis: cross it over Y
+        if inside or (0.0 < abs(Y) <= AXIS_BAND * max(1.0, abs(y)) * (1.0 + 1e-6)
+                      and f(y, Y)[1] * (-Y) > 0.0):
+            crossing = None if inside else _cross_axis(y, Y, tau_of(s_now), params, cfg)
             if crossing is None:
                 # transversality failed: the orbit is heading into the
                 # origin; off the double-zero contact it is left flagged
                 # for the asymptotic classifier
                 tau_here = tau_of(s_now)
-                if math.hypot(y, Y) <= 1e-5 and origin_end(y, Y):
+                if math.hypot(y, Y) <= NEAR_ORIGIN and origin_end(y, Y):
                     events.append(Event("double_zero_capture", tau_here,
                                         PhaseState(tau_here, y, Y)))
                     termination = "captured:origin"
@@ -696,7 +688,7 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
             continue
 
         seg = _rk45_segment(f, s_now, span, y, Y, cfg.rel_tol, cfg.abs_tol,
-                            cfg.max_step, table, *table_fns, stats,
+                            MAX_STEP, table, *table_fns, stats,
                             cfg.max_steps, tau_of)
         taus.append(initial.tau + direction * np.array(seg.t))
         ys_parts.append(np.array([seg.y, seg.Y]))

@@ -249,8 +249,14 @@ class TestIntegrate:
 
     def test_config_file_round_trip(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("rel_tol = 1e-9\nmax_step = 0.05\n")
+        cfg.write_text("rel_tol = 1e-9\nabs_tol = 1e-12  # tighter\n"
+                       "max_steps = 500000\nmax_time_span = 80\n")
         monkeypatch.setenv("PLAP_CONFIG", str(cfg))
+        # --tau-max overrides the file's span
+        built = _build_config(argparse.Namespace(tau_max=5.0))
+        assert built == IntegrationConfig(abs_tol=1e-12, rel_tol=1e-9,
+                                          max_time_span=5.0, max_steps=500000)
+        assert type(built.max_steps) is int
         out = tmp_path / "arc.csv"
         code, _, _ = run(capsys, "integrate", "--N", "1", "--p", "3",
                          "--alpha", "-4", "--eps", "-1", "--y0", "0.05",
@@ -296,15 +302,19 @@ class TestIntegrate:
         assert code == 1
         assert "budget of 300 rhs evaluations" in err
 
-    def test_bad_config_key(self, capsys, tmp_path, monkeypatch):
+    # the chart-S guards are fixed constants of plap.integrate, not keys
+    @pytest.mark.parametrize("key", ["bogus", "y_axis_band", "max_step",
+                                     "escape_threshold", "capture_radius",
+                                     "origin_radius"])
+    def test_bad_config_key(self, capsys, tmp_path, monkeypatch, key):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("bogus = 1\n")
+        cfg.write_text(f"{key} = 1\n")
         monkeypatch.setenv("PLAP_CONFIG", str(cfg))
         code, _, err = run(capsys, "integrate", "--N", "1", "--p", "3",
                            "--alpha", "-4", "--eps", "-1", "--y0", "0.05",
                            "--Y0", "0", "--out", str(tmp_path / "x.csv"))
         assert code == 2
-        assert "bogus" in err
+        assert f"unknown config key {key!r}" in err
 
 
 class TestPortrait:

@@ -88,7 +88,8 @@ class TestEventsAndCaptures:
         (ProblemParams(2, 3.0, 1.0, 1), (0.2, 0.0), "origin_flagged",
          "stationary_capture"),
     ])
-    def test_origin_disc_ending(self, params, start, termination, kind):
+    def test_origin_disc_ending(self, params, start, termination, kind,
+                                monkeypatch):
         # a disc much wider than the axis band is met before the failed
         # crossing that ends these orbits under the default radius
         if start is None:
@@ -96,12 +97,26 @@ class TestEventsAndCaptures:
             state0 = from_profile(sol.sample(0.1), params)
         else:
             state0 = PhaseState(0.0, *start)
-        cfg = IntegrationConfig(origin_radius=1e-3)
-        traj = integrate_s(state0, params, config=cfg)
+        monkeypatch.setattr(integrate_mod, "ORIGIN_RADIUS", 1e-3)
+        traj = integrate_s(state0, params)
         assert traj.termination == termination
         last = traj.events[-1]
         assert last.kind == kind
         assert math.hypot(last.state.y, last.state.Y) == pytest.approx(1e-3, rel=1e-9)
+
+    @pytest.mark.parametrize("y0", [1e-300, 1e-20, 1e-8, -1e-9])
+    def test_start_inside_origin_disc_ends_at_once(self, y0):
+        # on the Hölder axis inside the origin disc the exit from the origin
+        # is not unique; the start ends as a refused crossing does, where
+        # stepping it once took 127k-204k steps
+        params = ProblemParams(2, 3.3962609590012676, 4.0, -1)
+        traj = integrate_s(PhaseState(0.0, y0, 0.0), params, direction=-1,
+                           tau_span=4.87)
+        assert traj.meta["stats"]["accepted"] == 0
+        assert traj.termination == "origin_flagged"
+        assert traj.tau.tolist() == [0.0]
+        assert traj.ys.tolist() == [[y0], [0.0]]
+        assert traj.events == []
 
     def test_escape_termination(self):
         params = ProblemParams(1, 3.0, 1.0, -1)  # backward orbits blow up
@@ -532,8 +547,9 @@ class TestStepper:
         f = integrate_mod._s_rhs(params, 1)
         stats = {"rhs_evals": 0, "accepted": 0, "rejected": 0, "segments": 0}
         seg = integrate_mod._rk45_segment(
-            f, 0.0, span, y0, Y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step,
-            events, values, advance, roots, stats, cfg.max_steps)
+            f, 0.0, span, y0, Y0, cfg.rel_tol, cfg.abs_tol,
+            integrate_mod.MAX_STEP, events, values, advance, roots, stats,
+            cfg.max_steps)
 
         def scipy_event(i, e):
             g = lambda t, u: values(u[0], u[1])[i]  # noqa: E731
@@ -542,7 +558,7 @@ class TestStepper:
 
         ref = solve_ivp(lambda t, u: f(u[0], u[1]), (0.0, span), [y0, Y0],
                         method="RK45", rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                        max_step=cfg.max_step,
+                        max_step=integrate_mod.MAX_STEP,
                         events=[scipy_event(i, e) for i, e in enumerate(events)]
                         or None)
         assert stats["accepted"] == ref.t.size - 1
@@ -601,8 +617,8 @@ class TestStepper:
             stats = {"rhs_evals": 0, "accepted": 0, "rejected": 0, "segments": 0}
             segs.append(integrate_mod._rk45_segment(
                 integrate_mod._s_rhs(self.OSC, 1), 0.0, 2.0, 2e160, 1e160,
-                cfg.rel_tol, cfg.abs_tol, cfg.max_step, events, values, adv,
-                rts, stats, cfg.max_steps))
+                cfg.rel_tol, cfg.abs_tol, integrate_mod.MAX_STEP, events,
+                values, adv, rts, stats, cfg.max_steps))
         got, want = segs
         assert [i for i, *_ in got.hits] == [0]
         assert (got.t, got.y, got.Y, got.hits, got.terminal) \
@@ -615,8 +631,9 @@ class TestStepper:
         # template calling the S closure, give the same bits and counts
         params, (y0, Y0), span, events, consts = self._segment_cases()[case]
         cfg = IntegrationConfig()
-        args = (0.0, span, y0, Y0, cfg.rel_tol, cfg.abs_tol, cfg.max_step,
-                events, *integrate_mod._event_values(events, **consts))
+        args = (0.0, span, y0, Y0, cfg.rel_tol, cfg.abs_tol,
+                integrate_mod.MAX_STEP, events,
+                *integrate_mod._event_values(events, **consts))
         text, call = _text_and_callable(integrate_mod._s_rhs(params, direction),
                                         args, integrate_mod._new_stats(),
                                         max_steps=cfg.max_steps)
@@ -713,7 +730,7 @@ class TestStepper:
         with pytest.raises(IntegrationError, match="max_steps exceeded"):
             integrate_mod._rk45_segment(
                 integrate_mod._s_rhs(self.OSC, 1), 0.0, 50.0, 0.3, 0.1,
-                cfg.rel_tol, cfg.abs_tol, cfg.max_step, [],
+                cfg.rel_tol, cfg.abs_tol, integrate_mod.MAX_STEP, [],
                 *integrate_mod._event_values([]), stats, 50)
         assert stats["accepted"] + stats["rejected"] == 50
         with pytest.raises(IntegrationError, match="max_steps exceeded"):
