@@ -24,8 +24,9 @@ step for step, up to rounding: the same initial step, tableau, error
 norm, step controller and quartic dense output, with events located by
 Brent's method on the dense output.  It counts every attempted step
 against ``IntegrationConfig.max_steps`` and stops at the first non-finite
-state.  The launch phases in charts Q and P (:mod:`plap.trajectories`)
-run on the same stepper; the band crossings and the other charts of
+state.  The launch phases in charts Q and P and the T_eps launch in
+chart R, whose field reads its time |g| (:mod:`plap.trajectories`), run
+on the same stepper; the band crossings and the other charts of
 ``integrate`` run through ``solve_ivp``'s RK45.
 
 ``integrate_s`` builds one table of S-chart events per call, each row an
@@ -190,9 +191,9 @@ def _m_ell_attracting_direction(params: ProblemParams) -> int:
 def _cross_axis(y0: float, Y0: float, tau0: float,
                 params: ProblemParams, cfg: IntegrationConfig):
     """Integrate across {Y = 0} using Y as the independent variable; over
-    (Y0, -Y0) with ``max_step`` |Y0|, the first step ends exactly on the axis
-    and its end state is the crossing, unless it is rejected (or starts
-    smaller): then the solve runs again with a dense output, read at Y = 0.
+    (Y0, -Y0) with ``first_step`` and ``max_step`` |Y0|, the first step ends
+    exactly on the axis and its end state is the crossing, unless it is
+    rejected: then the solve runs again with a dense output, read at Y = 0.
 
     Returns (samples_tau, samples_y, samples_Y, event), the event marking
     the exact crossing, or None when the crossing is degenerate (y too
@@ -213,7 +214,7 @@ def _cross_axis(y0: float, Y0: float, tau0: float,
         return [f1 / den, 1.0 / den]
 
     opts = dict(method="RK45", rtol=min(cfg.rel_tol, 1e-10), atol=cfg.abs_tol,
-                max_step=abs(Y0))
+                first_step=abs(Y0), max_step=abs(Y0))
     try:
         sol = solve_ivp(rhs, (Y0, -Y0), [y0, tau0], **opts)
         if sol.success and sol.t[1] != 0.0:
@@ -279,31 +280,33 @@ def _crossed(i: int, direction: int) -> str:
 
 
 @functools.lru_cache(maxsize=64)
-def _values_code(rows: tuple):
+def _values_code(rows: tuple, time: str = ""):
     """The compiled definitions of ``values``, ``advance`` and ``roots``
-    for one tuple of (expression, direction) rows; a table's shape, not its
-    constants, decides it."""
+    for one tuple of (expression, direction) rows and the name of their
+    time, if they read one; a table's shape, not its constants, decides
+    it."""
     body = "(" + "".join(f"{e}, " for e, _ in rows) + ")"
     a = "".join(f"a{i}, " for i in range(len(rows)))
     b = "".join(f"b{i}, " for i in range(len(rows)))
     tests = [_crossed(i, d) for i, (_, d) in enumerate(rows)]
-    return compile("def values(y, Y):\n"
+    at = f"{time}, " if time else ""
+    return compile(f"def values({at}y, Y):\n"
                    "    try:\n"
                    f"        return {body}\n"
                    "    except OverflowError:\n"
                    "        y, Y = np.float64(y), np.float64(Y)\n"
                    "        with np.errstate(over='ignore'):\n"
                    f"            return tuple(map(float, {body}))\n"
-                   + "".join(f"def root{i}(y, Y):\n    try:\n        return {e}\n"
-                             f"    except OverflowError:\n        return values(y, Y)[{i}]\n"
+                   + "".join(f"def root{i}({at}y, Y):\n    try:\n        return {e}\n"
+                             f"    except OverflowError:\n        return values({at}y, Y)[{i}]\n"
                              for i, (e, _) in enumerate(rows))
                    + f"roots = ({''.join(f'root{i}, ' for i in range(len(rows)))})\n"
-                   "def advance(y, Y, g):\n"
+                   f"def advance({at}y, Y, g):\n"
                    f"    ({a}) = g\n"
                    "    try:\n"
                    f"        g = ({b}) = {body}\n"
                    "    except OverflowError:\n"
-                   f"        g = ({b}) = values(y, Y)\n"
+                   f"        g = ({b}) = values({at}y, Y)\n"
                    f"    if {' or '.join(tests) or 'False'}:\n"
                    "        return g, [i for i, hit in enumerate(("
                    f"{''.join(t + ', ' for t in tests)})) if hit]\n"
@@ -311,9 +314,11 @@ def _values_code(rows: tuple):
                    "<event values>", "exec")
 
 
-def _event_values(events: Sequence[_SEvent], **consts):
+def _event_values(events: Sequence[_SEvent], time: str = "", **consts):
     """The functions of one table, from one compiled code object; ``consts``
-    binds the names the rows use besides y and Y.
+    binds the names the rows use besides y, Y and ``time``.  A table that
+    names a time (the rows of a stepper whose field reads one) takes it as
+    the first argument of each function below.
 
     ``values(y, Y)`` returns every row's value, in table order, from a
     single call.  ``advance(y, Y, g)`` is what the stepper calls once per
@@ -329,7 +334,7 @@ def _event_values(events: Sequence[_SEvent], **consts):
     numpy scalars, whose ``**`` is the same C ``pow`` but overflows to
     inf, so only the overflowing rows read inf."""
     namespace = {"np": np, **consts}
-    exec(_values_code(tuple((ev.expr, ev.direction) for ev in events)), namespace)
+    exec(_values_code(tuple((ev.expr, ev.direction) for ev in events), time), namespace)
     return namespace["values"], namespace["advance"], namespace["roots"]
 
 
@@ -378,14 +383,17 @@ def _new_stats() -> dict:
 
 
 # The stepper, one template for every field (_stepper compiles it): each
-# FIELD(a, b) is written in place from the field's text, or calls a callable
-# ``fun``, and CONSTS unpacks the field's constants (or ``fun``) to locals.
-# The state is (u, U), so a field's names (y, Y in chart S) never shadow it.
+# FIELD(AT(t), a, b) is written in place from the field's text, or calls a
+# callable ``fun``, and CONSTS unpacks the field's constants (or ``fun``)
+# to locals.  AT(t) is the time of an evaluation, scipy's node t + c_i h of
+# each stage, bound to the time a field or event table names and dropped
+# where they name none.  The state is (u, U), so a field's names (y, Y in
+# chart S) never shadow it.
 _SEGMENT = """\
 def segment(field, t0, t_bound, u, U, rtol, atol, max_step, events,
             values, advance, roots, stats, max_steps, tau_of=float):
     CONSTS = field
-    fu, fU = FIELD(u, U)
+    fu, fU = FIELD(AT(t0), u, U)
     nfev, n_acc, n_rej = 1, 0, 0
     ts, us, Us = [t0], [u], [U]
     hits, terminal = [], None
@@ -403,7 +411,7 @@ def segment(field, t0, t_bound, u, U, rtol, atol, max_step, events,
         d1 = _rms(fu / su, fU / sU)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         h0 = min(h0, interval)
-        gu, gU = FIELD(u + h0 * fu, U + h0 * fU)
+        gu, gU = FIELD(AT(t0 + h0), u + h0 * fu, U + h0 * fU)
         nfev += 1
         # h0 is 0 only when d1 overflowed, and then h1 is 0 either way
         d2 = _rms((gu - fu) / su, (gU - fU) / sU) / h0 if h0 else math.inf
@@ -418,7 +426,7 @@ def segment(field, t0, t_bound, u, U, rtol, atol, max_step, events,
         safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
         err_exp, sqrt2, sqrt, isfinite = _ERR_EXP, _SQRT2, math.sqrt, math.isfinite
         nextafter, inf = math.nextafter, math.inf
-        g = values(u, U)
+        g = values(AT(t0), u, U)
         budget = max_steps - stats["accepted"] - stats["rejected"]
         t = t0
         while t < t_bound:
@@ -441,15 +449,15 @@ def segment(field, t0, t_bound, u, U, rtol, atol, max_step, events,
                 if t_new > t_bound:
                     t_new = t_bound
                 h = h_abs = t_new - t
-                k2u, k2U = FIELD(u + fu * A21 * h, U + fU * A21 * h)
-                k3u, k3U = FIELD(u + (fu * A31 + k2u * A32) * h,
+                k2u, k2U = FIELD(AT(t + C2 * h), u + fu * A21 * h, U + fU * A21 * h)
+                k3u, k3U = FIELD(AT(t + C3 * h), u + (fu * A31 + k2u * A32) * h,
                                  U + (fU * A31 + k2U * A32) * h)
-                k4u, k4U = FIELD(u + (fu * A41 + k2u * A42 + k3u * A43) * h,
+                k4u, k4U = FIELD(AT(t + C4 * h), u + (fu * A41 + k2u * A42 + k3u * A43) * h,
                                  U + (fU * A41 + k2U * A42 + k3U * A43) * h)
-                k5u, k5U = FIELD(
+                k5u, k5U = FIELD(AT(t + C5 * h),
                     u + (fu * A51 + k2u * A52 + k3u * A53 + k4u * A54) * h,
                     U + (fU * A51 + k2U * A52 + k3U * A53 + k4U * A54) * h)
-                k6u, k6U = FIELD(
+                k6u, k6U = FIELD(AT(t + h),
                     u + (fu * A61 + k2u * A62 + k3u * A63 + k4u * A64
                          + k5u * A65) * h,
                     U + (fU * A61 + k2U * A62 + k3U * A63 + k4U * A64
@@ -458,7 +466,7 @@ def segment(field, t0, t_bound, u, U, rtol, atol, max_step, events,
                                  + k6u * B6)
                 U_new = U + h * (fU * B1 + k3U * B3 + k4U * B4 + k5U * B5
                                  + k6U * B6)
-                k7u, k7U = FIELD(u_new, U_new)
+                k7u, k7U = FIELD(AT(t + h), u_new, U_new)
                 nfev += 6
                 nu, nU = abs(u_new), abs(U_new)
                 eu = ((fu * E1 + k3u * E3 + k4u * E4 + k5u * E5 + k6u * E6
@@ -482,11 +490,11 @@ def segment(field, t0, t_bound, u, U, rtol, atol, max_step, events,
                 rejected = True
                 n_rej += 1
 
-            g, active = advance(u_new, U_new, g)
+            g, active = advance(AT(t_new), u_new, U_new, g)
             if active is not None:
                 sol = _dense(t, h, u, U, (fu, k3u, k4u, k5u, k6u, k7u),
                              (fU, k3U, k4U, k5U, k6U, k7U))
-                found = [(i, brentq(lambda s, root=roots[i]: root(*sol(s)), t,
+                found = [(i, brentq(lambda s, root=roots[i]: root(AT(s), *sol(s)), t,
                                     t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL))
                          for i in active]
                 if any(events[i].terminal for i in active):
@@ -513,22 +521,31 @@ def segment(field, t0, t_bound, u, U, rtol, atol, max_step, events,
         stats["accepted"] += n_acc
         stats["rejected"] += n_rej
 """
-_FIELD_AT = re.compile(r"^( *)(\w+, \w+) = FIELD\((.*?)\)$", re.M | re.S)
+_FIELD_AT = re.compile(r"^( *)(\w+, \w+) = FIELD\(AT\(([^()]*)\), ?(.*?)\)$", re.M | re.S)
+_AT = re.compile(r"AT\(([^()]*)\), ")
+# the stage nodes c_i of scipy's tableau, written into a timed stepper
+_NODES = {f"C{i}": repr(c) for i, c in enumerate(RK45.C.tolist(), 1)}
 
 
 @functools.lru_cache(maxsize=16)
 def _stepper(text):
     """The stepper compiled for one field text (``systems._FieldText``), or
-    for a callable ``fun`` when ``text`` is None."""
+    for a callable ``fun`` of the state alone when ``text`` is None.  A text
+    that names a time binds it at every evaluation, and the stepper passes
+    it to its event table's functions first."""
+    time = text.time if text is not None else ""
+
     def evaluation(m):
-        indent, out, at = m.groups()
+        indent, out, node, at = m.groups()
         if text is None:
             return f"{indent}{out} = fun({at})"
-        return (f"{indent}{text.args} = ({at})\n{indent}{text.prelude}\n"
+        node = re.sub(r"C\d", lambda c: _NODES[c[0]], node)
+        bind = f"{indent}{time} = {node}\n" if time else ""
+        return (f"{bind}{indent}{text.args} = ({at})\n{indent}{text.prelude}\n"
                 f"{indent}{out} = {text.dy}, {text.dY}")
 
-    source = _FIELD_AT.sub(evaluation, _SEGMENT).replace(
-        "CONSTS", "fun" if text is None else text.consts)
+    source = _AT.sub(r"\1, " if time else "", _FIELD_AT.sub(evaluation, _SEGMENT))
+    source = source.replace("CONSTS", "fun" if text is None else text.consts)
     namespace: dict = {}
     exec(compile(source, "<rk45 segment>", "exec"), globals(), namespace)
     return namespace["segment"]

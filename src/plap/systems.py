@@ -22,10 +22,11 @@ Four auxiliary charts cover the ends of the phase plane:
 *  R_beta: chart R with s = beta S, used by the homoclinic connection
    function.
 
-Each chart's field is written once here.  The fields of charts S, Q and P,
-which the scalar stepper drives, are defined as source text, which compiles
-into their closures (``_s_rhs``, ``_qp_rhs``) and into the stepper's loop;
-``_r_rhs`` serves both R charts.  So is the one lift of charts Q, P and R to
+Each chart's field is written once here.  The fields the scalar stepper
+drives, charts S, Q and P and chart R in the time |g| of the double-zero
+launch, are defined as source text, which compiles into their closures
+(``_s_rhs``, ``_launch_rhs``) and into the stepper's loop; ``_r_rhs``
+serves both R charts in nu.  So is the one lift of charts Q, P and R to
 chart S (``_lift``, through y^{p-2} = ``_q``).  All operations here are pure
 closed forms; integration lives in :mod:`plap.integrate`.
 """
@@ -108,8 +109,9 @@ class ProfileSample:
 
 # A field the scalar stepper drives, defined once as source text: its
 # coordinates, the names of its constants, a prelude and the dy and dY
-# expressions, which compile into its closure and into the stepper's loop.
-_FieldText = namedtuple("_FieldText", "args consts prelude dy dY")
+# expressions, which compile into its closure and into the stepper's loop,
+# and the name of its time where the field reads one.
+_FieldText = namedtuple("_FieldText", "args consts prelude dy dY time", defaults=("",))
 _S_TEXT = _FieldText("y, Y", "e, mg, mgN, al, eps",
                      "ph = Y ** e if Y >= 0.0 else -((-Y) ** e)",
                      "mg * y - ph", "mgN * Y + eps * (al * y - ph)")
@@ -122,14 +124,28 @@ _Q_TEXT = _FieldText("zeta, sigma", "eta, N, pm1, al, eps", "",
 _P_TEXT = _FieldText("zeta, psi", "eta, N, pm1, al, eps", "",
                      "zeta * (zeta - eta + eps * (al - zeta) * psi / pm1)",
                      "psi * (N - zeta + eps * (zeta - al) * psi)")
+# Chart R in the time x = |g| = -eps g of the double-zero launch, where g
+# and s keep the sign -eps: the state is (ls, tau) = (ln|s|, tau), so s
+# keeps its relative accuracy as it falls toward 0 at large |g|.  The
+# rates of ``_r_rhs`` and d tau = g s d nu over dx/dnu = x den, with
+# eps (1 + al g) + (1 + N g) s written as eps (1 - |s|) - x (al - N |s|)
+# and 1 - |s| as -expm1(ls), which keeps d ls/dx accurate near the saddle
+# s = -eps; the prelude's names stay clear of the stepper's locals.
+_RX_TEXT = _FieldText("ls, tau", "eta, N, pm1, al, eps",
+                      "sa = math.exp(ls); gr = -eps * x; "
+                      "den = eps * (1.0 + al * gr) / pm1 - eps * sa * (1.0 + eta * gr)",
+                      "(eps * math.expm1(ls) + x * (al - N * sa)) / (x * den)",
+                      "sa / den", "x")
+_LAUNCH_TEXT = {"Q": _Q_TEXT, "P": _P_TEXT, "R": _RX_TEXT}
 
 
 @functools.lru_cache(maxsize=None)
 def _compiled(text: _FieldText):
     """``make(*consts)``: the field ``text`` on Python floats with its
     constants bound, a closure carrying both (``f.text``, ``f.consts``)."""
-    namespace = {"text": text}
-    exec(f"def make({text.consts}):\n    def f({text.args}):\n        {text.prelude}\n"
+    namespace = {"text": text, "math": math}
+    args = f"{text.time}, {text.args}" if text.time else text.args
+    exec(f"def make({text.consts}):\n    def f({args}):\n        {text.prelude}\n"
          f"        return {text.dy}, {text.dY}\n"
          f"    f.text, f.consts = text, ({text.consts},)\n    return f\n", namespace)
     return namespace["make"]
@@ -148,11 +164,12 @@ def _s_rhs(params: ProblemParams, direction: int):
         params.alpha, params.epsilon)
 
 
-def _qp_rhs(params: ProblemParams, chart: str):
-    """The field of chart Q or P on Python floats, from its text
-    (``field`` and the launch stepper evaluate it).  Chart Q raises
+def _launch_rhs(params: ProblemParams, chart: str):
+    """The field of a launch chart on Python floats, from its text: chart
+    Q or P (``field`` and the launch stepper evaluate it), or chart R in
+    the time |g| (``_RX_TEXT``, the double-zero launch).  Chart Q raises
     ``ZeroDivisionError`` at sigma = 0."""
-    return _compiled(_Q_TEXT if chart == "Q" else _P_TEXT)(
+    return _compiled(_LAUNCH_TEXT[chart])(
         derive_constants(params).eta, float(params.N), params.p - 1.0,
         params.alpha, params.epsilon)
 
@@ -160,8 +177,8 @@ def _qp_rhs(params: ProblemParams, chart: str):
 def _r_rhs(params: ProblemParams, b: float = 1.0):
     """Chart R at (g, S) with s = b S, on Python floats: ``b = 1`` is
     chart R and ``b = beta`` chart R_beta.  The one definition of both
-    (``field("R")``, ``field("R_beta")``, the chart-R launches and the
-    connection function evaluate it)."""
+    (``field("R")``, ``field("R_beta")``, the T_alpha launch and the
+    connection function evaluate it; ``_RX_TEXT`` writes it in |g|)."""
     eta, N, pm1 = derive_constants(params).eta, float(params.N), params.p - 1.0
     al, eps = params.alpha, params.epsilon
 
@@ -190,7 +207,7 @@ def field(chart_id: str, coords, params: ProblemParams) -> np.ndarray:
     if chart_id == "Q" and b == 0.0:
         raise ChartDomainError("chart Q requires sigma != 0")
     if chart_id in ("Q", "P"):
-        return np.array(_qp_rhs(params, chart_id)(a, b))
+        return np.array(_launch_rhs(params, chart_id)(a, b))
     if chart_id == "R_beta" and beta == 0.0:
         raise ChartDomainError("chart R_beta requires beta != 0")
     return np.array(_r_rhs(params, beta if chart_id == "R_beta" else 1.0)(a, b))

@@ -6,12 +6,14 @@ path from a launch to its S-chart orbit.  The launch expands the local
 invariant manifold of a degenerate or hyperbolic point in the chart
 where it is regular (Q, P or R), steps a small offset ``delta`` along
 the manifold, and integrates the chart's field from :mod:`plap.systems`
-(``_chart_phase``) until the hand-off event fires: the ordinate y,
-lifted from the chart point by y^{p-2} = ``systems._q``, reaches a fixed
-level.  Charts Q and P, and the corner charts of T_plus / T_minus, run
-on the scalar Dormand-Prince stepper of :mod:`plap.integrate`; chart R,
-where tau rides along as a third component and the T_alpha launch is
-stiff, runs through ``solve_ivp``.  Every launch counts its work against
+(``_chart_phase``, or ``_edge_phase`` for T_eps) until the hand-off event
+fires: the ordinate y, lifted from the chart point by y^{p-2} =
+``systems._q``, reaches a fixed level.  Charts Q and P, the corner charts
+of T_plus / T_minus and T_eps's chart R, in the time |g| with tau as its
+second component, run on the scalar Dormand-Prince stepper of
+:mod:`plap.integrate`; the stiff T_alpha launch runs through
+``solve_ivp``'s LSODA in chart R's time nu, tau as a third component.
+Every launch counts its work against
 ``IntegrationConfig.max_steps``.  ``_hand_off`` runs the launch, lifts
 every sample to (y, Y) by ``systems._lift`` (one that does not lift to a
 finite (y, Y) with y > 0 is an :class:`IntegrationError`; no sample is
@@ -60,7 +62,7 @@ from .integrate import (
     _rk45_segment,
     integrate_s,
 )
-from .systems import PhaseState, _lift, _q, _qp_rhs, _r_rhs, to_profile
+from .systems import PhaseState, _launch_rhs, _lift, _q, _r_rhs, to_profile
 
 
 DEFAULT_OFFSET = 1e-7
@@ -149,24 +151,24 @@ def _rising_hand_off(params: ProblemParams):
 
 
 # rhs evaluations of one attempted Dormand-Prince step: the budget of the
-# solve_ivp launches is what ``max_steps`` steps of the stepper may cost
+# solve_ivp launch is what ``max_steps`` steps of the stepper may cost
 _RHS_PER_STEP = 6
 
 
 def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
-                 span, stats: dict, goals=(), stops=(), *, method: str = "RK45"):
+                 span, stats: dict, goals=(), stops=()):
     """Integrate a launch chart from ``u0`` over ``span`` until it reaches
     its goal; returns the chart times and points ``(t, u)``, the last
     sample where the goal fired.
 
     Charts Q and P run on the scalar Dormand-Prince stepper (scipy's RK45
     rule, steps of at most 0.25), and their goal is the lifted ordinate
-    falling through the hand-off level.  Chart R, whose launches may be stiff, runs through
-    ``solve_ivp`` with ``method`` in its own time nu, carries tau (d tau =
-    g s d nu) as a third component and ends at one of the ``goals`` events.
-    ``stats`` accumulates the work; every attempted step (Q, P) counts
-    against ``cfg.max_steps``, every rhs evaluation (R) against
-    ``_RHS_PER_STEP * cfg.max_steps``.  Raises
+    falling through the hand-off level.  Chart R, the stiff T_alpha
+    launch, runs through ``solve_ivp``'s LSODA in its own time nu, carries
+    tau (d tau = g s d nu) as a third component and ends at one of the
+    ``goals`` events.  ``stats`` accumulates the work; every attempted
+    step (Q, P) counts against ``cfg.max_steps``, every rhs evaluation (R)
+    against ``_RHS_PER_STEP * cfg.max_steps``.  Raises
     :class:`IntegrationError` when the phase leaves the chart, fails,
     exhausts the budget, or ends at one of the ``stops``, a failure or the
     end of ``span`` before its goal."""
@@ -175,7 +177,7 @@ def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
         rows = [_SEvent(_HAND_EXPR[chart], -1, True)]
         table_fns = _event_values(rows, p=params.p,
                                   q_hand=_q_hand(params, grow=False))
-        rhs = _qp_rhs(params, chart)
+        rhs = _launch_rhs(params, chart)
         try:
             seg = _rk45_segment(rhs, span[0], span[1], float(u0[0]), float(u0[1]),
                                 cfg.rel_tol, atol, 0.25, rows, *table_fns,
@@ -206,7 +208,7 @@ def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
         return (dg, ds, g * s)
 
     try:
-        sol = solve_ivp(rhs, span, np.asarray(u0, dtype=float), method=method,
+        sol = solve_ivp(rhs, span, np.asarray(u0, dtype=float), method="LSODA",
                         rtol=cfg.rel_tol, atol=atol, events=[*goals, *stops])
     except ValueError as exc:
         # scipy's event root search on a zero-length step, where the
@@ -307,6 +309,34 @@ def shoot_regular(params: ProblemParams, config: Optional[IntegrationConfig] = N
 # ---------------------------------------------------------------------------
 # T_eps : the double-zero (compact-support edge) orbit
 
+# |g| where the T_eps launch ends short of the hand-off: the inverse-slope
+# chart is singular where w' = 0, so an orbit whose first extremum arrives
+# below the hand-off amplitude (a small limit cycle) leaves the chart there
+_G_EXIT = 1e6
+
+
+def _edge_phase(u0, params: ProblemParams, cfg: IntegrationConfig, stats: dict):
+    """The T_eps launch from the chart-R point ``u0`` = (g0, s0), on the
+    scalar stepper in the time |g| (``systems._RX_TEXT``) with the state
+    (ln|s|, tau) and tau = 0 at the start.  It ends where the lifted
+    ordinate rises through the hand-off level, or at |g| = ``_G_EXIT``.
+    Returns the chart times |g| and the points (g, s, tau); every attempted
+    step counts against ``cfg.max_steps``."""
+    eps = params.epsilon
+    # ln _q - ln q_hand at (x, y, Y) = (|g|, ln|s|, tau), rising
+    rows = [_SEvent("y + pm1 * log(x) - log_q", 1, True)]
+    table_fns = _event_values(rows, "x", pm1=params.p - 1.0, log=math.log,
+                              log_q=math.log(_q_hand(params, grow=True)))
+    try:
+        seg = _rk45_segment(_launch_rhs(params, "R"), abs(u0[0]), _G_EXIT,
+                            math.log(abs(u0[1])), 0.0, cfg.rel_tol,
+                            min(cfg.abs_tol, 1e-14), math.inf, rows, *table_fns,
+                            stats, cfg.max_steps, lambda x: f"? (|g| = {x!r})")
+    except (IntegrationError, ZeroDivisionError, OverflowError) as exc:
+        raise IntegrationError(f"launch phase in chart R: {exc}") from None
+    x = np.array(seg.t)
+    return x, np.array([-eps * x, -eps * np.exp(seg.y), seg.Y])
+
 
 def shoot_double_zero(params: ProblemParams, r_bar: float = 1.0,
                       config: Optional[IntegrationConfig] = None,
@@ -319,7 +349,8 @@ def shoot_double_zero(params: ProblemParams, r_bar: float = 1.0,
     rescaled time nu (d tau = g s d nu), has a saddle at (0, -eps) whose
     unstable eigenvector is ((2p-3)/(p-1), eps(N - alpha)); the orbit
     leaves it on the side g sign = -eps (support inside r < rbar for
-    eps = +1, outside r > rbar for eps = -1).  Near the saddle
+    eps = +1, outside r > rbar for eps = -1), and the scalar stepper
+    follows it in the time |g| (``_edge_phase``).  Near the saddle
     dg/dtau = (p-2)/(p-1) + o(1), so the edge time is
     tau_edge = tau0 - g0 (p-1)/(p-2) + O(g0^2); the orbit is translated
     so that the edge sits at ln(rbar).
@@ -332,22 +363,16 @@ def shoot_double_zero(params: ProblemParams, r_bar: float = 1.0,
 
     v = _unit(((2.0 * p - 3.0) / (p - 1.0), eps * (N - al)))
     d = -float(eps)
-    nu_span = (0.0, -eps * (80.0 * (p - 1.0) / (p - 2.0) + 100.0))
-    # the inverse-slope chart is singular where w' = 0; orbits whose first
-    # extremum arrives below the handoff amplitude (small limit cycles)
-    # must leave the chart before |g| blows up there
-    goals = [_rising_hand_off(params), _event(lambda nu, u: abs(u[0]) - 1e6, 1)]
     stats = _new_stats()
 
     def start(delta):
-        return (d * delta * v[0], -eps + d * delta * v[1], 0.0)
+        return (d * delta * v[0], -eps + d * delta * v[1])
 
     u0 = start(offset)
     meta: dict = {"kind": "T_eps", "r_bar": r_bar, "offset": offset,
                   "launch_chart": "R", "launch_coords": (float(u0[0]), float(u0[1]))}
     # tau runs away from the edge
-    traj = _hand_off(lambda delta: _chart_phase("R", start(delta), params, cfg,
-                                                nu_span, stats, goals),
+    traj = _hand_off(lambda delta: _edge_phase(start(delta), params, cfg, stats),
                      params, cfg, -eps, tau_span, meta, stats, offset, consistency_check)
 
     tau_edge_est = -float(u0[0]) * (p - 1.0) / (p - 2.0)
@@ -424,7 +449,7 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
         # explicit pair; LSODA switches to BDF there
         return _hand_off(lambda delta: _chart_phase(
             "R", start(delta), params, cfg, (0.0, direction * nu_max), stats,
-            [hand], [g_blowup], method="LSODA"),
+            [hand], [g_blowup]),
             params, cfg, direction, tau_span, meta, stats, offset, consistency_check)
 
     meta["launch_variant"] = "seeded"
@@ -444,7 +469,7 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
             try:
                 t, u = _chart_phase("R", (g_seed, s_mac, 0.0), params, cfg,
                                     (0.0, -direction * nu_max), stats, [near_A],
-                                    [g_blowup, s_flip], method="LSODA")
+                                    [g_blowup, s_flip])
             except IntegrationError:
                 if stats["rhs_evals"] > _RHS_PER_STEP * cfg.max_steps:
                     raise

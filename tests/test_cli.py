@@ -120,13 +120,14 @@ class TestShoot:
         # library's default (rerun included) returns
         monkeypatch.delenv("PLAP_CONFIG", raising=False)
         launches = []
-        chart_phase = trajectories._chart_phase
+        name = "_edge_phase" if kind == "T_eps" else "_chart_phase"
+        phase = getattr(trajectories, name)
 
         def counted(*args, **kwargs):
             launches.append(args[0])
-            return chart_phase(*args, **kwargs)
+            return phase(*args, **kwargs)
 
-        monkeypatch.setattr(trajectories, "_chart_phase", counted)
+        monkeypatch.setattr(trajectories, name, counted)
         out = tmp_path / "cli.csv"
         code, _, _ = run(capsys, "shoot", "--kind", kind, "--N", str(N),
                          "--p", f"{p:g}", "--alpha", f"{alpha:g}", "--eps", str(eps),
@@ -180,16 +181,22 @@ class TestShoot:
         assert message in err
         assert len(err.splitlines()) == code  # one "error:" line on failure
 
-    def test_launch_budget_is_declared(self, capsys, tmp_path, monkeypatch):
-        # the chart-R launch of T_eps stops at its rhs-evaluation budget
+    @pytest.mark.parametrize("kind, N, alpha, eps, message", [
+        # the LSODA launch of T_alpha stops at its rhs-evaluation budget
+        ("T_alpha", 1, -2.53, -1, "launch phase in chart R exceeded its budget"),
+        # the stepper launch of T_eps at its step budget
+        ("T_eps", 2, 1.0, 1, "launch phase in chart R: max_steps exceeded"),
+    ])
+    def test_launch_budget_is_declared(self, capsys, tmp_path, monkeypatch, kind,
+                                       N, alpha, eps, message):
         cfg = tmp_path / "plap.cfg"
         cfg.write_text("max_steps = 1\n")
         monkeypatch.setenv("PLAP_CONFIG", str(cfg))
-        code, _, err = run(capsys, "shoot", "--kind", "T_eps", "--N", "2",
-                           "--p", "3", "--alpha", "1", "--eps", "1",
+        code, _, err = run(capsys, "shoot", "--kind", kind, "--N", str(N),
+                           "--p", "3", "--alpha", f"{alpha:g}", "--eps", str(eps),
                            "--out", str(tmp_path / "x.csv"))
         assert code == 1
-        assert "launch phase in chart R exceeded its budget" in err
+        assert message in err
         assert len(err.splitlines()) == 1  # one "error:" line, no traceback
 
 

@@ -76,15 +76,15 @@ def test_recipe_fingerprint():
 CYCLES = {
     -4.0: {  # osc
         "O_r": (1.5007691148384916, 0.02285873716918111, -1.870128553414873, 132, 116),
-        "O_eps": (1.5007691148401348, 0.02285873717015068, -1.8701285534327172, 134, 116),
+        "O_eps": (1.50076911484044, 0.02285873717034122, -1.8701285534387282, 134, 116),
     },
     -2.53: {  # sou
         "O_r": (2.340115630969469, 0.019549999610192388, -1.6711544958107472, 85, 130),
-        "O_eps": (2.340115630969316, 0.01954999961028141, -1.6711544958052291, 85, 130),
+        "O_eps": (2.3401156309692888, 0.01954999961029284, -1.6711544958187519, 85, 130),
     },
     -2.1: {  # orb
         "O_alpha": (2.76687035258942, -0.008304600970643545, 0.4936886576693594, 72, 54),
-        "O_eps": (3.2186940732086136, 0.01619262896479972, -1.3265441373085107, 62, 142),
+        "O_eps": (3.218694073183276, 0.016192628966954347, -1.3265440124920431, 62, 142),
     },
     -2.0: {  # clin
         "O_r": (3.779740837120766, 0.014216165854395021, -0.9996444754110323, 53, 151),

@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from plap import trajectories
 from plap.integrate import IntegrationConfig, IntegrationError, _new_stats
 from plap.params import ParameterError, ProblemParams, derive_constants
-from plap.systems import field, oracle
+from plap.systems import _launch_rhs, _r_rhs, field, oracle
 from plap.trajectories import (
+    _G_EXIT,
     SpecialTrajectorySpec,
     _chart_phase,
+    _edge_phase,
     _q,
     _q_hand,
     shoot,
@@ -164,6 +167,93 @@ class TestDoubleZero:
         assert traj.termination == "time_span"
         assert np.max(np.abs(traj.ys[0])) < 0.05
 
+    def test_launch_makes_no_solve_ivp_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the T_eps launch called solve_ivp")
+
+        monkeypatch.setattr(trajectories, "solve_ivp", refuse)
+        traj = shoot_double_zero(ProblemParams(2, 3.0, 1.0, 1), tau_span=1.0)
+        assert "offset_consistency" in traj.meta
+
+    def test_launch_stats_count_the_launch(self):
+        st = shoot_double_zero(ProblemParams(1, 3.0, -2.53, -1),
+                               tau_span=1.0).meta["launch_stats"]
+        assert st["segments"] == 2  # the launch and its offset/2 rerun
+        assert st["accepted"] > 0
+        # two evaluations to start a segment, six per attempted step
+        assert st["rhs_evals"] == 2 * st["segments"] \
+            + 6 * (st["accepted"] + st["rejected"])
+
+    @staticmethod
+    def _solve(params, rhs, **options):
+        """The launch point (g0, s0) and a solve_ivp run of ``rhs`` in the
+        time |g| from it, on (ln|s|, tau), ended by the rising hand-off row
+        or at |g| = _G_EXIT."""
+        u0 = shoot_double_zero(params, tau_span=0.0,
+                               consistency_check=False).meta["launch_coords"]
+        log_q = math.log(_q_hand(params, grow=True))
+
+        def hand(t, v):
+            return v[0] + (params.p - 1.0) * math.log(t) - log_q
+
+        hand.terminal, hand.direction = True, 1
+        return u0, solve_ivp(rhs, (abs(u0[0]), _G_EXIT), [math.log(abs(u0[1])), 0.0],
+                             events=[hand], **options)
+
+    def test_launch_replicates_scipy_rk45(self):
+        # the stepper in the time |g| against solve_ivp's RK45 on the same
+        # field and hand-off row: the time of every stage is bound as
+        # scipy binds it, so the steps agree up to rounding.  The error
+        # estimate cancels to a few digits, which sets the step sizes
+        # apart: measured, the times part by 3e-8 of their size and the
+        # hand-off point by 2e-16
+        params, cfg, stats = ProblemParams(1, 3.0, -2.53, -1), IntegrationConfig(), _new_stats()
+        f = _launch_rhs(params, "R")
+        u0, ref = self._solve(params, lambda t, v: f(t, *v), method="RK45",
+                              rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14))
+        x, u = _edge_phase(u0, params, cfg, stats)
+        assert ref.status == 1
+        assert stats["accepted"] == ref.t.size - 1
+        assert stats["rhs_evals"] == ref.nfev
+        tol = 1e-6
+        assert np.max(np.abs(x - ref.t) / ref.t) <= tol
+        for got, want in ((np.log(np.abs(u[1])), ref.y[0]), (u[2], ref.y[1])):
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+            assert abs(got[-1] - want[-1]) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("params, exits", [
+        ((2, 3.0, 1.0, -1), False), ((1, 3.0, 2.0, -1), False),
+        ((2, 2.5, 1.0, 1), False), ((1, 2.05, 1.0, 1), False),
+        ((3, 6.0, -1.0, 1), False), ((2, 4.0, -5.0, 1), False),
+        ((1, 2.5, -3.0, -1), False), ((3, 3.0, 2.0, -1), False),
+        ((2, 6.0, 1.0, 1), False),
+        ((3, 2.05, 10.0, 1), True), ((1, 3.0, -8.0, -1), True),
+        ((2, 4.0, 7.0, 1), True)])
+    def test_launch_meets_a_tight_reference(self, params, exits):
+        # a DOP853 solve at rtol 1e-13 in the time |g|, from the chart-R
+        # rates in nu: the launch ends where it does, at the hand-off or at
+        # |g| = _G_EXIT, with tau within 1e-7 and, at _G_EXIT, the lifted
+        # y within 1e-4
+        params = ProblemParams(*params)
+        p, eps = params.p, params.epsilon
+        r_field = _r_rhs(params)
+
+        def rhs(t, v):
+            g, s = -eps * t, -eps * math.exp(v[0])
+            dg, ds = r_field(g, s)
+            return [ds / (s * -eps * dg), g * s / (-eps * dg)]
+
+        u0, ref = self._solve(params, rhs, method="DOP853", rtol=1e-13, atol=1e-16)
+        x, u = _edge_phase(u0, params, IntegrationConfig(), _new_stats())
+        assert ref.status == (0 if exits else 1)
+        assert (x[-1] == _G_EXIT) == exits
+        tau_ref = ref.y[1, -1]
+        assert abs(u[2, -1] - tau_ref) <= 1e-7 * abs(tau_ref)
+        if exits:
+            y_ref = (math.exp(ref.y[0, -1]) * _G_EXIT ** (p - 1.0)) ** (1.0 / (p - 2.0))
+            y = (abs(u[1, -1]) * _G_EXIT ** (p - 1.0)) ** (1.0 / (p - 2.0))
+            assert abs(y - y_ref) <= 1e-4 * y_ref
+
 
 class TestAlgebraicDecay:
     def test_decay_exponent(self):
@@ -281,25 +371,24 @@ class TestBoundedSlopeFamily:
 
 
 class TestLaunchBudget:
-    """The launches stop at their budget: the solve_ivp launches of chart R
-    at ``6 * max_steps`` rhs evaluations, the corner charts of the
-    flat-limit family, on the stepper, at ``max_steps`` attempted steps."""
+    """The launches stop at their budget: the solve_ivp launch of T_alpha
+    at ``6 * max_steps`` rhs evaluations, the stepper launches (T_eps in
+    chart R, the corner charts of the flat-limit family) at ``max_steps``
+    attempted steps."""
 
-    BUDGET_MESSAGE = {"launch phase in chart R": " exceeded its budget of 6 rhs "
-                                                 "evaluations",
-                      "flat-limit corner chart": ": max_steps exceeded"}
+    SOLVE_IVP = "launch phase in chart R exceeded its budget of 6 rhs evaluations"
 
-    @pytest.mark.parametrize("kind, params, what", [
-        ("T_eps", (2, 3.0, 1.0, 1), "launch phase in chart R"),
-        ("T_alpha", (1, 3.0, -2.53, -1), "launch phase in chart R"),  # manifold
-        ("T_alpha", (1, 3.0, -4.0, -1), "launch phase in chart R"),   # seeded
-        ("T_plus", (1, 3.0, 1.0, 1), "flat-limit corner chart"),      # p > N
-        ("T_plus", (2, 3.0, 1.0, 1), "flat-limit corner chart"),      # p > N
-        ("T_plus", (3, 3.0, 1.0, 1), "flat-limit corner chart"),      # p = N
+    @pytest.mark.parametrize("kind, params, message", [
+        ("T_eps", (2, 3.0, 1.0, 1), "launch phase in chart R: max_steps exceeded"),
+        ("T_alpha", (1, 3.0, -2.53, -1), SOLVE_IVP),  # manifold
+        ("T_alpha", (1, 3.0, -4.0, -1), SOLVE_IVP),   # seeded
+        ("T_plus", (1, 3.0, 1.0, 1), "flat-limit corner chart: max_steps exceeded"),  # p > N
+        ("T_plus", (2, 3.0, 1.0, 1), "flat-limit corner chart: max_steps exceeded"),  # p > N
+        ("T_plus", (3, 3.0, 1.0, 1), "flat-limit corner chart: max_steps exceeded"),  # p = N
     ])
-    def test_small_budget_raises(self, kind, params, what):
+    def test_small_budget_raises(self, kind, params, message):
         cfg = IntegrationConfig(max_steps=1)
-        with pytest.raises(IntegrationError, match=what + self.BUDGET_MESSAGE[what]):
+        with pytest.raises(IntegrationError, match=message):
             shoot(SpecialTrajectorySpec(kind), ProblemParams(*params), cfg,
                   tau_span=1.0)
 
@@ -428,7 +517,10 @@ class TestDispatch:
 # Launch fingerprints, recorded before the shootings shared one launch
 # pipeline: the seven kinds of the benchmark's ``plap shoot`` runs (default
 # span), the seeded T_alpha variant and the T_eps launch that leaves its
-# chart at |g| = 1e6 instead of reaching the hand-off level.
+# chart at |g| = 1e6 instead of reaching the hand-off level.  The two T_eps
+# rows were recorded again when their launch moved onto the stepper in the
+# time |g| (``TestDoubleZero.test_launch_meets_a_tight_reference`` checks
+# that launch against a reference solve).
 # (kind, (N, p, alpha, eps), tau_span, termination, event kinds, samples,
 #  first (tau, y, Y), last (tau, y, Y), offset_consistency)
 LAUNCH_PINS = [
@@ -437,10 +529,10 @@ LAUNCH_PINS = [
      (0.7304111535421445, 1.0000000000021017e-06, 1.0000000000000857e-06),
      6.938893903907228e-18),
     ("T_eps", (2, 3.0, 1.0, 1), None, "escape",
-     ["double_zero_capture", "escape_to_infinity"], 427,
+     ["double_zero_capture", "escape_to_infinity"], 289,
      (-1.6641005886756875e-07, 6.923077307100137e-15, 6.923077691123372e-15),
-     (-6.336842466643373, 42391311.144646406, 999999999101.489),
-     3.786412597219268e-09),
+     (-6.33684247535362, 42391311.04302812, 999999999101.4889),
+     1.7269020705260685e-10),
     ("T_alpha", (1, 3.0, -2.53, -1), None, "captured:M_ell", ["stationary_capture"], 824,
      (0.0, 1.4094976222207906e-08, -1.271656549156323e-15),
      (-40.2786800901344, 0.013055543116470959, -0.00153402352690183),
@@ -468,10 +560,10 @@ LAUNCH_PINS = [
      (30.0, 0.004542515370384248, -0.02444020147735241),
      0.0),
     ("T_eps", (1, 3.0, -4.0, -1), 30.0, "time_span",
-     ["Y_zero_crossing", "double_zero_capture", "y_zero_crossing"], 2710,
+     ["Y_zero_crossing", "double_zero_capture", "y_zero_crossing"], 2458,
      (5.7469577113269076e-08, 8.256879943079212e-16, -8.256879152213548e-16),
-     (30.654276777394006, 0.025004204450657774, 0.005653156302576024),
-     0.012202438898384571),
+     (30.65427678069066, 0.025004194826113754, 0.005653166080366462),
+     1.576553475886955e-22),
 ]
 
 
