@@ -13,9 +13,9 @@ and
 is smooth in y and integrable in Y across 0.  The solve takes one RK45 step
 to the axis and one beyond it, so no stage straddles the Hölder point; a
 dY/dtau that vanishes or turns in the band abandons it.  The crossing is
-a ``Y_zero_crossing`` event, the end state of the step on the axis (a
-solve whose first step is rejected runs again with a dense output, read
-at Y = 0), and the stepper resumes on the far side.
+a ``Y_zero_crossing`` event, the end state of the step on the axis (the
+solve's dense output at Y = 0 when its first step is rejected), and the
+stepper resumes on the far side.
 
 Between the bands, chart S is integrated by a scalar Dormand-Prince 5(4)
 stepper on Python floats (``_rk45_segment``), compiled once per field
@@ -58,7 +58,7 @@ import numpy as np
 from scipy.integrate import RK45, solve_ivp
 from scipy.optimize import brentq
 
-from .params import ProblemParams, derive_constants, m_ell_point
+from .params import ParameterError, ProblemParams, derive_constants, m_ell_point
 from .systems import PhaseState, _s_rhs, field, phi_Y
 
 
@@ -191,9 +191,9 @@ def _m_ell_attracting_direction(params: ProblemParams) -> int:
 def _cross_axis(y0: float, Y0: float, tau0: float,
                 params: ProblemParams, cfg: IntegrationConfig):
     """Integrate across {Y = 0} using Y as the independent variable; over
-    (Y0, -Y0) with ``first_step`` and ``max_step`` |Y0|, the first step ends
-    exactly on the axis and its end state is the crossing, unless it is
-    rejected: then the solve runs again with a dense output, read at Y = 0.
+    (Y0, -Y0) with ``first_step`` and ``max_step`` |Y0|, one solve with a
+    dense output: the crossing is the end state of the step that ends on
+    the axis, or the dense output at Y = 0 when the first step is rejected.
 
     Returns (samples_tau, samples_y, samples_Y, event), the event marking
     the exact crossing, or None when the crossing is degenerate (y too
@@ -213,17 +213,15 @@ def _cross_axis(y0: float, Y0: float, tau0: float,
             raise ZeroDivisionError  # dY/dtau vanished or turned
         return [f1 / den, 1.0 / den]
 
-    opts = dict(method="RK45", rtol=min(cfg.rel_tol, 1e-10), atol=cfg.abs_tol,
-                first_step=abs(Y0), max_step=abs(Y0))
     try:
-        sol = solve_ivp(rhs, (Y0, -Y0), [y0, tau0], **opts)
-        if sol.success and sol.t[1] != 0.0:
-            sol = solve_ivp(rhs, (Y0, -Y0), [y0, tau0], dense_output=True, **opts)
+        sol = solve_ivp(rhs, (Y0, -Y0), [y0, tau0], method="RK45",
+                        rtol=min(cfg.rel_tol, 1e-10), atol=cfg.abs_tol,
+                        first_step=abs(Y0), max_step=abs(Y0), dense_output=True)
     except ZeroDivisionError:
         return None
     if not sol.success:
         return None
-    y_mid, tau_mid = sol.y[:, 1] if sol.sol is None else sol.sol(0.0)
+    y_mid, tau_mid = sol.y[:, 1] if sol.t[1] == 0.0 else sol.sol(0.0)
     ev = Event("Y_zero_crossing", float(tau_mid), PhaseState(float(tau_mid), float(y_mid), 0.0))
     return sol.y[1], sol.y[0], sol.t, ev
 
@@ -611,11 +609,12 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
     and ``double_zero_capture``.  The returned trajectory's
     ``meta["stats"]`` counts the stepper's work: ``rhs_evals``,
     ``accepted`` and ``rejected`` steps, and ``segments`` (solver starts);
-    the axis crossings are not in it.
+    the axis crossings are not in it.  A ``direction`` other than +-1 or a
+    negative or NaN ``tau_span`` is a :class:`ParameterError`.
     """
     cfg = config or IntegrationConfig()
     if direction not in (1, -1):
-        raise ValueError("direction must be +1 or -1")
+        raise ParameterError("direction must be +1 or -1")
     if not all(map(math.isfinite, (initial.tau, initial.y, initial.Y))):
         raise IntegrationError(f"non-finite initial state {initial}")
     if initial.y == 0.0 and initial.Y == 0.0:
@@ -625,7 +624,7 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
     span = tau_span if tau_span is not None else cfg.max_time_span
     span = min(span, cfg.max_time_span)
     if not span >= 0.0:
-        raise ValueError("tau_span must be non-negative")
+        raise ParameterError("tau_span must be non-negative")
     f = _s_rhs(params, direction)
 
     def tau_of(s):

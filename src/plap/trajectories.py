@@ -6,9 +6,9 @@ path from a launch to its S-chart orbit.  The launch expands the local
 invariant manifold of a degenerate or hyperbolic point in the chart
 where it is regular (Q, P or R), steps a small offset ``delta`` along
 the manifold, and integrates the chart's field from :mod:`plap.systems`
-(``_chart_phase``, or ``_edge_phase`` for T_eps) until the hand-off event
-fires: the ordinate y, lifted from the chart point by y^{p-2} =
-``systems._q``, reaches a fixed level.  Charts Q and P, the corner charts
+(``_chart_phase``; ``_edge_phase`` for T_eps, ``_stiff_phase`` for
+T_alpha) until the hand-off event fires: the ordinate y, lifted from the
+chart point by y^{p-2} = ``systems._q``, reaches a fixed level.  Charts Q and P, the corner charts
 of T_plus / T_minus and T_eps's chart R, in the time |g| with tau as its
 second component, run on the scalar Dormand-Prince stepper of
 :mod:`plap.integrate`; the stiff T_alpha launch runs through
@@ -122,12 +122,6 @@ def _unit(v):
     return v / float(np.hypot(v[0], v[1]))
 
 
-def _event(fn, direction: int = 0):
-    """Mark ``fn(t, u)`` as a terminal ``solve_ivp`` event."""
-    fn.terminal, fn.direction = True, direction
-    return fn
-
-
 def _q_hand(params: ProblemParams, grow: bool) -> float:
     """y^{p-2} at the ordinate where a launch phase hands off to chart S.
 
@@ -143,83 +137,32 @@ def _q_hand(params: ProblemParams, grow: bool) -> float:
     return y_hand ** (params.p - 2.0)
 
 
-def _rising_hand_off(params: ProblemParams):
-    """The terminal ``solve_ivp`` event where the chart-R ordinate rises
-    through the hand-off level."""
-    p, q_hand = params.p, _q_hand(params, grow=True)
-    return _event(lambda t, u: _q("R", u[0], u[1], p) - q_hand, 1)
-
-
-# rhs evaluations of one attempted Dormand-Prince step: the budget of the
-# solve_ivp launch is what ``max_steps`` steps of the stepper may cost
-_RHS_PER_STEP = 6
-
-
 def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
-                 span, stats: dict, goals=(), stops=()):
-    """Integrate a launch chart from ``u0`` over ``span`` until it reaches
-    its goal; returns the chart times and points ``(t, u)``, the last
-    sample where the goal fired.
-
-    Charts Q and P run on the scalar Dormand-Prince stepper (scipy's RK45
-    rule, steps of at most 0.25), and their goal is the lifted ordinate
-    falling through the hand-off level.  Chart R, the stiff T_alpha
-    launch, runs through ``solve_ivp``'s LSODA in its own time nu, carries
-    tau (d tau = g s d nu) as a third component and ends at one of the
-    ``goals`` events.  ``stats`` accumulates the work; every attempted
-    step (Q, P) counts against ``cfg.max_steps``, every rhs evaluation (R)
-    against ``_RHS_PER_STEP * cfg.max_steps``.  Raises
-    :class:`IntegrationError` when the phase leaves the chart, fails,
-    exhausts the budget, or ends at one of the ``stops``, a failure or the
-    end of ``span`` before its goal."""
+                 span, stats: dict):
+    """Integrate chart Q or P from ``u0`` over ``span`` on the scalar
+    Dormand-Prince stepper (scipy's RK45 rule, steps of at most 0.25)
+    until the lifted ordinate falls through the hand-off level; returns
+    the chart times and points ``(t, u)``, the last sample on the level.
+    ``stats`` accumulates the work, and every attempted step counts
+    against ``cfg.max_steps``.  Raises :class:`IntegrationError` when the
+    phase leaves the chart, exhausts the budget or ends at the end of
+    ``span`` before the level."""
     atol = min(cfg.abs_tol, 1e-14)
-    if chart != "R":
-        rows = [_SEvent(_HAND_EXPR[chart], -1, True)]
-        table_fns = _event_values(rows, p=params.p,
-                                  q_hand=_q_hand(params, grow=False))
-        rhs = _launch_rhs(params, chart)
-        try:
-            seg = _rk45_segment(rhs, span[0], span[1], float(u0[0]), float(u0[1]),
-                                cfg.rel_tol, atol, 0.25, rows, *table_fns,
-                                stats, cfg.max_steps)
-        except ZeroDivisionError as exc:
-            raise IntegrationError(f"launch phase in chart {chart} left the chart: "
-                                   f"{exc}") from None
-        if seg.terminal is None:
-            raise IntegrationError(
-                f"launch phase in chart {chart} never reached the handoff section")
-        return np.array(seg.t), np.array([seg.y, seg.Y])
-
-    r_field = _r_rhs(params)
-    budget = _RHS_PER_STEP * cfg.max_steps
-    stats["segments"] += 1
-
-    def rhs(t, u):
-        stats["rhs_evals"] += 1
-        if stats["rhs_evals"] > budget:
-            raise IntegrationError(f"launch phase in chart R exceeded its budget of "
-                                   f"{budget} rhs evaluations (max_steps = "
-                                   f"{cfg.max_steps})")
-        g, s = float(u[0]), float(u[1])
-        if not (math.isfinite(g) and math.isfinite(s)):
-            raise IntegrationError(f"launch phase in chart R left the chart: "
-                                   f"non-finite coordinates {(g, s)!r}")
-        dg, ds = r_field(g, s)
-        return (dg, ds, g * s)
-
+    rows = [_SEvent(_HAND_EXPR[chart], -1, True)]
+    table_fns = _event_values(rows, p=params.p,
+                              q_hand=_q_hand(params, grow=False))
+    rhs = _launch_rhs(params, chart)
     try:
-        sol = solve_ivp(rhs, span, np.asarray(u0, dtype=float), method="LSODA",
-                        rtol=cfg.rel_tol, atol=atol, events=[*goals, *stops])
-    except ValueError as exc:
-        # scipy's event root search on a zero-length step, where the
-        # event function has blown up
-        raise IntegrationError(f"launch phase in chart {chart} failed: {exc}") from None
-    if sol.status == -1:
-        raise IntegrationError(f"launch phase in chart {chart} failed: {sol.message}")
-    if sol.status != 1 or not any(te.size for te in sol.t_events[:len(goals)]):
+        seg = _rk45_segment(rhs, span[0], span[1], float(u0[0]), float(u0[1]),
+                            cfg.rel_tol, atol, 0.25, rows, *table_fns,
+                            stats, cfg.max_steps)
+    except ZeroDivisionError as exc:
+        raise IntegrationError(f"launch phase in chart {chart} left the chart: "
+                               f"{exc}") from None
+    if seg.terminal is None:
         raise IntegrationError(
             f"launch phase in chart {chart} never reached the handoff section")
-    return sol.t, sol.y
+    return np.array(seg.t), np.array([seg.y, seg.Y])
 
 
 def _hand_off(phase, params: ProblemParams, cfg: IntegrationConfig, direction: int,
@@ -390,6 +333,60 @@ def shoot_double_zero(params: ProblemParams, r_bar: float = 1.0,
 # T_alpha : the algebraic-decay orbit
 
 
+def _event(fn, direction: int = 0):
+    """Mark ``fn(t, u)`` as a terminal ``solve_ivp`` event."""
+    fn.terminal, fn.direction = True, direction
+    return fn
+
+
+# rhs evaluations of one attempted Dormand-Prince step: the budget of the
+# solve_ivp launch is what ``max_steps`` steps of the stepper may cost
+_RHS_PER_STEP = 6
+
+
+def _stiff_phase(u0, params: ProblemParams, cfg: IntegrationConfig, span,
+                 stats: dict, goals, stops):
+    """The T_alpha launch from the chart-R point ``u0`` = (g0, s0, tau0)
+    over ``span``, through ``solve_ivp``'s LSODA in chart R's time nu with
+    tau (d tau = g s d nu) as a third component, until one of the
+    ``goals`` events fires; returns the chart times and points ``(t, u)``.
+    ``stats`` accumulates the work, and every rhs evaluation counts
+    against ``_RHS_PER_STEP * cfg.max_steps``.  Raises
+    :class:`IntegrationError` when the phase leaves the chart, fails,
+    exhausts the budget, or ends at one of the ``stops``, a failure or
+    the end of ``span`` before a goal."""
+    r_field = _r_rhs(params)
+    budget = _RHS_PER_STEP * cfg.max_steps
+    stats["segments"] += 1
+
+    def rhs(t, u):
+        stats["rhs_evals"] += 1
+        if stats["rhs_evals"] > budget:
+            raise IntegrationError(f"launch phase in chart R exceeded its budget of "
+                                   f"{budget} rhs evaluations (max_steps = "
+                                   f"{cfg.max_steps})")
+        g, s = float(u[0]), float(u[1])
+        if not (math.isfinite(g) and math.isfinite(s)):
+            raise IntegrationError(f"launch phase in chart R left the chart: "
+                                   f"non-finite coordinates {(g, s)!r}")
+        dg, ds = r_field(g, s)
+        return (dg, ds, g * s)
+
+    try:
+        sol = solve_ivp(rhs, span, np.asarray(u0, dtype=float), method="LSODA",
+                        rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14),
+                        events=[*goals, *stops])
+    except ValueError as exc:
+        # scipy's event root search on a zero-length step, where the
+        # event function has blown up
+        raise IntegrationError(f"launch phase in chart R failed: {exc}") from None
+    if sol.status == -1:
+        raise IntegrationError(f"launch phase in chart R failed: {sol.message}")
+    if sol.status != 1 or not any(te.size for te in sol.t_events[:len(goals)]):
+        raise IntegrationError("launch phase in chart R never reached the handoff section")
+    return sol.t, sol.y
+
+
 def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = None,
                   *, offset: float = DEFAULT_OFFSET,
                   tau_span: Optional[float] = None,
@@ -437,7 +434,8 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
     away_rate = direction * (-eps) / (p - 1.0)
 
     if away_rate < 0.0:
-        hand = _rising_hand_off(params)
+        q_hand = _q_hand(params, grow=True)
+        hand = _event(lambda nu, u: _q("R", u[0], u[1], p) - q_hand, 1)
 
         def start(delta):
             return (A[0] + d * delta * v[0], A[1] + d * delta * v[1], 0.0)
@@ -447,8 +445,8 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
         meta["launch_coords"] = (float(u0[0]), float(u0[1]))
         # the transverse mode makes the slow center traverse stiff for an
         # explicit pair; LSODA switches to BDF there
-        return _hand_off(lambda delta: _chart_phase(
-            "R", start(delta), params, cfg, (0.0, direction * nu_max), stats,
+        return _hand_off(lambda delta: _stiff_phase(
+            start(delta), params, cfg, (0.0, direction * nu_max), stats,
             [hand], [g_blowup]),
             params, cfg, direction, tau_span, meta, stats, offset, consistency_check)
 
@@ -467,7 +465,7 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
         for _ in range(24):
             g_seed = A[0] + (v[0] / v[1]) * s_mac
             try:
-                t, u = _chart_phase("R", (g_seed, s_mac, 0.0), params, cfg,
+                t, u = _stiff_phase((g_seed, s_mac, 0.0), params, cfg,
                                     (0.0, -direction * nu_max), stats, [near_A],
                                     [g_blowup, s_flip])
             except IntegrationError:

@@ -120,7 +120,7 @@ class TestShoot:
         # library's default (rerun included) returns
         monkeypatch.delenv("PLAP_CONFIG", raising=False)
         launches = []
-        name = "_edge_phase" if kind == "T_eps" else "_chart_phase"
+        name = {"T_eps": "_edge_phase", "T_alpha": "_stiff_phase"}.get(kind, "_chart_phase")
         phase = getattr(trajectories, name)
 
         def counted(*args, **kwargs):

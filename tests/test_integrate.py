@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 from scipy.integrate import RK45, solve_ivp
 
-from plap.params import ProblemParams, derive_constants, m_ell_point
+from plap.params import ParameterError, ProblemParams, derive_constants, m_ell_point
 from plap.systems import PhaseState, _P_TEXT, _Q_TEXT, _s_rhs, oracle, phi_Y
 from plap.trajectories import SpecialTrajectorySpec, shoot, shoot_regular
 from plap.integrate import (
@@ -252,50 +252,67 @@ class TestAxisCrossing:
         assert np.max(np.abs(traj.ys[:, -1] - end)) <= 2e-7 * max(1.0, np.max(np.abs(end)))
 
     def test_event_is_the_on_axis_step(self, osc_crossings):
-        # every first step ends on the axis, so no solve keeps a dense
-        # output, and the event is that step's end state: the bits the
-        # dense output gave there
+        # every solve keeps a dense output; every first step ends on the
+        # axis, and the event is that step's end state: the bits the dense
+        # output gives there
         traj, calls = osc_crossings
         events = [e for e in traj.events if e.kind == "Y_zero_crossing"]
         for ev, (span, start, sol, fun, opts) in zip(events, calls, strict=True):
-            assert "dense_output" not in opts and sol.sol is None
+            assert opts["dense_output"] is True and sol.t[1] == 0.0
             assert _event_state(ev) == sol.y[:, 1].tolist()
-            dense = solve_ivp(fun, span, start, dense_output=True, **opts)
-            assert _event_state(ev) == dense.sol(0.0).tolist()
+            assert _event_state(ev) == sol.sol(0.0).tolist()
 
-    def test_rejected_first_step_reads_the_dense_output(self, monkeypatch):
-        # a criterion-8 draw at loose tolerances whose crossings include
-        # first steps that are rejected: those solve again with a dense
-        # output, and the event is its value on the axis
-        orbits = []  # the shooting's S-chart orbit, before its tau shift
+    @staticmethod
+    def _loose_orbit(monkeypatch):
+        """A criterion-8 draw at loose tolerances whose crossings include
+        first steps that are rejected: the shooting's S-chart orbit, before
+        its tau shift."""
+        orbits = []
+        real = sys.modules["plap.trajectories"].integrate_s
 
         def recorded(*args, **kwargs):
-            orbits.append(integrate_s(*args, **kwargs))
+            orbits.append(real(*args, **kwargs))
             return orbits[-1]
 
         monkeypatch.setattr(sys.modules["plap.trajectories"], "integrate_s", recorded)
-        cfg = IntegrationConfig(rel_tol=1e-6, abs_tol=1e-9)
-        _, calls = _recorded_crossings(lambda: shoot_regular(
-            ProblemParams(3, 2.803964977677713, 8.654846463549482, 1),
-            config=cfg, tau_span=30.0, consistency_check=False))
+        shoot_regular(ProblemParams(3, 2.803964977677713, 8.654846463549482, 1),
+                      config=IntegrationConfig(rel_tol=1e-6, abs_tol=1e-9),
+                      tau_span=30.0, consistency_check=False)
         (traj,) = orbits
-        crossings = []
-        for span, start, sol, fun, opts in calls:
-            if opts.pop("dense_output", False):
-                assert crossings[-1][:2] == (span, start) and sol.t[1] != 0.0
-                crossings[-1] = (span, start, sol, fun, opts)
-            else:
-                crossings.append((span, start, sol, fun, opts))
-        reruns = len(calls) - len(crossings)
-        assert reruns > 0
+        return traj
+
+    def test_rejected_first_step_reads_the_dense_output(self, monkeypatch):
+        # where the first step is rejected, the event is the solve's dense
+        # output on the axis; elsewhere it is the on-axis step's end state
+        traj, calls = _recorded_crossings(lambda: self._loose_orbit(monkeypatch))
+        assert any(sol.t[1] != 0.0 for _, _, sol, *_ in calls)
         events = [e for e in traj.events if e.kind == "Y_zero_crossing"]
-        for ev, (span, start, sol, fun, opts) in zip(events, crossings, strict=True):
-            if sol.sol is None:
-                assert sol.t[1] == 0.0
+        for ev, (span, start, sol, fun, opts) in zip(events, calls, strict=True):
+            if sol.t[1] == 0.0:
                 assert _event_state(ev) == sol.y[:, 1].tolist()
             else:
-                direct = solve_ivp(fun, span, start, dense_output=True, **opts)
+                direct = solve_ivp(fun, span, start, **opts)
                 assert _event_state(ev) == direct.sol(0.0).tolist()
+
+    def test_one_solve_per_crossing(self, monkeypatch):
+        # a crossing whose first step is rejected is not solved again
+        real_cross, real_solve = integrate_mod._cross_axis, integrate_mod.solve_ivp
+        per_crossing, solves = [], []
+
+        def counted_solve(*args, **kwargs):
+            per_crossing[-1] += 1
+            solves.append(real_solve(*args, **kwargs))
+            return solves[-1]
+
+        def counted_cross(*args, **kwargs):
+            per_crossing.append(0)
+            return real_cross(*args, **kwargs)
+
+        monkeypatch.setattr(integrate_mod, "_cross_axis", counted_cross)
+        monkeypatch.setattr(integrate_mod, "solve_ivp", counted_solve)
+        self._loose_orbit(monkeypatch)
+        assert any(sol.t[1] != 0.0 for sol in solves)
+        assert max(per_crossing) == 1
 
     def test_refused_first_crossing_keeps_the_start(self):
         # the orbit's first action is a crossing whose transversality test
@@ -513,6 +530,16 @@ class TestConfig:
     def test_tolerances_are_positive_and_finite(self, name, value):
         with pytest.raises(ValueError, match=f"IntegrationConfig.{name}"):
             IntegrationConfig(**{name: value})
+
+    @pytest.mark.parametrize("direction", [0, 2, -2])
+    def test_direction_is_a_parameter_error(self, direction):
+        with pytest.raises(ParameterError, match="direction must be"):
+            integrate_s(PhaseState(0.0, 0.05, 0.0), OSC, direction=direction)
+
+    @pytest.mark.parametrize("tau_span", [-1.0, math.nan])
+    def test_tau_span_is_a_parameter_error(self, tau_span):
+        with pytest.raises(ParameterError, match="tau_span must be"):
+            integrate_s(PhaseState(0.0, 0.05, 0.0), OSC, tau_span=tau_span)
 
 
 class TestStepper:
