@@ -57,7 +57,8 @@ from .integrate import (
     _rk45_segment,
     integrate_s,
 )
-from .systems import PhaseState, _r_rhs, phi_Y
+from .systems import (PhaseState, _decay_manifold, _manifold_reach, _r_rhs, _series,
+                      phi_Y)
 from . import trajectories as traj_mod
 
 
@@ -494,41 +495,6 @@ def detect_limit_cycle(trajectory: Trajectory, params: ProblemParams,
 # the connection function and the critical exponent
 
 
-def _decay_manifold(params: ProblemParams) -> list[float]:
-    """[m_1, ..., m_10]: the order-10 power series S = sum m_k x^k,
-    x = g - 1/|alpha|, of the center manifold of the algebraic-decay point
-    A' = (1/|alpha|, 0) in chart R_beta (epsilon = -1, alpha != eta).
-
-    With g = g_A + x, 1 + alpha g = alpha x, and chart R_beta's field
-    (``systems._r_rhs`` at b = beta) is the polynomial pair
-
-        dg/dnu = (g_A + x) u,   u = beta (c + eta x) S - alpha x / (p - 1),
-        dS/dnu = alpha x S - beta (1 + N g_A + N x) S^2,
-
-    with c = 1 + eta g_A.  Matching x^n in the invariance equation
-    S'(x) dg/dnu = dS/dnu, the center direction is u_1 = 0 (m_1), and
-    order n fixes u_n, hence m_n, from the lower orders in O(n) operations
-    (J. Carr, *Applications of Centre Manifold Theory*, 1981).  The series
-    is asymptotic, not convergent: its coefficients grow about factorially.
-    """
-    dc = derive_constants(params)
-    al, N, beta, eta = params.alpha, float(params.N), dc.beta, dc.eta
-    g_A = -1.0 / al
-    c = 1.0 + eta * g_A
-    b1, b2 = beta * (1.0 + N * g_A), beta * N
-    # lists indexed by the power of x: m (S), u, G (dg/dnu), sq (S^2)
-    m = [0.0, al / ((params.p - 1.0) * beta * c)]
-    u, G, sq = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
-    for n in range(2, 11):
-        sq.append(sum(m[i] * m[n - i] for i in range(1, n)))
-        rest = (al * m[n - 1] - b1 * sq[n] - b2 * sq[n - 1] - m[1] * u[n - 1]
-                - sum((n + 1 - i) * m[n + 1 - i] * G[i] for i in range(2, n)))
-        u.append(rest / (m[1] * g_A))
-        m.append((u[n] - beta * eta * m[n - 1]) / (beta * c))
-        G.append(g_A * u[n] + u[n - 1])
-    return m[1:]
-
-
 def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
                offset: float = 1e-7):
     """(S0, S1): section ordinates on the line {g = 1/gamma} of the two
@@ -550,7 +516,7 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
     rate of the slope equation grows like 1/F and an explicit pair is
     held to steps of about 1e-6 by stability, not accuracy.  It is
     integrated with LSODA, which switches to BDF there, from the order-10
-    manifold series (:func:`_decay_manifold`) at up to 100 |x0| from A',
+    manifold series (``systems._decay_manifold``) at up to 100 |x0| from A',
     x0 = 1e-3 (g_A - g_L), which spares LSODA most of the slow approach.
     The series is asymptotic, so that distance is computed (see below).
     The launch point must have F > 0: LSODA started where F <= 0 never
@@ -615,14 +581,11 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
     # its center manifold S = sum m_k x^k, x = g - 1/|alpha|: launched at
     # the largest |x| <= 100 |x0| where |m_10 x^10| <= 1e-12 |m_1 x|, and
     # never inside |x0| (a nan or infinite m_10 gives |x0|)
-    m = _decay_manifold(params)
+    m, _ = _decay_manifold(params, beta)
     x0 = -1e-3 * (g_A - g_L)
-    reach = (1e-12 * abs(m[0] / m[-1])) ** (1.0 / (len(m) - 1)) \
-        if m[-1] else math.inf
+    reach = _manifold_reach(m)
     x = x0 * (min(100.0, reach / -x0) if reach >= -x0 else 1.0)
-    S_start1 = 0.0
-    for mk in reversed(m):
-        S_start1 = (S_start1 + mk) * x
+    S_start1 = _series(m, x)
     if not r_field(g_A + x, S_start1)[0] > 0.0:
         raise AnalysisError(
             "algebraic-decay separatrix launches outside the admissible region F > 0")

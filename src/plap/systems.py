@@ -27,8 +27,11 @@ drives, charts S, Q and P and chart R in the time |g| of the double-zero
 launch, are defined as source text, which compiles into their closures
 (``_s_rhs``, ``_launch_rhs``) and into the stepper's loop; ``_r_rhs``
 serves both R charts in nu.  So is the one lift of charts Q, P and R to
-chart S (``_lift``, through y^{p-2} = ``_q``).  All operations here are pure
-closed forms; integration lives in :mod:`plap.integrate`.
+chart S (``_lift``, through y^{p-2} = ``_q``), and the one center-manifold
+series of the algebraic-decay point in either R chart
+(``_decay_manifold``), from which the T_alpha launch and the connection
+function both start.  All operations here are pure closed forms;
+integration lives in :mod:`plap.integrate`.
 """
 
 from __future__ import annotations
@@ -187,6 +190,72 @@ def _r_rhs(params: ProblemParams, b: float = 1.0):
                 -S * (eps * (1.0 + al * g) + b * (1.0 + N * g) * S))
 
     return f
+
+
+def _decay_manifold(params: ProblemParams, b: float):
+    """``(m, u)``: the order-10 power series S = sum_{k=1}^{10} m_k x^k,
+    x = g + 1/alpha, of the center manifold of the algebraic-decay point
+    A = (-1/alpha, 0) of chart R_b (``_r_rhs`` at ``b``; alpha != eta),
+    and [u_2, ..., u_10] of the rate along it, dg/dnu = (g_A + x) u.  The
+    T_alpha launch reads it in chart R (b = 1), with :func:`_tau_rate`,
+    and the connection function in chart R_beta (b = beta, eps = -1).
+
+    With g = g_A + x, 1 + alpha g = alpha x, and chart R_b's field is the
+    polynomial pair
+
+        dg/dnu = (g_A + x) u,   u = b (c + eta x) S + eps alpha x / (p - 1),
+        dS/dnu = -eps alpha x S - b (1 + N g_A + N x) S^2,
+
+    with c = 1 + eta g_A.  Matching x^n in the invariance equation
+    S'(x) dg/dnu = dS/dnu, the center direction is u_1 = 0 (m_1), and
+    order n fixes u_n, hence m_n, from the lower orders in O(n) operations
+    (J. Carr, *Applications of Centre Manifold Theory*, 1981).  The series
+    is asymptotic, not convergent: its coefficients grow about factorially.
+    """
+    dc = derive_constants(params)
+    al, eps, N, eta = params.alpha, params.epsilon, float(params.N), dc.eta
+    g_A = -1.0 / al
+    c = 1.0 + eta * g_A
+    b1, b2 = b * (1.0 + N * g_A), b * N
+    # lists indexed by the power of x: m (S), u, G (dg/dnu), sq (S^2)
+    m = [0.0, -eps * al / ((params.p - 1.0) * b * c)]
+    u, G, sq = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
+    for n in range(2, 11):
+        sq.append(sum(m[i] * m[n - i] for i in range(1, n)))
+        rest = (-eps * al * m[n - 1] - b1 * sq[n] - b2 * sq[n - 1] - m[1] * u[n - 1]
+                - sum((n + 1 - i) * m[n + 1 - i] * G[i] for i in range(2, n)))
+        u.append(rest / (m[1] * g_A))
+        m.append((u[n] - b * eta * m[n - 1]) / (b * c))
+        G.append(g_A * u[n] + u[n - 1])
+    return m[1:], u[2:]
+
+
+def _tau_rate(m, u, b: float) -> list:
+    """[q_0, ..., q_8]: the tau rate along the series ``(m, u)`` of
+    :func:`_decay_manifold` in chart R_b, dtau/dx = b S / u = (1/x) sum
+    q_k x^k: the m series divided by the u series (u_1 = 0).  A zero u_2
+    (alpha = -gamma, where the rate along the manifold is cubic) gives
+    infinite q_k."""
+    inv_u2 = 1.0 / u[0] if u[0] else math.inf
+    q: list = []
+    for k in range(len(u)):
+        q.append((b * m[k] - sum(u[j] * q[k - j] for j in range(1, k + 1))) * inv_u2)
+    return q
+
+
+def _manifold_reach(m) -> float:
+    """The largest |x| at which the last term of the series ``m`` of
+    :func:`_decay_manifold` is at most 1e-12 of its first (inf where
+    m_10 = 0, nan where a coefficient is nan)."""
+    return (1e-12 * abs(m[0] / m[-1])) ** (1.0 / (len(m) - 1)) if m[-1] else math.inf
+
+
+def _series(c, x):
+    """sum_k c[k-1] x^k by Horner's rule, for a scalar or an array ``x``."""
+    out = 0.0
+    for ck in reversed(c):
+        out = (out + ck) * x
+    return out
 
 
 def field(chart_id: str, coords, params: ProblemParams) -> np.ndarray:

@@ -11,9 +11,11 @@ T_alpha) until the hand-off event fires: the ordinate y, lifted from the
 chart point by y^{p-2} = ``systems._q``, reaches a fixed level.  Charts Q and P, the corner charts
 of T_plus / T_minus and T_eps's chart R, in the time |g| with tau as its
 second component, run on the scalar Dormand-Prince stepper of
-:mod:`plap.integrate`; the stiff T_alpha launch runs through
-``solve_ivp``'s LSODA in chart R's time nu, tau as a third component.
-Every launch counts its work against
+:mod:`plap.integrate`.  The T_alpha launch starts on the center-manifold
+series of its decay point (``systems._decay_manifold``), which fills the
+first decades away from the point, tau included; the stiff rest runs
+through ``solve_ivp``'s LSODA in chart R's time nu, tau as a third
+component.  Every launch counts its work against
 ``IntegrationConfig.max_steps``.  ``_hand_off`` runs the launch, lifts
 every sample to (y, Y) by ``systems._lift`` (one that does not lift to a
 finite (y, Y) with y > 0 is an :class:`IntegrationError`; no sample is
@@ -62,7 +64,8 @@ from .integrate import (
     _rk45_segment,
     integrate_s,
 )
-from .systems import PhaseState, _launch_rhs, _lift, _q, _r_rhs, to_profile
+from .systems import (PhaseState, _decay_manifold, _launch_rhs, _lift, _manifold_reach,
+                      _q, _r_rhs, _series, _tau_rate, to_profile)
 
 
 DEFAULT_OFFSET = 1e-7
@@ -169,7 +172,8 @@ def _hand_off(phase, params: ProblemParams, cfg: IntegrationConfig, direction: i
               tau_span: Optional[float], meta: dict, stats: dict,
               offset: Optional[float] = None, consistency_check: bool = False) -> Trajectory:
     """Run the launch ``phase(offset)`` in chart ``meta["launch_chart"]``
-    (chart times and points; in chart R tau is the third row) and, with
+    (chart times and points; in chart R tau is the third row, and the
+    times are not read) and, with
     ``consistency_check``, again at offset/2: the distance between the two
     hand-off points is ``meta["offset_consistency"]``.  Lift every launch
     sample to (y, Y) (one that does not lift to a finite (y, Y) with y > 0
@@ -343,13 +347,20 @@ def _event(fn, direction: int = 0):
 # solve_ivp launch is what ``max_steps`` steps of the stepper may cost
 _RHS_PER_STEP = 6
 
+# samples per decade of |g - g_A| on the stretch of the T_alpha launch
+# that its center-manifold series fills
+_SERIES_PER_DECADE = 10
+
 
 def _stiff_phase(u0, params: ProblemParams, cfg: IntegrationConfig, span,
                  stats: dict, goals, stops):
-    """The T_alpha launch from the chart-R point ``u0`` = (g0, s0, tau0)
-    over ``span``, through ``solve_ivp``'s LSODA in chart R's time nu with
-    tau (d tau = g s d nu) as a third component, until one of the
-    ``goals`` events fires; returns the chart times and points ``(t, u)``.
+    """The stiff part of a T_alpha launch from the chart-R point ``u0`` =
+    (g0, s0, tau0) over ``span``: the manifold variant's from the end of
+    its series stretch (or from the tangent where there is no series), the
+    seeded variant's backward from its seed.  It runs through
+    ``solve_ivp``'s LSODA in chart R's time nu with tau (d tau = g s d nu)
+    as a third component, until one of the ``goals`` events fires;
+    returns the chart times and points ``(t, u)``.
     ``stats`` accumulates the work, and every rhs evaluation counts
     against ``_RHS_PER_STEP * cfg.max_steps``.  Raises
     :class:`IntegrationError` when the phase leaves the chart, fails,
@@ -399,8 +410,17 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
     sign is -sign(alpha) (the liftable cone g s ... > 0), and the orbit is
     integrated away from the point: the decay end sits at tau = +inf for
     alpha > -gamma, -inf for alpha < -gamma, eps * inf for alpha =
-    -gamma.  The traverse of the center manifold is algebraically slow
-    (ds/dnu ~ s^2), which the adaptive stepper absorbs.
+    -gamma.
+
+    Where the launch is self-correcting (the manifold variant, below), the
+    traverse of the center manifold is algebraically slow (dg/dnu ~ x^2,
+    x = g + 1/alpha) and stiff.  The order-10 center-manifold series
+    (``systems._decay_manifold`` in chart R, with ``systems._tau_rate``)
+    gives s and tau as functions of x; it fills the stretch from the offset x0 out to where it stays
+    accurate and lifts below the hand-off level, ``_SERIES_PER_DECADE``
+    samples per decade of |x|, and LSODA runs on from there.  At alpha =
+    eta, and where a series coefficient is not finite, the launch steps
+    from the point along the tangent and LSODA runs all of it.
     """
     cfg = config or IntegrationConfig()
     dc = derive_constants(params)
@@ -436,19 +456,53 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
     if away_rate < 0.0:
         q_hand = _q_hand(params, grow=True)
         hand = _event(lambda nu, u: _q("R", u[0], u[1], p) - q_hand, 1)
+        # the center manifold S = sum m_k x^k, x = g - g_A, and the tau rate
+        # (1/x) sum q_k x^k along it; there is none at alpha = eta (c = 0,
+        # the tangent runs along s) or where a coefficient is not finite,
+        # and the launch then starts on the tangent
+        try:
+            m, rate = _decay_manifold(params, 1.0)
+            q = _tau_rate(m, rate, 1.0)
+        except ZeroDivisionError:
+            m, q = [math.nan], []
+        ratio = None
+        if all(map(math.isfinite, (*m, *q))):
+            # the series fills the stretch from the offset x0 along g out to
+            # ratio x0 (the offset/2 rerun scales both): the largest |x| <=
+            # 0.1 |g_A| within its reach, halved until it lifts below the
+            # hand-off level, and never inside |x0|
+            x0 = d * offset * v[0]
+            x = math.copysign(min(0.1 * abs(A[0]), _manifold_reach(m)), x0)
+            while abs(x) > abs(x0) and _q("R", A[0] + x, _series(m, x), p) > 0.5 * q_hand:
+                x *= 0.5
+            ratio = max(x / x0, 1.0)
+            n = math.ceil(_SERIES_PER_DECADE * math.log10(ratio))
+            q_int = [qk / k for k, qk in enumerate(q[1:], 1)]
 
         def start(delta):
-            return (A[0] + d * delta * v[0], A[1] + d * delta * v[1], 0.0)
+            # the launch's first points (g, s, tau), tau = 0 at the first:
+            # the series at x0 ratio^(k/n), k = 0..n, or one point on the tangent
+            x0 = d * delta * v[0]
+            if ratio is None:
+                return np.array([[A[0] + x0], [A[1] + d * delta * v[1]], [0.0]])
+            x = x0 * ratio ** (np.arange(n + 1) / max(n, 1))
+            tau = q[0] * np.log(x / x0) + _series(q_int, x) - _series(q_int, x0)
+            return np.array([A[0] + x, _series(m, x), tau])
 
-        u0 = start(offset)
+        def launch(delta):
+            # LSODA runs on from the last of the first points; chart R's
+            # times are not read
+            head = start(delta)
+            _, u = _stiff_phase(head[:, -1], params, cfg, (0.0, direction * nu_max),
+                                stats, [hand], [g_blowup])
+            return None, np.hstack([head[:, :-1], u])
+
         meta["launch_variant"] = "manifold"
-        meta["launch_coords"] = (float(u0[0]), float(u0[1]))
+        meta["launch_coords"] = tuple(map(float, start(offset)[:2, 0]))
         # the transverse mode makes the slow center traverse stiff for an
         # explicit pair; LSODA switches to BDF there
-        return _hand_off(lambda delta: _stiff_phase(
-            start(delta), params, cfg, (0.0, direction * nu_max), stats,
-            [hand], [g_blowup]),
-            params, cfg, direction, tau_span, meta, stats, offset, consistency_check)
+        return _hand_off(launch, params, cfg, direction, tau_span, meta, stats,
+                         offset, consistency_check)
 
     meta["launch_variant"] = "seeded"
     if consistency_check:

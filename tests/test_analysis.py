@@ -13,7 +13,7 @@ from plap import analysis
 from plap.integrate import IntegrationConfig, Trajectory, integrate_s
 from plap.params import (ParameterError, ProblemParams, derive_constants,
                          m_ell_point)
-from plap.systems import PhaseState, _r_rhs
+from plap.systems import PhaseState, _decay_manifold, _r_rhs
 from plap.trajectories import shoot_regular
 from plap.analysis import (
     AnalysisError,
@@ -49,6 +49,12 @@ def second_order_manifold(params):
     m2 = -al ** 3 * (N + (p - 2.0) * (al - eta)) \
         / (beta * (p - 1.0) * (al - eta) ** 2)
     return m1, m2
+
+
+def _beta_series(params):
+    """[m_1, ..., m_10]: the decay point's center manifold in chart R_beta,
+    the series the connection function launches from."""
+    return _decay_manifold(params, derive_constants(params).beta)[0]
 
 
 @pytest.fixture
@@ -394,7 +400,7 @@ class TestConnectionFunction:
             a, b = analysis._search_interval(*critical_bracket(N, p))
             params = ProblemParams(N, p, float(rng.uniform(a, b)), -1)
             m1, m2 = second_order_manifold(params)
-            m = analysis._decay_manifold(params)
+            m = _beta_series(params)
             assert abs(m[0] - m1) <= 1e-15 * abs(m1), params
             assert abs(m[1] - m2) <= 1e-15 * (p - 1.0) * abs(params.alpha * m1), params
 
@@ -403,7 +409,7 @@ class TestConnectionFunction:
         # for N = 1 the homoclinic orbit at alpha_c = -(p-1)/(p-2) enters A'
         # along the line S = alpha x, so every coefficient past m_1 vanishes
         alpha = -(p - 1.0) / (p - 2.0)
-        m = analysis._decay_manifold(ProblemParams(1, p, alpha, -1))
+        m = _beta_series(ProblemParams(1, p, alpha, -1))
         assert m[0] == pytest.approx(alpha, rel=1e-15)
         assert max(map(abs, m[1:6])) <= 1e-12
 
@@ -414,7 +420,7 @@ class TestConnectionFunction:
         params = ProblemParams(N, p, RECORDED_ALPHA_C[N, p], -1)
         dc = derive_constants(params)
         f = _r_rhs(params, dc.beta)
-        m = analysis._decay_manifold(params)
+        m = _beta_series(params)
         K = len(m)
         g_A = -1.0 / params.alpha
 

@@ -83,7 +83,7 @@ CYCLES = {
         "O_eps": (2.3401156309692888, 0.01954999961029284, -1.6711544958187519, 85, 130),
     },
     -2.1: {  # orb
-        "O_alpha": (2.76687035258942, -0.008304600970643545, 0.4936886576693594, 72, 54),
+        "O_alpha": (2.7668703525346694, -0.008304600970045928, 0.4936886573435756, 72, 54),
         "O_eps": (3.218694073183276, 0.016192628966954347, -1.3265440124920431, 62, 142),
     },
     -2.0: {  # clin

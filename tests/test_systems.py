@@ -22,7 +22,12 @@ from plap.systems import (
     phi_Y,
     sgn_pow,
     to_profile,
+    _decay_manifold,
+    _manifold_reach,
+    _r_rhs,
     _s_rhs,
+    _series,
+    _tau_rate,
 )
 from profile_tools import J_N, J_alpha, from_profile
 
@@ -160,6 +165,49 @@ class TestField:
             s = second * dc.beta if chart == "R_beta" else second
             rate = np.array(field(chart, c0.coords, params)) / (g * s)
             assert np.max(np.abs(fd - rate)) <= 1e-5 * max(1.0, np.max(np.abs(rate)))
+
+
+class TestDecayManifold:
+    """The center-manifold series of the algebraic-decay point in chart R
+    (b = 1) at either eps, as the T_alpha launch reads it."""
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("params", [(1, 3.0, -2.53, -1), (1, 3.0, 0.7, -1),
+                                        (1, 3.0, -0.7, -1), (2, 3.0, -6.0, 1)])
+    def test_residuals_have_the_series_orders(self, params, side):
+        # halving x divides the invariance residual S'(x) dg/dnu - dS/dnu by
+        # about 2^(K+1), and the relative error of the tau rate (1/x) sum q_k
+        # x^k against dtau/dx = S / u by about 2^(K-1); read at four times
+        # the series' reach, where truncation outweighs rounding
+        params = ProblemParams(*params)
+        f = _r_rhs(params)
+        m, u = _decay_manifold(params, 1.0)
+        q = _tau_rate(m, u, 1.0)
+        K = len(m)
+        g_A = -1.0 / params.alpha
+
+        def residuals(x):
+            S = _series(m, x)
+            dS = sum(k * c * x ** (k - 1) for k, c in enumerate(m, 1))
+            dg, dS_dnu = f(g_A + x, S)
+            rate = (g_A + x) * S / dg
+            return dS * dg - dS_dnu, (sum(c * x ** k for k, c in enumerate(q)) / x
+                                      - rate) / rate
+
+        x = side * 4.0 * _manifold_reach(m)
+        (inv, tau), (inv_half, tau_half) = residuals(x), residuals(x / 2.0)
+        assert K + 0.5 < math.log2(abs(inv / inv_half)) < K + 1.5
+        assert K - 1.5 < math.log2(abs(tau / tau_half)) < K - 0.5
+
+    def test_beta_chart_at_eps_minus_one_keeps_its_coefficients(self):
+        # chart R_beta is chart R with s = beta S: the same manifold, its
+        # slope divided by beta, the same rate u and the same tau rate
+        params = ProblemParams(2, 3.0, -2.2, -1)
+        beta = derive_constants(params).beta
+        (m, u), (m_b, u_b) = _decay_manifold(params, 1.0), _decay_manifold(params, beta)
+        assert np.allclose(np.array(m_b) * beta, m, rtol=1e-12, atol=0.0)
+        assert np.allclose(_tau_rate(m_b, u_b, beta), _tau_rate(m, u, 1.0),
+                           rtol=1e-12, atol=0.0)
 
 
 class TestConversions:

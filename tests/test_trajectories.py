@@ -1,6 +1,7 @@
 """Shooting constructions: agreement with closed forms, local laws at the
 launch points, scaling, and admissibility errors."""
 
+import hashlib
 import itertools
 import math
 
@@ -273,6 +274,72 @@ class TestAlgebraicDecay:
         slope = _loglog_slope(r, np.abs(w), lo, 10.0 * lo)
         assert slope == pytest.approx(4.0, rel=0.01)
 
+    # the self-correcting T_alpha launches of the benchmark: figures, mel,
+    # int, pom and orb
+    SERIES_POINTS = [(1, 3.0, -2.53, -1), (2, 3.0, -6.0, 1), (1, 3.0, 0.7, -1),
+                     (1, 3.0, -0.7, -1), (1, 3.0, -2.1, -1)]
+
+    @pytest.mark.parametrize("params", SERIES_POINTS)
+    def test_launch_meets_a_tight_reference(self, params, monkeypatch):
+        # LSODA at rtol 1e-12 from the tangent launch at the default offset:
+        # the hand-off (g, s, tau) is within 1e-6 of it (measured 5e-9 to
+        # 3e-7; from the tangent at the library's rtol, 1.4e-6 to 8.2e-6)
+        params = ProblemParams(*params)
+        dc = derive_constants(params)
+        p, al, eps = params.p, params.alpha, params.epsilon
+        v = np.array([(p - 1.0) * (dc.eta - al), eps * al * al])
+        v /= np.hypot(*v)
+        d = (-1.0 if al > 0.0 else 1.0) * math.copysign(1.0, v[1])
+        f, q_hand = _r_rhs(params), _q_hand(params, grow=True)
+
+        def hand(nu, u):
+            return _q("R", u[0], u[1], p) - q_hand
+
+        hand.terminal, hand.direction = True, 1
+        ref = solve_ivp(lambda nu, u: [*f(u[0], u[1]), u[0] * u[1]],
+                        (0.0, (-1.0 if al > -dc.gamma else 1.0) * 1e15),
+                        [-1.0 / al + d * 1e-7 * v[0], d * 1e-7 * v[1], 0.0],
+                        method="LSODA", rtol=1e-12, atol=1e-14, events=[hand])
+        assert ref.status == 1
+
+        ends = []
+        phase = trajectories._stiff_phase
+
+        def recorded(*args, **kwargs):
+            t, u = phase(*args, **kwargs)
+            ends.append(u[:, -1])
+            return t, u
+
+        monkeypatch.setattr(trajectories, "_stiff_phase", recorded)
+        shoot_T_alpha(params, tau_span=0.0, consistency_check=False)
+        (end,) = ends
+        assert np.max(np.abs(end - ref.y[:, -1])) <= 1e-6
+
+    def test_launch_work(self):
+        # the series fills the slow decades next to the decay point: 138 rhs
+        # evaluations, 1,032 when LSODA runs all of the launch
+        st = shoot_T_alpha(ProblemParams(1, 3.0, -2.53, -1), tau_span=0.0,
+                           consistency_check=False).meta["launch_stats"]
+        assert st["segments"] == 1
+        assert st["rhs_evals"] <= 300
+
+    def test_degenerate_point_launches_from_the_tangent(self):
+        # alpha = eta = -1: the decay point has no center-manifold series
+        # (c = 0), and the orbit, offset/2 rerun included, is the tangent
+        # launch's bit for bit
+        traj = shoot_T_alpha(ProblemParams(1, 3.0, -1.0, -1))
+        digest = hashlib.sha256(traj.tau.tobytes() + traj.ys.tobytes()).hexdigest()
+        assert digest == "f547f30434414cddd91cb9f1ce9f07903c7e525f21682cdab8dd3bf679f48246"
+        assert traj.meta["launch_coords"] == (1.0, 1e-07)
+        assert traj.meta["offset_consistency"] == 2.7927660184445813e-13
+
+    @pytest.mark.parametrize("alpha", [-1.001, -0.999])
+    def test_near_degenerate_point_returns_a_finite_orbit(self, alpha):
+        # next to alpha = eta the series' coefficients are large but finite
+        traj = shoot_T_alpha(ProblemParams(1, 3.0, alpha, -1))
+        assert np.all(np.isfinite(traj.tau)) and np.all(np.isfinite(traj.ys))
+        assert np.isfinite(traj.meta["offset_consistency"])
+
 
 class TestEtaFamily:
     def test_growth_exponent_when_p_exceeds_N(self):
@@ -520,7 +587,9 @@ class TestDispatch:
 # chart at |g| = 1e6 instead of reaching the hand-off level.  The two T_eps
 # rows were recorded again when their launch moved onto the stepper in the
 # time |g| (``TestDoubleZero.test_launch_meets_a_tight_reference`` checks
-# that launch against a reference solve).
+# that launch against a reference solve), and the T_alpha manifold row when
+# its launch started on the center-manifold series
+# (``TestAlgebraicDecay.test_launch_meets_a_tight_reference``).
 # (kind, (N, p, alpha, eps), tau_span, termination, event kinds, samples,
 #  first (tau, y, Y), last (tau, y, Y), offset_consistency)
 LAUNCH_PINS = [
@@ -533,10 +602,10 @@ LAUNCH_PINS = [
      (-1.6641005886756875e-07, 6.923077307100137e-15, 6.923077691123372e-15),
      (-6.33684247535362, 42391311.04302812, 999999999101.4889),
      1.7269020705260685e-10),
-    ("T_alpha", (1, 3.0, -2.53, -1), None, "captured:M_ell", ["stationary_capture"], 824,
-     (0.0, 1.4094976222207906e-08, -1.271656549156323e-15),
-     (-40.2786800901344, 0.013055543116470959, -0.00153402352690183),
-     9.8704780381933e-11),
+    ("T_alpha", (1, 3.0, -2.53, -1), None, "captured:M_ell", ["stationary_capture"], 278,
+     (0.0, 1.409497568941886e-08, -1.27165645301928e-15),
+     (-40.278688239104405, 0.013055543116470959, -0.0015340235269018306),
+     6.159299346245408e-11),
     ("T_eta", (4, 3.0, 1.0, 1), None, "origin_flagged", [], 402,
      (-5.106349792861578, 57784103.79764854, 834750903891954.2),
      (1.7418270845536448, 0.0009989980761643377, 1e-06),
