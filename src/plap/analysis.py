@@ -19,14 +19,15 @@ vertical lines; each label is re-verified against the logarithmic slope
 of the profile (d ln|w| / d ln r -> -zeta).
 
 The homoclinic connection is detected by shooting in the rescaled
-inverse-slope chart R_beta (g, S) on its one field, ``systems._r_rhs``:
-the connection function phi(alpha) is the signed gap, on the line
-{g = 1/gamma}, between the orbit leaving the double-zero point and the
-orbit entering the algebraic-decay point.  The double-zero orbit runs on
-the scalar Dormand-Prince stepper of ``plap.integrate``.  The stiff decay
-orbit runs on LSODA from a computed point of its high-order center-manifold
-series.  phi is strictly decreasing and its root is the critical exponent
-alpha_c.
+inverse-slope chart R_beta (g, S) on its slope dS/dg, one field text
+(``systems._SLOPE_TEXT``): the connection function phi(alpha) is the
+signed gap, on the line {g = 1/gamma}, between the orbit leaving the
+double-zero point and the orbit entering the algebraic-decay point.  The
+double-zero orbit runs on the scalar Dormand-Prince stepper of
+``plap.integrate``, the stiff decay orbit on LSODA from a computed point
+of its high-order center-manifold series, and the two share one budget
+of ``max_steps`` rhs evaluations.  phi is strictly decreasing and its
+root is the critical exponent alpha_c.
 """
 
 from __future__ import annotations
@@ -52,13 +53,14 @@ from .integrate import (
     IntegrationConfig,
     IntegrationError,
     Trajectory,
+    _BudgetExhausted,
     _event_values,
     _new_stats,
     _rk45_segment,
     integrate_s,
 )
-from .systems import (PhaseState, _decay_manifold, _manifold_reach, _r_rhs, _series,
-                      phi_Y)
+from .systems import (_SLOPE_TEXT, PhaseState, _decay_manifold, _manifold_reach, _r_rhs,
+                      _series, phi_Y)
 from . import trajectories as traj_mod
 
 
@@ -520,9 +522,17 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
     x0 = 1e-3 (g_A - g_L), which spares LSODA most of the slow approach.
     The series is asymptotic, so that distance is computed (see below).
     The launch point must have F > 0: LSODA started where F <= 0 never
-    leaves it.  Both solves together may make at most ``cfg.max_steps``
-    rhs evaluations; a launch off the admissible region, a degenerate A'
-    (alpha = eta) or an exhausted budget raise :class:`AnalysisError`.
+    leaves it.  Both legs run on chart R_beta's slope text
+    (``systems._SLOPE_TEXT``): the stepper writes it into its loop, and
+    LSODA calls its closure.
+
+    Both legs count their work in one ``_new_stats()`` record and together
+    make at most ``cfg.max_steps`` rhs evaluations.  The stepper leg stops
+    at a whole step: its attempts are capped at (max_steps - 2) // 6, so
+    its 2 + 6 n evaluations stay within the bound, and LSODA gets what it
+    leaves.  A launch off the admissible region, a degenerate A' (alpha =
+    eta) or a budget exhausted in either leg raise :class:`AnalysisError`,
+    the last naming the budget.
     """
     dc = derive_constants(params)
     p, al, N = params.p, params.alpha, float(params.N)
@@ -543,35 +553,28 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
                             "alpha = eta: its center manifold has infinite "
                             "coefficients")
 
-    r_field = _r_rhs(params, beta)
-    nfev = 0
+    slope = _r_rhs(params, beta, _SLOPE_TEXT)
+    stats = _new_stats()  # both legs' work, and their one budget
 
-    def slope(g, S):
-        nonlocal nfev
-        nfev += 1
-        if nfev > cfg.max_steps:
-            raise AnalysisError(
-                f"connection function exceeded its budget of {cfg.max_steps} "
-                f"rhs evaluations at alpha = {al}")
-        # dg/dnu = g F > 0 holds on the separatrix (g > 0 throughout), but
-        # trial stages and LSODA's corrector iterates may probe states just
-        # off it where dg/dnu <= 0; flooring it there blows up the slope
-        # and forces a smaller step instead of aborting the shoot.
-        dg, dS = r_field(g, S)
-        if not (dg > 0.0):
-            return math.copysign(1e30, dS / g)
-        return dS / dg
+    def over_budget():
+        return AnalysisError(
+            f"connection function exceeded its budget of {cfg.max_steps} "
+            f"rhs evaluations at alpha = {al}")
 
     # orbit leaving the double-zero point B' = (0, 1/beta): unstable
     # eigenvector (1, (alpha - N)/(beta (1 + lambda))), lambda = (p-2)/(p-1);
-    # the stepper's time is g, with the state (g, S) on the field (1, dS/dg)
+    # the stepper's time is g, with the state (g, S) on the slope field
     lam = (p - 2.0) / (p - 1.0)
     slope0 = (al - N) / (dc.beta * (1.0 + lam))
     S_start0 = 1.0 / dc.beta + offset * slope0
+    attempts = (cfg.max_steps - 2) // 6  # n attempts cost 2 + 6 n evaluations
+    if attempts < 0:
+        raise over_budget()
     try:
-        seg = _rk45_segment(lambda g, S: (1.0, slope(g, S)), offset, g_L,
-                            offset, S_start0, cfg.rel_tol, atol, math.inf, (),
-                            *_event_values(()), _new_stats(), cfg.max_steps)
+        seg = _rk45_segment(slope, offset, g_L, offset, S_start0, cfg.rel_tol, atol,
+                            math.inf, (), *_event_values(()), stats, attempts)
+    except _BudgetExhausted:
+        raise over_budget() from None
     except IntegrationError:
         raise AnalysisError("double-zero separatrix left the admissible "
                             "region before the section") from None
@@ -586,14 +589,23 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
     reach = _manifold_reach(m)
     x = x0 * (min(100.0, reach / -x0) if reach >= -x0 else 1.0)
     S_start1 = _series(m, x)
-    if not r_field(g_A + x, S_start1)[0] > 0.0:
+    if not _r_rhs(params, beta)(g_A + x, S_start1)[0] > 0.0:
         raise AnalysisError(
             "algebraic-decay separatrix launches outside the admissible region F > 0")
+
+    def decay_slope(g, u):
+        # LSODA gets what the stepper left of the budget
+        if stats["rhs_evals"] >= cfg.max_steps:
+            raise over_budget()
+        stats["rhs_evals"] += 1
+        return [slope(g, u.item())[1]]
+
+    stats["segments"] += 1
     with warnings.catch_warnings():
         # LSODA warns before giving up; the failure is reported below
         warnings.simplefilter("ignore", UserWarning)
-        sol1 = solve_ivp(lambda g, u: [slope(g, float(u[0]))], (g_A + x, g_L),
-                         [S_start1], method="LSODA", rtol=cfg.rel_tol, atol=atol)
+        sol1 = solve_ivp(decay_slope, (g_A + x, g_L), [S_start1], method="LSODA",
+                         rtol=cfg.rel_tol, atol=atol)
     if not sol1.success:
         raise AnalysisError(
             "algebraic-decay separatrix left the admissible region before the section")

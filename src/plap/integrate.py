@@ -25,9 +25,10 @@ norm, step controller and quartic dense output, with events located by
 Brent's method on the dense output.  It counts every attempted step
 against ``IntegrationConfig.max_steps`` and stops at the first non-finite
 state.  The launch phases in charts Q and P and the T_eps launch in
-chart R, whose field reads its time |g| (:mod:`plap.trajectories`), run
-on the same stepper; the band crossings and the other charts of
-``integrate`` run through ``solve_ivp``'s RK45.
+chart R, whose field reads its time |g| (:mod:`plap.trajectories`), and
+the connection function's double-zero separatrix on chart R_beta's slope
+(:mod:`plap.analysis`) run on the same stepper; the band crossings and
+the other charts of ``integrate`` run through ``solve_ivp``'s RK45.
 
 ``integrate_s`` builds one table of S-chart events per call, each row an
 expression in (y, Y) with a crossing direction.  One generated function
@@ -64,6 +65,10 @@ from .systems import PhaseState, _s_rhs, field, phi_Y
 
 class IntegrationError(RuntimeError):
     """Step-size underflow, NaN states, or step budget exhaustion."""
+
+
+class _BudgetExhausted(IntegrationError):
+    """The stepper's ``max_steps`` attempts are spent."""
 
 
 @dataclass
@@ -442,7 +447,7 @@ def segment(field, t0, t_bound, u, U, rtol, atol, max_step, events,
                         "integrator failure: step size below the float spacing "
                         f"near tau={tau_of(t)}")
                 if n_acc + n_rej >= budget:
-                    raise IntegrationError("max_steps exceeded")
+                    raise _BudgetExhausted("max_steps exceeded")
                 t_new = t + h_abs
                 if t_new > t_bound:
                     t_new = t_bound
@@ -528,9 +533,11 @@ _NODES = {f"C{i}": repr(c) for i, c in enumerate(RK45.C.tolist(), 1)}
 @functools.lru_cache(maxsize=16)
 def _stepper(text):
     """The stepper compiled for one field text (``systems._FieldText``), or
-    for a callable ``fun`` of the state alone when ``text`` is None.  A text
-    that names a time binds it at every evaluation, and the stepper passes
-    it to its event table's functions first."""
+    for a callable ``fun`` of the state alone when ``text`` is None, as the
+    code ``<rk45 segment NAME>`` with the text's name (``callable`` for
+    None), so a profile keeps each stepper's time apart.  A text that names
+    a time binds it at every evaluation, and the stepper passes it to its
+    event table's functions first."""
     time = text.time if text is not None else ""
 
     def evaluation(m):
@@ -545,7 +552,8 @@ def _stepper(text):
     source = _AT.sub(r"\1, " if time else "", _FIELD_AT.sub(evaluation, _SEGMENT))
     source = source.replace("CONSTS", "fun" if text is None else text.consts)
     namespace: dict = {}
-    exec(compile(source, "<rk45 segment>", "exec"), globals(), namespace)
+    name = "callable" if text is None else text.name
+    exec(compile(source, f"<rk45 segment {name}>", "exec"), globals(), namespace)
     return namespace["segment"]
 
 

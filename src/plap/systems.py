@@ -22,16 +22,17 @@ Four auxiliary charts cover the ends of the phase plane:
 *  R_beta: chart R with s = beta S, used by the homoclinic connection
    function.
 
-Each chart's field is written once here.  The fields the scalar stepper
-drives, charts S, Q and P and chart R in the time |g| of the double-zero
-launch, are defined as source text, which compiles into their closures
-(``_s_rhs``, ``_launch_rhs``) and into the stepper's loop; ``_r_rhs``
-serves both R charts in nu.  So is the one lift of charts Q, P and R to
-chart S (``_lift``, through y^{p-2} = ``_q``), and the one center-manifold
-series of the algebraic-decay point in either R chart
-(``_decay_manifold``), from which the T_alpha launch and the connection
-function both start.  All operations here are pure closed forms;
-integration lives in :mod:`plap.integrate`.
+Each chart's field is written once here, as source text that compiles
+into its closure (``_s_rhs``, ``_launch_rhs``, ``_r_rhs``) and into the
+scalar stepper's loop: charts S, Q and P, chart R in the time |g| of the
+double-zero launch, both R charts in nu, and chart R_beta's slope dS/dg,
+composed from chart R's text, on which the connection function runs.
+So is the one lift of charts Q, P and R to chart S (``_lift``, through
+y^{p-2} = ``_q``), and the one center-manifold series of the
+algebraic-decay point in either R chart (``_decay_manifold``), from which
+the T_alpha launch and the connection function both start.  All
+operations here are pure closed forms; integration lives in
+:mod:`plap.integrate`.
 """
 
 from __future__ import annotations
@@ -110,36 +111,53 @@ class ProfileSample:
 # vector fields
 
 
-# A field the scalar stepper drives, defined once as source text: its
-# coordinates, the names of its constants, a prelude and the dy and dY
-# expressions, which compile into its closure and into the stepper's loop,
-# and the name of its time where the field reads one.
-_FieldText = namedtuple("_FieldText", "args consts prelude dy dY time", defaults=("",))
-_S_TEXT = _FieldText("y, Y", "e, mg, mgN, al, eps",
+# A field defined once as source text: its name (the stepper compiled for
+# it is the code ``<rk45 segment NAME>``), its coordinates, the names of
+# its constants, a prelude and the dy and dY expressions, which compile
+# into its closure and into the stepper's loop, and the name of its time
+# where the field reads one.  A text's names stay clear of the stepper's
+# locals (g, h, t, f, u, U among them).
+_FieldText = namedtuple("_FieldText", "name args consts prelude dy dY time",
+                        defaults=("",))
+_S_TEXT = _FieldText("S", "y, Y", "e, mg, mgN, al, eps",
                      "ph = Y ** e if Y >= 0.0 else -((-Y) ** e)",
                      "mg * y - ph", "mgN * Y + eps * (al * y - ph)")
 # the exact negation of the forward field, so no evaluation multiplies by
 # the tau direction
-_S_BACK = _S_TEXT._replace(dy=f"-({_S_TEXT.dy})", dY=f"-({_S_TEXT.dY})")
-_Q_TEXT = _FieldText("zeta, sigma", "eta, N, pm1, al, eps", "",
+_S_BACK = _S_TEXT._replace(name="S backward", dy=f"-({_S_TEXT.dy})",
+                           dY=f"-({_S_TEXT.dY})")
+_Q_TEXT = _FieldText("Q", "zeta, sigma", "eta, N, pm1, al, eps", "",
                      "zeta * (zeta - eta) + eps * zeta * (al - zeta) / (pm1 * sigma)",
                      "eps * (al - zeta) + (zeta - N) * sigma")
-_P_TEXT = _FieldText("zeta, psi", "eta, N, pm1, al, eps", "",
+_P_TEXT = _FieldText("P", "zeta, psi", "eta, N, pm1, al, eps", "",
                      "zeta * (zeta - eta + eps * (al - zeta) * psi / pm1)",
                      "psi * (N - zeta + eps * (zeta - al) * psi)")
 # Chart R in the time x = |g| = -eps g of the double-zero launch, where g
 # and s keep the sign -eps: the state is (ls, tau) = (ln|s|, tau), so s
 # keeps its relative accuracy as it falls toward 0 at large |g|.  The
-# rates of ``_r_rhs`` and d tau = g s d nu over dx/dnu = x den, with
+# rates of ``_R_TEXT`` and d tau = g s d nu over dx/dnu = x den, with
 # eps (1 + al g) + (1 + N g) s written as eps (1 - |s|) - x (al - N |s|)
 # and 1 - |s| as -expm1(ls), which keeps d ls/dx accurate near the saddle
-# s = -eps; the prelude's names stay clear of the stepper's locals.
-_RX_TEXT = _FieldText("ls, tau", "eta, N, pm1, al, eps",
+# s = -eps.
+_RX_TEXT = _FieldText("R in |g|", "ls, tau", "eta, N, pm1, al, eps",
                       "sa = math.exp(ls); gr = -eps * x; "
                       "den = eps * (1.0 + al * gr) / pm1 - eps * sa * (1.0 + eta * gr)",
                       "(eps * math.expm1(ls) + x * (al - N * sa)) / (x * den)",
                       "sa / den", "x")
 _LAUNCH_TEXT = {"Q": _Q_TEXT, "P": _P_TEXT, "R": _RX_TEXT}
+# Chart R at (g, S) with s = b S in the time nu: b = 1 is chart R and
+# b = beta chart R_beta.
+_R_TEXT = _FieldText("R", "gr, Sr", "eta, N, pm1, al, eps, b", "",
+                     "gr * (b * Sr * (1.0 + eta * gr) + eps * (1.0 + al * gr) / pm1)",
+                     "-Sr * (eps * (1.0 + al * gr) + b * (1.0 + N * gr) * Sr)")
+# Chart R_b as the graph dS/dg, on the state (g, S) with the field
+# (1, dS/dg): the connection function's separatrices, on which g is
+# monotone.  Off them, where trial stages or LSODA's corrector iterates
+# probe states with dg/dnu <= 0, the slope is floored at +-1e30, which
+# forces a smaller step instead of aborting the shoot.
+_SLOPE_TEXT = _R_TEXT._replace(
+    name="R_beta slope", prelude=f"rg = {_R_TEXT.dy}; rS = {_R_TEXT.dY}", dy="1.0",
+    dY="rS / rg if rg > 0.0 else math.copysign(1e30, rS / gr)")
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,19 +195,16 @@ def _launch_rhs(params: ProblemParams, chart: str):
         params.alpha, params.epsilon)
 
 
-def _r_rhs(params: ProblemParams, b: float = 1.0):
-    """Chart R at (g, S) with s = b S, on Python floats: ``b = 1`` is
-    chart R and ``b = beta`` chart R_beta.  The one definition of both
-    (``field("R")``, ``field("R_beta")``, the T_alpha launch and the
-    connection function evaluate it; ``_RX_TEXT`` writes it in |g|)."""
-    eta, N, pm1 = derive_constants(params).eta, float(params.N), params.p - 1.0
-    al, eps = params.alpha, params.epsilon
-
-    def f(g, S):
-        return (g * (b * S * (1.0 + eta * g) + eps * (1.0 + al * g) / pm1),
-                -S * (eps * (1.0 + al * g) + b * (1.0 + N * g) * S))
-
-    return f
+def _r_rhs(params: ProblemParams, b: float = 1.0, text: _FieldText = _R_TEXT):
+    """Chart R at (g, S) with s = b S, on Python floats, from its text:
+    ``b = 1`` is chart R and ``b = beta`` chart R_beta (``field("R")``,
+    ``field("R_beta")`` and the T_alpha launch evaluate it; ``_RX_TEXT``
+    writes it in |g|).  With ``text=_SLOPE_TEXT`` it is chart R_b's slope
+    (1, dS/dg) on (g, S), the field of the connection function.  eps is
+    bound as a float: the same products as the int's, with no int-float
+    operation per evaluation."""
+    return _compiled(text)(derive_constants(params).eta, float(params.N),
+                           params.p - 1.0, params.alpha, float(params.epsilon), b)
 
 
 def _decay_manifold(params: ProblemParams, b: float):

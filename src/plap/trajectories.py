@@ -361,8 +361,9 @@ def _stiff_phase(u0, params: ProblemParams, cfg: IntegrationConfig, span,
     ``solve_ivp``'s LSODA in chart R's time nu with tau (d tau = g s d nu)
     as a third component, until one of the ``goals`` events fires;
     returns the chart times and points ``(t, u)``.
-    ``stats`` accumulates the work, and every rhs evaluation counts
-    against ``_RHS_PER_STEP * cfg.max_steps``.  Raises
+    ``stats`` accumulates the work (LSODA's rhs evaluations and accepted
+    steps; ``solve_ivp`` does not report its rejected ones), and every rhs
+    evaluation counts against ``_RHS_PER_STEP * cfg.max_steps``.  Raises
     :class:`IntegrationError` when the phase leaves the chart, fails,
     exhausts the budget, or ends at one of the ``stops``, a failure or
     the end of ``span`` before a goal."""
@@ -391,6 +392,7 @@ def _stiff_phase(u0, params: ProblemParams, cfg: IntegrationConfig, span,
         # scipy's event root search on a zero-length step, where the
         # event function has blown up
         raise IntegrationError(f"launch phase in chart R failed: {exc}") from None
+    stats["accepted"] += sol.t.size - 1
     if sol.status == -1:
         raise IntegrationError(f"launch phase in chart R failed: {sol.message}")
     if sol.status != 1 or not any(te.size for te in sol.t_events[:len(goals)]):

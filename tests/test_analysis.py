@@ -482,25 +482,46 @@ class TestConnectionFunction:
             ref = self.decay_reference(params, g1)
             assert abs(S_launch - ref) <= 1e-12 * abs(ref), params
 
-    @pytest.mark.parametrize("max_steps", [100, 300, 350])
+    @pytest.mark.parametrize("max_steps", [1, 100, 300, 350])
     def test_rhs_budget(self, max_steps, monkeypatch):
-        # the double-zero solve takes 224 rhs evaluations and the decay
-        # solve, from its series launch, 133: the budget stops the first at
-        # 100 and the second at 300 and 350.  The evaluation past the
-        # budget raises before it reaches the field; the decay launch's
-        # admissibility check is the one evaluation outside the budget.
-        launched = max_steps > 225
-        calls = []
-        real = analysis._r_rhs
+        # both legs count into one record under one budget.  The double-zero
+        # leg takes 37 steps and 224 rhs evaluations, the decay leg 133.  At
+        # 1 the stepper cannot make its first two evaluations and does not
+        # start; at 100 it stops at a whole step, after 16 attempts and 98
+        # evaluations, and LSODA never starts; at 300 and 350 the stepper
+        # finishes and LSODA makes the 76 and 126 evaluations left.
+        attempts, stepper, decay_evals = {1: (0, 0, None), 100: (16, 98, None),
+                                          300: (37, 224, 76),
+                                          350: (37, 224, 126)}[max_steps]
+        records, stepper_evals, decay = [], [], []
+        real_stats, real_solve = analysis._new_stats, analysis.solve_ivp
 
-        def counted(params, b=1.0):
-            f = real(params, b)
-            return lambda g, S: calls.append(g) or f(g, S)
+        def new_stats():
+            records.append(real_stats())
+            return records[-1]
 
-        monkeypatch.setattr(analysis, "_r_rhs", counted)
-        with pytest.raises(AnalysisError, match="budget"):
+        def spy(fun, *args, **kwargs):
+            stepper_evals.append(records[-1]["rhs_evals"])
+
+            def counted(g, u):
+                out = fun(g, u)  # raises, unevaluated, past the budget
+                decay.append(g)
+                return out
+
+            return real_solve(counted, *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "_new_stats", new_stats)
+        monkeypatch.setattr(analysis, "solve_ivp", spy)
+        with pytest.raises(AnalysisError, match=f"budget of {max_steps} rhs"):
             phi_of_alpha(2, 3.0, -1.9, IntegrationConfig(max_steps=max_steps))
-        assert len(calls) == max_steps + launched
+        (record,) = records
+        assert record["accepted"] + record["rejected"] == attempts
+        if decay_evals is None:
+            assert stepper_evals == [] and record["rhs_evals"] == stepper
+        else:
+            assert stepper_evals == [stepper] and len(decay) == decay_evals
+            assert record["rhs_evals"] == stepper + decay_evals == max_steps
+        assert record["rhs_evals"] <= max_steps
 
     def test_fixed_seed_grid_ends_within_budget(self):
         # every draw returns a finite gap or a declared error, about 1 s

@@ -15,7 +15,8 @@ from hypothesis import given, seed, settings, strategies as st
 from scipy.integrate import RK45, solve_ivp
 
 from plap.params import ParameterError, ProblemParams, derive_constants, m_ell_point
-from plap.systems import PhaseState, _P_TEXT, _Q_TEXT, _s_rhs, oracle, phi_Y
+from plap.systems import (PhaseState, _P_TEXT, _Q_TEXT, _S_TEXT, _SLOPE_TEXT, _s_rhs,
+                          oracle, phi_Y)
 from plap.trajectories import SpecialTrajectorySpec, shoot, shoot_regular
 from plap.integrate import (
     IntegrationConfig,
@@ -685,6 +686,35 @@ class TestStepper:
         monkeypatch.setattr(trajectories_mod, "_rk45_segment", checked)
         shoot(SpecialTrajectorySpec(kind), ProblemParams(*params))
         assert texts and set(texts) == {text}
+
+    @pytest.mark.parametrize("N, p", [(2, 3.0), (3, 3.0), (2, 4.0), (2, 2.5)])
+    def test_slope_field_text_and_callable_agree(self, N, p, monkeypatch):
+        # every stepper call of the connection function, run both ways, at
+        # the quarter points of the alpha-c search interval
+        analysis_mod = sys.modules["plap.analysis"]
+        real, texts = analysis_mod._rk45_segment, []
+
+        def checked(fun, *args):
+            *head, stats, max_steps = args
+            text, call = _text_and_callable(fun, head, stats, max_steps=max_steps)
+            assert text == call
+            assert text[1]["accepted"] > 0
+            texts.append(fun.text)
+            return real(fun, *args)
+
+        monkeypatch.setattr(analysis_mod, "_rk45_segment", checked)
+        lo, hi = analysis_mod._search_interval(*analysis_mod.critical_bracket(N, p))
+        for k in (1, 2, 3):
+            params = ProblemParams(N, p, lo + k * (hi - lo) / 4.0, -1)
+            analysis_mod._phi_shoot(params, IntegrationConfig())
+        assert texts == [_SLOPE_TEXT] * 3
+
+    def test_each_stepper_has_its_own_code_name(self):
+        # a profile reports each compiled stepper under its field's name
+        names = [integrate_mod._stepper(text).__code__.co_filename
+                 for text in (_S_TEXT, _SLOPE_TEXT, None)]
+        assert names == ["<rk45 segment S>", "<rk45 segment R_beta slope>",
+                         "<rk45 segment callable>"]
 
     def test_dense_matches_the_sum_form(self):
         # the written-out coefficients against the generator sums they

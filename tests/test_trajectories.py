@@ -317,11 +317,13 @@ class TestAlgebraicDecay:
 
     def test_launch_work(self):
         # the series fills the slow decades next to the decay point: 138 rhs
-        # evaluations, 1,032 when LSODA runs all of the launch
+        # evaluations, 1,032 when LSODA runs all of the launch; its 76
+        # accepted steps are counted too
         st = shoot_T_alpha(ProblemParams(1, 3.0, -2.53, -1), tau_span=0.0,
                            consistency_check=False).meta["launch_stats"]
         assert st["segments"] == 1
         assert st["rhs_evals"] <= 300
+        assert st["accepted"] == 76
 
     def test_degenerate_point_launches_from_the_tangent(self):
         # alpha = eta = -1: the decay point has no center-manifold series
