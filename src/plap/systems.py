@@ -41,6 +41,7 @@ import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -182,7 +183,7 @@ def _s_rhs(params: ProblemParams, direction: int):
     dc = derive_constants(params)
     return _compiled(_S_TEXT if direction == 1 else _S_BACK)(
         1.0 / (params.p - 1.0), -dc.gamma, -(dc.gamma + float(params.N)),
-        params.alpha, params.epsilon)
+        params.alpha, float(params.epsilon))
 
 
 def _launch_rhs(params: ProblemParams, chart: str):
@@ -192,7 +193,7 @@ def _launch_rhs(params: ProblemParams, chart: str):
     ``ZeroDivisionError`` at sigma = 0."""
     return _compiled(_LAUNCH_TEXT[chart])(
         derive_constants(params).eta, float(params.N), params.p - 1.0,
-        params.alpha, params.epsilon)
+        params.alpha, float(params.epsilon))
 
 
 def _r_rhs(params: ProblemParams, b: float = 1.0, text: _FieldText = _R_TEXT):
@@ -232,15 +233,18 @@ def _decay_manifold(params: ProblemParams, b: float):
     g_A = -1.0 / al
     c = 1.0 + eta * g_A
     b1, b2 = b * (1.0 + N * g_A), b * N
-    # lists indexed by the power of x: m (S), u, G (dg/dnu), sq (S^2)
+    # lists indexed by the power of x: m (S), km (k m_k, of S'), u, G
+    # (dg/dnu), sq (S^2); the sums run over map(mul, ...) in the order of
+    # the convolutions they write
     m = [0.0, -eps * al / ((params.p - 1.0) * b * c)]
-    u, G, sq = [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
+    km, u, G, sq = [0.0, m[1]], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
     for n in range(2, 11):
-        sq.append(sum(m[i] * m[n - i] for i in range(1, n)))
+        sq.append(sum(map(mul, m[1:n], m[n - 1:0:-1])))
         rest = (-eps * al * m[n - 1] - b1 * sq[n] - b2 * sq[n - 1] - m[1] * u[n - 1]
-                - sum((n + 1 - i) * m[n + 1 - i] * G[i] for i in range(2, n)))
+                - sum(map(mul, km[n - 1:1:-1], G[2:n])))
         u.append(rest / (m[1] * g_A))
         m.append((u[n] - b * eta * m[n - 1]) / (b * c))
+        km.append(n * m[n])
         G.append(g_A * u[n] + u[n - 1])
     return m[1:], u[2:]
 
