@@ -518,9 +518,16 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
     rate of the slope equation grows like 1/F and an explicit pair is
     held to steps of about 1e-6 by stability, not accuracy.  It is
     integrated with LSODA, which switches to BDF there, from the order-10
-    manifold series (``systems._decay_manifold``) at up to 100 |x0| from A',
+    manifold series (``systems._decay_manifold``) at up to 300 |x0| from A',
     x0 = 1e-3 (g_A - g_L), which spares LSODA most of the slow approach.
-    The series is asymptotic, so that distance is computed (see below).
+    The series is asymptotic, so that distance is computed (see below):
+    the farthest point where its truncation is within ``cfg.rel_tol``.
+    That is enough because the separatrix attracts in the direction of
+    integration (an attracting slow manifold, the stiffness itself): a
+    launch error reaches the section shrunk, to about 2 % of itself in the
+    median and at most about 40 % near the ends of the alpha_c search
+    intervals, where the approach is least stiff, so it stays below
+    LSODA's own error at that tolerance.
     The launch point must have F > 0: LSODA started where F <= 0 never
     leaves it.  Both legs run on chart R_beta's slope text
     (``systems._SLOPE_TEXT``): the stepper writes it into its loop, and
@@ -582,12 +589,13 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
 
     # orbit entering the algebraic-decay point A' = (1/|alpha|, 0) along
     # its center manifold S = sum m_k x^k, x = g - 1/|alpha|: launched at
-    # the largest |x| <= 100 |x0| where |m_10 x^10| <= 1e-12 |m_1 x|, and
-    # never inside |x0| (a nan or infinite m_10 gives |x0|)
+    # the largest |x| <= 300 |x0| where |m_10 x^10| <= rel_tol |m_1 x|, and
+    # never inside |x0| (a nan or infinite m_10 gives |x0|); the stiff
+    # approach damps the launch error on the way to the section
     m, _ = _decay_manifold(params, beta)
     x0 = -1e-3 * (g_A - g_L)
-    reach = _manifold_reach(m)
-    x = x0 * (min(100.0, reach / -x0) if reach >= -x0 else 1.0)
+    reach = _manifold_reach(m, cfg.rel_tol)
+    x = x0 * (min(300.0, reach / -x0) if reach >= -x0 else 1.0)
     S_start1 = _series(m, x)
     if not _r_rhs(params, beta)(g_A + x, S_start1)[0] > 0.0:
         raise AnalysisError(

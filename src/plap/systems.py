@@ -262,11 +262,14 @@ def _tau_rate(m, u, b: float) -> list:
     return q
 
 
-def _manifold_reach(m) -> float:
+def _manifold_reach(m, rel: float) -> float:
     """The largest |x| at which the last term of the series ``m`` of
-    :func:`_decay_manifold` is at most 1e-12 of its first (inf where
-    m_10 = 0, nan where a coefficient is nan)."""
-    return (1e-12 * abs(m[0] / m[-1])) ** (1.0 / (len(m) - 1)) if m[-1] else math.inf
+    :func:`_decay_manifold` is at most ``rel`` of its first (inf where
+    m_10 = 0, nan where a coefficient is nan).  The T_alpha launch reads
+    it at 1e-12, since its tau comes from a quadrature along the series
+    that nothing damps; the connection function at its ``rel_tol``, since
+    the stiff approach to the decay point damps a launch error."""
+    return (rel * abs(m[0] / m[-1])) ** (1.0 / (len(m) - 1)) if m[-1] else math.inf
 
 
 def _series(c, x):

@@ -474,7 +474,7 @@ def shoot_T_alpha(params: ProblemParams, config: Optional[IntegrationConfig] = N
             # 0.1 |g_A| within its reach, halved until it lifts below the
             # hand-off level, and never inside |x0|
             x0 = d * offset * v[0]
-            x = math.copysign(min(0.1 * abs(A[0]), _manifold_reach(m)), x0)
+            x = math.copysign(min(0.1 * abs(A[0]), _manifold_reach(m, 1e-12)), x0)
             while abs(x) > abs(x0) and _q("R", A[0] + x, _series(m, x), p) > 0.5 * q_hand:
                 x *= 0.5
             ratio = max(x / x0, 1.0)

@@ -194,7 +194,7 @@ class TestDecayManifold:
             return dS * dg - dS_dnu, (sum(c * x ** k for k, c in enumerate(q)) / x
                                       - rate) / rate
 
-        x = side * 4.0 * _manifold_reach(m)
+        x = side * 4.0 * _manifold_reach(m, 1e-12)
         (inv, tau), (inv_half, tau_half) = residuals(x), residuals(x / 2.0)
         assert K + 0.5 < math.log2(abs(inv / inv_half)) < K + 1.5
         assert K - 1.5 < math.log2(abs(tau / tau_half)) < K - 0.5
