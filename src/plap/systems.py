@@ -234,8 +234,8 @@ def _decay_manifold(params: ProblemParams, b: float):
     c = 1.0 + eta * g_A
     b1, b2 = b * (1.0 + N * g_A), b * N
     # lists indexed by the power of x: m (S), km (k m_k, of S'), u, G
-    # (dg/dnu), sq (S^2); the sums run over map(mul, ...) in the order of
-    # the convolutions they write
+    # (dg/dnu), sq (S^2); each convolution is one sum(map(mul, ...)) over
+    # two slices, one of them reversed, its terms in ascending index
     m = [0.0, -eps * al / ((params.p - 1.0) * b * c)]
     km, u, G, sq = [0.0, m[1]], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]
     for n in range(2, 11):

@@ -534,7 +534,8 @@ class TestConnectionFunction:
         monkeypatch.setattr(analysis, "_new_stats", new_stats)
         monkeypatch.setattr(analysis, "solve_ivp", spy)
         cfg = IntegrationConfig(max_steps=max_steps)
-        if max_steps >= 277:
+        whole = 277  # both legs' evaluations when the budget does not stop them
+        if max_steps >= whole:
             assert math.isfinite(phi_of_alpha(2, 3.0, -1.9, cfg))
         else:
             with pytest.raises(AnalysisError, match=f"budget of {max_steps} rhs"):
@@ -545,7 +546,7 @@ class TestConnectionFunction:
             assert stepper_evals == [] and record["rhs_evals"] == stepper
         else:
             assert stepper_evals == [stepper] and len(decay) == decay_evals
-            assert record["rhs_evals"] == stepper + decay_evals
+            assert record["rhs_evals"] == stepper + decay_evals == min(max_steps, whole)
         assert record["rhs_evals"] <= max_steps
 
     def test_fixed_seed_grid_ends_within_budget(self):
