@@ -59,7 +59,7 @@ from .integrate import (
     _rk45_segment,
     integrate_s,
 )
-from .systems import (_SLOPE_TEXT, PhaseState, _decay_manifold, _manifold_reach, _r_rhs,
+from .systems import (_R_TEXT, _SLOPE_TEXT, PhaseState, _decay_manifold, _manifold_reach, _rhs,
                       _series, phi_Y)
 from . import trajectories as traj_mod
 
@@ -502,7 +502,7 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
     """(S0, S1): section ordinates on the line {g = 1/gamma} of the two
     separatrix orbits of the rescaled inverse-slope chart.
 
-    Chart R_beta's field (``systems._r_rhs`` at b = beta) has dg/dnu =
+    Chart R_beta's field (``systems._R_TEXT`` at b = beta) has dg/dnu =
     g F.  Both separatrix segments have F > 0 along them (the
     monotonicity lemma behind the uniqueness of the critical exponent), so
     g is strictly monotone up to the first section crossing and each orbit
@@ -560,7 +560,7 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
                             "alpha = eta: its center manifold has infinite "
                             "coefficients")
 
-    slope = _r_rhs(params, beta, _SLOPE_TEXT)
+    slope = _rhs(params, _SLOPE_TEXT, beta)
     stats = _new_stats()  # both legs' work, and their one budget
 
     def over_budget():
@@ -597,7 +597,7 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
     reach = _manifold_reach(m, cfg.rel_tol)
     x = x0 * (min(300.0, reach / -x0) if reach >= -x0 else 1.0)
     S_start1 = _series(m, x)
-    if not _r_rhs(params, beta)(g_A + x, S_start1)[0] > 0.0:
+    if not _rhs(params, _R_TEXT, beta)(g_A + x, S_start1)[0] > 0.0:
         raise AnalysisError(
             "algebraic-decay separatrix launches outside the admissible region F > 0")
 

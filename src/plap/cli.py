@@ -120,22 +120,6 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@dataclasses.dataclass
-class RunManifest:
-    """Record of one file-producing CLI run: what was asked, with which
-    configuration, and the checksums of everything written."""
-
-    command: str
-    params: Optional[dict]
-    config_hash: str
-    tool_version: str
-    outputs: list  # [{"path": ..., "sha256": ...}]
-    wall_time: float
-
-    def write(self, path: Path) -> None:
-        path.write_text(_to_json(dataclasses.asdict(self)) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # parameter / config plumbing
 
@@ -285,17 +269,15 @@ def cmd_constants(args) -> int:
 
 def _write_manifest(command: str, params: ProblemParams, cfg: IntegrationConfig,
                     files: list[Path], t_start: float) -> Path:
-    """Write the run's manifest beside its first output; return its path."""
-    manifest = RunManifest(
-        command=command,
-        params=_params_dict(params),
-        config_hash=_config_hash(cfg),
-        tool_version=__version__,
-        outputs=[{"path": str(f), "sha256": _sha256(f)} for f in files],
-        wall_time=time.monotonic() - t_start,
-    )
+    """Write the run's manifest beside its first output (what was asked,
+    with which configuration, and the checksum of every file written);
+    return its path."""
+    manifest = {"command": command, "params": _params_dict(params),
+                "config_hash": _config_hash(cfg), "tool_version": __version__,
+                "outputs": [{"path": str(f), "sha256": _sha256(f)} for f in files],
+                "wall_time": time.monotonic() - t_start}
     mpath = files[0].parent / (files[0].stem + ".manifest.json")
-    manifest.write(mpath)
+    mpath.write_text(_to_json(manifest) + "\n")
     return mpath
 
 

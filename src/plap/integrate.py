@@ -60,7 +60,7 @@ from scipy.integrate import RK45, solve_ivp
 from scipy.optimize import brentq
 
 from .params import ParameterError, ProblemParams, derive_constants, m_ell_point
-from .systems import PhaseState, _s_rhs, field, phi_Y
+from .systems import _S_BACK, _S_TEXT, PhaseState, _rhs, field, phi_Y
 
 
 class IntegrationError(RuntimeError):
@@ -92,8 +92,8 @@ class IntegrationConfig:
         for name in ("abs_tol", "rel_tol"):
             if getattr(self, name) == math.inf:
                 raise ValueError(f"IntegrationConfig.{name} must be finite")
-        if not self.max_steps > 0:
-            raise ValueError("IntegrationConfig.max_steps must be positive")
+        if not (self.max_steps >= 1 and self.max_steps % 1 == 0):  # rejects inf, NaN
+            raise ValueError("IntegrationConfig.max_steps must be a whole number >= 1")
 
 
 # The fixed guards of chart S: the axis band's half-width relative to
@@ -204,7 +204,7 @@ def _cross_axis(y0: float, Y0: float, tau0: float,
     the exact crossing, or None when the crossing is degenerate (y too
     small for the transversality estimate, or dY/dtau vanishing or turning
     in the band) or the solve fails."""
-    f = _s_rhs(params, 1)
+    f = _rhs(params, _S_TEXT)
 
     # transversality guard: |dY/dtau| must dominate the band scale
     # |phi(Y0)| = |f(0, Y0)[0]|
@@ -633,7 +633,7 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
     span = min(span, cfg.max_time_span)
     if not span >= 0.0:
         raise ParameterError("tau_span must be non-negative")
-    f = _s_rhs(params, direction)
+    f = _rhs(params, _S_TEXT if direction == 1 else _S_BACK)
 
     def tau_of(s):
         return initial.tau + direction * s

@@ -23,10 +23,11 @@ Four auxiliary charts cover the ends of the phase plane:
    function.
 
 Each chart's field is written once here, as source text that compiles
-into its closure (``_s_rhs``, ``_launch_rhs``, ``_r_rhs``) and into the
-scalar stepper's loop: charts S, Q and P, chart R in the time |g| of the
-double-zero launch, both R charts in nu, and chart R_beta's slope dS/dg,
-composed from chart R's text, on which the connection function runs.
+into its closure (``_rhs`` binds the constants the text names) and into
+the scalar stepper's loop: charts S, Q and P, chart R in the time |g| of
+the double-zero launch, both R charts in nu, and chart R_beta's slope
+dS/dg, composed from chart R's text, on which the connection function
+runs.
 So is the one lift of charts Q, P and R to chart S (``_lift``, through
 y^{p-2} = ``_q``), and the one center-manifold series of the
 algebraic-decay point in either R chart (``_decay_manifold``), from which
@@ -145,7 +146,6 @@ _RX_TEXT = _FieldText("R in |g|", "ls, tau", "eta, N, pm1, al, eps",
                       "den = eps * (1.0 + al * gr) / pm1 - eps * sa * (1.0 + eta * gr)",
                       "(eps * math.expm1(ls) + x * (al - N * sa)) / (x * den)",
                       "sa / den", "x")
-_LAUNCH_TEXT = {"Q": _Q_TEXT, "P": _P_TEXT, "R": _RX_TEXT}
 # Chart R at (g, S) with s = b S in the time nu: b = 1 is chart R and
 # b = beta chart R_beta.
 _R_TEXT = _FieldText("R", "gr, Sr", "eta, N, pm1, al, eps, b", "",
@@ -163,55 +163,36 @@ _SLOPE_TEXT = _R_TEXT._replace(
 
 @functools.lru_cache(maxsize=None)
 def _compiled(text: _FieldText):
-    """``make(*consts)``: the field ``text`` on Python floats with its
-    constants bound, a closure carrying both (``f.text``, ``f.consts``)."""
+    """``make(**table)``: the field ``text`` on Python floats with the
+    constants it names bound from ``table`` (the rest ignored), a closure
+    carrying both (``f.text``, ``f.consts``)."""
     namespace = {"text": text, "math": math}
     args = f"{text.time}, {text.args}" if text.time else text.args
-    exec(f"def make({text.consts}):\n    def f({args}):\n        {text.prelude}\n"
+    exec(f"def make({text.consts}, **_):\n    def f({args}):\n        {text.prelude}\n"
          f"        return {text.dy}, {text.dY}\n"
          f"    f.text, f.consts = text, ({text.consts},)\n    return f\n", namespace)
     return namespace["make"]
 
 
-def _s_rhs(params: ProblemParams, direction: int):
-    """The S field on Python floats, signed for the tau direction; the one
-    definition of chart S is its text (``field("S")``, the integrator and
-    its axis crossings evaluate it).
-
-    Bit for bit the numpy evaluation through :func:`phi_Y`: the float
-    ``**`` equals numpy's power on a 0-d array, and the signs are exact."""
+def _rhs(params: ProblemParams, text: _FieldText, b: float = 1.0):
+    """The field ``text`` on Python floats, the constants it names bound
+    from the one table below of ``params`` and ``b`` (the s = b S scale of
+    the chart-R texts: 1 for chart R, beta for chart R_beta), each a float,
+    so no evaluation makes an int-float operation.  Chart S evaluates bit
+    for bit as numpy through :func:`phi_Y`: the float ``**`` equals
+    numpy's power on a 0-d array, and the signs are exact.  Chart Q
+    raises ``ZeroDivisionError`` at sigma = 0."""
     dc = derive_constants(params)
-    return _compiled(_S_TEXT if direction == 1 else _S_BACK)(
-        1.0 / (params.p - 1.0), -dc.gamma, -(dc.gamma + float(params.N)),
-        params.alpha, float(params.epsilon))
-
-
-def _launch_rhs(params: ProblemParams, chart: str):
-    """The field of a launch chart on Python floats, from its text: chart
-    Q or P (``field`` and the launch stepper evaluate it), or chart R in
-    the time |g| (``_RX_TEXT``, the double-zero launch).  Chart Q raises
-    ``ZeroDivisionError`` at sigma = 0."""
-    return _compiled(_LAUNCH_TEXT[chart])(
-        derive_constants(params).eta, float(params.N), params.p - 1.0,
-        params.alpha, float(params.epsilon))
-
-
-def _r_rhs(params: ProblemParams, b: float = 1.0, text: _FieldText = _R_TEXT):
-    """Chart R at (g, S) with s = b S, on Python floats, from its text:
-    ``b = 1`` is chart R and ``b = beta`` chart R_beta (``field("R")``,
-    ``field("R_beta")`` and the T_alpha launch evaluate it; ``_RX_TEXT``
-    writes it in |g|).  With ``text=_SLOPE_TEXT`` it is chart R_b's slope
-    (1, dS/dg) on (g, S), the field of the connection function.  eps is
-    bound as a float: the same products as the int's, with no int-float
-    operation per evaluation."""
-    return _compiled(text)(derive_constants(params).eta, float(params.N),
-                           params.p - 1.0, params.alpha, float(params.epsilon), b)
+    N, pm1 = float(params.N), params.p - 1.0
+    return _compiled(text)(e=1.0 / pm1, mg=-dc.gamma, mgN=-(dc.gamma + N), eta=dc.eta,
+                           N=N, pm1=pm1, al=float(params.alpha),
+                           eps=float(params.epsilon), b=float(b))
 
 
 def _decay_manifold(params: ProblemParams, b: float):
     """``(m, u)``: the order-10 power series S = sum_{k=1}^{10} m_k x^k,
     x = g + 1/alpha, of the center manifold of the algebraic-decay point
-    A = (-1/alpha, 0) of chart R_b (``_r_rhs`` at ``b``; alpha != eta),
+    A = (-1/alpha, 0) of chart R_b (``_R_TEXT`` at ``b``; alpha != eta),
     and [u_2, ..., u_10] of the rate along it, dg/dnu = (g_A + x) u.  The
     T_alpha launch reads it in chart R (b = 1), with :func:`_tau_rate`,
     and the connection function in chart R_beta (b = beta, eps = -1).
@@ -280,6 +261,9 @@ def _series(c, x):
     return out
 
 
+_CHART_TEXT = {"S": _S_TEXT, "Q": _Q_TEXT, "P": _P_TEXT, "R": _R_TEXT, "R_beta": _R_TEXT}
+
+
 def field(chart_id: str, coords, params: ProblemParams) -> np.ndarray:
     """Right-hand side of the named chart at ``coords``.
 
@@ -293,15 +277,12 @@ def field(chart_id: str, coords, params: ProblemParams) -> np.ndarray:
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ChartDomainError(f"non-finite coordinates {coords!r} in chart {chart_id}")
     beta = derive_constants(params).beta  # validates the parameters first
-    if chart_id == "S":
-        return np.array(_s_rhs(params, 1)(a, b))
     if chart_id == "Q" and b == 0.0:
         raise ChartDomainError("chart Q requires sigma != 0")
-    if chart_id in ("Q", "P"):
-        return np.array(_launch_rhs(params, chart_id)(a, b))
     if chart_id == "R_beta" and beta == 0.0:
         raise ChartDomainError("chart R_beta requires beta != 0")
-    return np.array(_r_rhs(params, beta if chart_id == "R_beta" else 1.0)(a, b))
+    f = _rhs(params, _CHART_TEXT[chart_id], beta if chart_id == "R_beta" else 1.0)
+    return np.array(f(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,8 @@ from .integrate import (
     _rk45_segment,
     integrate_s,
 )
-from .systems import (PhaseState, _decay_manifold, _launch_rhs, _lift, _manifold_reach,
-                      _q, _r_rhs, _series, _tau_rate, to_profile)
+from .systems import (_P_TEXT, _Q_TEXT, _R_TEXT, _RX_TEXT, PhaseState, _decay_manifold,
+                      _lift, _manifold_reach, _q, _rhs, _series, _tau_rate, to_profile)
 
 
 DEFAULT_OFFSET = 1e-7
@@ -154,7 +154,7 @@ def _chart_phase(chart: str, u0, params: ProblemParams, cfg: IntegrationConfig,
     rows = [_SEvent(_HAND_EXPR[chart], -1, True)]
     table_fns = _event_values(rows, p=params.p,
                               q_hand=_q_hand(params, grow=False))
-    rhs = _launch_rhs(params, chart)
+    rhs = _rhs(params, _Q_TEXT if chart == "Q" else _P_TEXT)
     try:
         seg = _rk45_segment(rhs, span[0], span[1], float(u0[0]), float(u0[1]),
                             cfg.rel_tol, atol, 0.25, rows, *table_fns,
@@ -275,7 +275,7 @@ def _edge_phase(u0, params: ProblemParams, cfg: IntegrationConfig, stats: dict):
     table_fns = _event_values(rows, "x", pm1=params.p - 1.0, log=math.log,
                               log_q=math.log(_q_hand(params, grow=True)))
     try:
-        seg = _rk45_segment(_launch_rhs(params, "R"), abs(u0[0]), _G_EXIT,
+        seg = _rk45_segment(_rhs(params, _RX_TEXT), abs(u0[0]), _G_EXIT,
                             math.log(abs(u0[1])), 0.0, cfg.rel_tol,
                             min(cfg.abs_tol, 1e-14), math.inf, rows, *table_fns,
                             stats, cfg.max_steps, lambda x: f"? (|g| = {x!r})")
@@ -367,7 +367,7 @@ def _stiff_phase(u0, params: ProblemParams, cfg: IntegrationConfig, span,
     :class:`IntegrationError` when the phase leaves the chart, fails,
     exhausts the budget, or ends at one of the ``stops``, a failure or
     the end of ``span`` before a goal."""
-    r_field = _r_rhs(params)
+    r_field = _rhs(params, _R_TEXT)
     budget = _RHS_PER_STEP * cfg.max_steps
     stats["segments"] += 1
 

@@ -13,7 +13,7 @@ from plap import analysis
 from plap.integrate import IntegrationConfig, Trajectory, integrate_s
 from plap.params import (ParameterError, ProblemParams, derive_constants,
                          m_ell_point)
-from plap.systems import PhaseState, _decay_manifold, _r_rhs
+from plap.systems import _R_TEXT, PhaseState, _decay_manifold, _rhs
 from plap.trajectories import shoot_regular
 from plap.analysis import (
     AnalysisError,
@@ -370,7 +370,7 @@ class TestConnectionFunction:
             alpha = lo + k * (hi - lo) / 4.0
             params = ProblemParams(N, p, alpha, -1)
             dc = derive_constants(params)
-            f = _r_rhs(params, dc.beta)
+            f = _rhs(params, _R_TEXT, dc.beta)
             lam = (p - 2.0) / (p - 1.0)
             start = 1.0 / dc.beta + 1e-7 * (alpha - N) / (dc.beta * (1.0 + lam))
 
@@ -419,7 +419,7 @@ class TestConnectionFunction:
         # field vanishes through x^K: halving x divides it by about 2^(K+1)
         params = ProblemParams(N, p, RECORDED_ALPHA_C[N, p], -1)
         dc = derive_constants(params)
-        f = _r_rhs(params, dc.beta)
+        f = _rhs(params, _R_TEXT, dc.beta)
         m = _beta_series(params)
         K = len(m)
         g_A = -1.0 / params.alpha
@@ -438,7 +438,7 @@ class TestConnectionFunction:
     def separatrix_solve(params, g0, S0, g1):
         """S at g1 on the orbit of chart R_beta's slope through (g0, S0):
         Radau at rel_tol 1e-13."""
-        f = _r_rhs(params, derive_constants(params).beta)
+        f = _rhs(params, _R_TEXT, derive_constants(params).beta)
 
         def slope(g, u):
             dg, dS = f(g, float(u[0]))

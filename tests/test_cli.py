@@ -86,6 +86,8 @@ class TestShoot:
         events = (tmp_path / "orbit.events.csv").read_text().splitlines()
         assert events[0] == "kind,tau,y,Y"
         manifest = json.loads((tmp_path / "orbit.manifest.json").read_text())
+        assert list(manifest) == ["command", "params", "config_hash",
+                                  "tool_version", "outputs", "wall_time"]
         for entry in manifest["outputs"]:
             digest = hashlib.sha256(
                 open(entry["path"], "rb").read()).hexdigest()

@@ -15,7 +15,7 @@ from hypothesis import given, seed, settings, strategies as st
 from scipy.integrate import RK45, solve_ivp
 
 from plap.params import ParameterError, ProblemParams, derive_constants, m_ell_point
-from plap.systems import (PhaseState, _P_TEXT, _Q_TEXT, _S_TEXT, _SLOPE_TEXT, _s_rhs,
+from plap.systems import (PhaseState, _P_TEXT, _Q_TEXT, _S_BACK, _S_TEXT, _SLOPE_TEXT, _rhs,
                           oracle, phi_Y)
 from plap.trajectories import SpecialTrajectorySpec, shoot, shoot_regular
 from plap.integrate import (
@@ -231,7 +231,7 @@ class TestAxisCrossing:
     def test_crossing_matches_a_fine_reference(self, osc_crossings):
         # DOP853 with at least 3,000 steps a side; the crossings settle onto
         # the cycle's, so every 11th one is checked
-        f = _s_rhs(OSC, 1)
+        f = _rhs(OSC, _S_TEXT)
 
         def rhs(Y, u):
             f1, den = f(float(u[0]), float(Y))
@@ -532,6 +532,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"IntegrationConfig.{name}"):
             IntegrationConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 2.5, 0, -1])
+    def test_max_steps_is_a_whole_number_at_least_one(self, value):
+        # an infinite or fractional budget would leave every budget check
+        # unbound (phi's stepper share (max_steps - 2) // 6 is nan at inf)
+        with pytest.raises(ValueError, match="IntegrationConfig.max_steps"):
+            IntegrationConfig(max_steps=value)
+
     @pytest.mark.parametrize("direction", [0, 2, -2])
     def test_direction_is_a_parameter_error(self, direction):
         with pytest.raises(ParameterError, match="direction must be"):
@@ -572,7 +579,7 @@ class TestStepper:
         params, (y0, Y0), span, events, consts = self._segment_cases()[case]
         values, advance, roots = integrate_mod._event_values(events, **consts)
         cfg = IntegrationConfig()
-        f = integrate_mod._s_rhs(params, 1)
+        f = _rhs(params, _S_TEXT)
         stats = {"rhs_evals": 0, "accepted": 0, "rejected": 0, "segments": 0}
         seg = integrate_mod._rk45_segment(
             f, 0.0, span, y0, Y0, cfg.rel_tol, cfg.abs_tol,
@@ -644,7 +651,7 @@ class TestStepper:
                                   per_row_roots)):
             stats = {"rhs_evals": 0, "accepted": 0, "rejected": 0, "segments": 0}
             segs.append(integrate_mod._rk45_segment(
-                integrate_mod._s_rhs(self.OSC, 1), 0.0, 2.0, 2e160, 1e160,
+                _rhs(self.OSC, _S_TEXT), 0.0, 2.0, 2e160, 1e160,
                 cfg.rel_tol, cfg.abs_tol, integrate_mod.MAX_STEP, events,
                 values, adv, rts, stats, cfg.max_steps))
         got, want = segs
@@ -662,7 +669,7 @@ class TestStepper:
         args = (0.0, span, y0, Y0, cfg.rel_tol, cfg.abs_tol,
                 integrate_mod.MAX_STEP, events,
                 *integrate_mod._event_values(events, **consts))
-        text, call = _text_and_callable(integrate_mod._s_rhs(params, direction),
+        text, call = _text_and_callable(_rhs(params, _S_TEXT if direction == 1 else _S_BACK),
                                         args, integrate_mod._new_stats(),
                                         max_steps=cfg.max_steps)
         assert text == call
@@ -786,7 +793,7 @@ class TestStepper:
         cfg = IntegrationConfig()
         with pytest.raises(IntegrationError, match="max_steps exceeded"):
             integrate_mod._rk45_segment(
-                integrate_mod._s_rhs(self.OSC, 1), 0.0, 50.0, 0.3, 0.1,
+                _rhs(self.OSC, _S_TEXT), 0.0, 50.0, 0.3, 0.1,
                 cfg.rel_tol, cfg.abs_tol, integrate_mod.MAX_STEP, [],
                 *integrate_mod._event_values([]), stats, 50)
         assert stats["accepted"] + stats["rejected"] == 50

@@ -24,8 +24,14 @@ from plap.systems import (
     to_profile,
     _decay_manifold,
     _manifold_reach,
-    _r_rhs,
-    _s_rhs,
+    _P_TEXT,
+    _Q_TEXT,
+    _R_TEXT,
+    _RX_TEXT,
+    _S_BACK,
+    _S_TEXT,
+    _SLOPE_TEXT,
+    _rhs,
     _series,
     _tau_rate,
 )
@@ -123,10 +129,25 @@ class TestField:
         points = [(y, Y) for y in special for Y in special]
         points += zip(pool, rng.permutation(pool).tolist())
         for direction in (1, -1):
-            f = _s_rhs(params, direction)
+            f = _rhs(params, _S_TEXT if direction == 1 else _S_BACK)
             for y, Y in points:
                 assert struct.pack("<2d", *f(y, Y)) \
                     == struct.pack("<2d", *reference(y, Y, direction)), (y, Y)
+
+    # every field text with its b and its constants at (2, 3.0, -1.8, -1):
+    # (e, mg, mgN, al, eps) in chart S, (eta, N, pm1, al, eps) in the
+    # others, then b in chart R's texts (beta = 1.2 for R_beta and its slope)
+    S_CONSTS, R_CONSTS = (0.5, -3.0, -5.0, -1.8, -1.0), (-0.5, 2.0, 2.0, -1.8, -1.0)
+    BINDINGS = [(_S_TEXT, 1.0, S_CONSTS), (_S_BACK, 1.0, S_CONSTS),
+                (_Q_TEXT, 1.0, R_CONSTS), (_P_TEXT, 1.0, R_CONSTS), (_RX_TEXT, 1.0, R_CONSTS),
+                (_R_TEXT, 1.0, (*R_CONSTS, 1.0)), (_R_TEXT, 1.2, (*R_CONSTS, 1.2)),
+                (_SLOPE_TEXT, 1.2, (*R_CONSTS, 1.2))]
+
+    @pytest.mark.parametrize("text, b, consts", BINDINGS)
+    def test_binding_table(self, text, b, consts):
+        assert _rhs(ProblemParams(2, 3.0, -1.8, -1), text, b).consts == consts
+        bound = _rhs(ProblemParams(2, 3, -2, -1), text, b).consts
+        assert [type(c) for c in bound] == [float] * len(bound)
 
     def test_domain_errors(self):
         params = ProblemParams(2, 3.0, 1.0, 1)
@@ -180,7 +201,7 @@ class TestDecayManifold:
         # x^k against dtau/dx = S / u by about 2^(K-1); read at four times
         # the series' reach, where truncation outweighs rounding
         params = ProblemParams(*params)
-        f = _r_rhs(params)
+        f = _rhs(params, _R_TEXT)
         m, u = _decay_manifold(params, 1.0)
         q = _tau_rate(m, u, 1.0)
         K = len(m)

@@ -4,9 +4,12 @@ short traced alpha-c, cycles and figures run each end ``correct``: every
 span they require still fires, every certified cycle period stays within
 the oracle's bound, and every shooting the figures run drives through
 the CLI writes its files.  The README's list of ``PLAP_CONFIG`` keys is
-the fields of ``IntegrationConfig``."""
+the fields of ``IntegrationConfig``, and every private name the README or
+a ``plap`` docstring cites exists."""
 
+import ast
 import dataclasses
+import importlib
 import json
 import re
 import subprocess
@@ -18,6 +21,7 @@ import pytest
 from plap.integrate import IntegrationConfig
 
 ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "plap").glob("*.py"))
 
 
 def test_readme_lists_the_config_keys():
@@ -27,6 +31,23 @@ def test_readme_lists_the_config_keys():
     assert listed, "README no longer lists the PLAP_CONFIG keys"
     keys = re.findall(r"`(\w+)`", listed.group(1))
     assert keys == [f.name for f in dataclasses.fields(IntegrationConfig)]
+
+
+def test_docs_cite_only_defined_private_names():
+    # `_name` in the README; ``_name`` or ``module._name`` in a docstring
+    modules = {src.stem: importlib.import_module(
+        "plap" if src.stem == "__init__" else f"plap.{src.stem}") for src in SOURCES}
+    cited = [("README.md", None, name)
+             for name in re.findall(r"`(_\w+)`", (ROOT / "README.md").read_text())]
+    for src in SOURCES:
+        for node in ast.walk(ast.parse(src.read_text())):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                cited += [(src.name, module or None, name) for module, name in
+                          re.findall(r"``(?:(\w+)\.)?(_\w+)``", ast.get_docstring(node) or "")]
+    missing = [(where, module, name) for where, module, name in cited
+               if not any(hasattr(modules.get(m), name) for m in ([module] if module else modules))]
+    assert cited
+    assert not missing, missing
 
 
 def test_tracer_selftest():

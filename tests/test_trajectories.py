@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 from plap import trajectories
 from plap.integrate import IntegrationConfig, IntegrationError, _new_stats
 from plap.params import ParameterError, ProblemParams, derive_constants
-from plap.systems import _launch_rhs, _r_rhs, field, oracle
+from plap.systems import _R_TEXT, _RX_TEXT, _rhs, field, oracle
 from plap.trajectories import (
     _G_EXIT,
     SpecialTrajectorySpec,
@@ -209,7 +209,7 @@ class TestDoubleZero:
         # apart: measured, the times part by 3e-8 of their size and the
         # hand-off point by 2e-16
         params, cfg, stats = ProblemParams(1, 3.0, -2.53, -1), IntegrationConfig(), _new_stats()
-        f = _launch_rhs(params, "R")
+        f = _rhs(params, _RX_TEXT)
         u0, ref = self._solve(params, lambda t, v: f(t, *v), method="RK45",
                               rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14))
         x, u = _edge_phase(u0, params, cfg, stats)
@@ -237,7 +237,7 @@ class TestDoubleZero:
         # y within 1e-4
         params = ProblemParams(*params)
         p, eps = params.p, params.epsilon
-        r_field = _r_rhs(params)
+        r_field = _rhs(params, _R_TEXT)
 
         def rhs(t, v):
             g, s = -eps * t, -eps * math.exp(v[0])
@@ -290,7 +290,7 @@ class TestAlgebraicDecay:
         v = np.array([(p - 1.0) * (dc.eta - al), eps * al * al])
         v /= np.hypot(*v)
         d = (-1.0 if al > 0.0 else 1.0) * math.copysign(1.0, v[1])
-        f, q_hand = _r_rhs(params), _q_hand(params, grow=True)
+        f, q_hand = _rhs(params, _R_TEXT), _q_hand(params, grow=True)
 
         def hand(nu, u):
             return _q("R", u[0], u[1], p) - q_hand
