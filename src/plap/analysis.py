@@ -24,10 +24,10 @@ inverse-slope chart R_beta (g, S) on its slope dS/dg, one field text
 signed gap, on the line {g = 1/gamma}, between the orbit leaving the
 double-zero point and the orbit entering the algebraic-decay point.  The
 double-zero orbit runs on the scalar Dormand-Prince stepper of
-``plap.integrate``, the stiff decay orbit on LSODA from a computed point
-of its high-order center-manifold series, and the two share one budget
-of ``max_steps`` rhs evaluations.  phi is strictly decreasing and its
-root is the critical exponent alpha_c.
+``plap.integrate``, the stiff decay orbit on LSODA, each from a computed
+point of its manifold's series, either may end on the stationary point
+L' of the section, and the two share one budget of ``max_steps`` rhs
+evaluations.  phi is strictly decreasing and its root is alpha_c.
 """
 
 from __future__ import annotations
@@ -54,13 +54,14 @@ from .integrate import (
     IntegrationError,
     Trajectory,
     _BudgetExhausted,
+    _SEvent,
     _event_values,
     _new_stats,
     _rk45_segment,
     integrate_s,
 )
-from .systems import (_R_TEXT, _SLOPE_TEXT, PhaseState, _decay_manifold, _manifold_reach, _rhs,
-                      _series, phi_Y)
+from .systems import (_R_TEXT, _SLOPE_TEXT, PhaseState, _decay_manifold, _double_zero_manifold,
+                      _manifold_reach, _rhs, _series, phi_Y)
 from . import trajectories as traj_mod
 
 
@@ -497,8 +498,7 @@ def detect_limit_cycle(trajectory: Trajectory, params: ProblemParams,
 # the connection function and the critical exponent
 
 
-def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
-               offset: float = 1e-7):
+def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig):
     """(S0, S1): section ordinates on the line {g = 1/gamma} of the two
     separatrix orbits of the rescaled inverse-slope chart.
 
@@ -510,10 +510,12 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
     Integrating in g avoids the arbitrarily slow rescaled-time traverse
     near the decay point.
 
-    The double-zero separatrix leaves an unstable node and is not stiff:
-    the scalar Dormand-Prince stepper (``integrate._rk45_segment``) runs
-    it with g as its time, from ``offset`` (0 < offset < 1/gamma) to the
-    section, in a few dozen steps.  The algebraic-decay separatrix enters
+    The double-zero separatrix leaves the saddle B' = (0, 1/beta) and is
+    not stiff: the scalar Dormand-Prince stepper (``integrate._rk45_segment``)
+    runs it in the time g from its unstable manifold's convergent series
+    (``systems._double_zero_manifold``), and an error off the manifold
+    shrinks like (g0/g)^(1/lam), lam = (p-2)/(p-1), on the way out.  The
+    algebraic-decay separatrix enters
     A' along its center manifold, where F vanishes, so the transverse
     rate of the slope equation grows like 1/F and an explicit pair is
     held to steps of about 1e-6 by stability, not accuracy.  It is
@@ -528,10 +530,20 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
     median and at most about 40 % near the ends of the alpha_c search
     intervals, where the approach is least stiff, so it stays below
     LSODA's own error at that tolerance.
-    The launch point must have F > 0: LSODA started where F <= 0 never
+    Both launch points must have F > 0: LSODA started where F <= 0 never
     leaves it.  Both legs run on chart R_beta's slope text
     (``systems._SLOPE_TEXT``): the stepper writes it into its loop, and
     LSODA calls its closure.
+
+    Either leg may arrive at M_ell's image L' = (g_L, S_L), S_L = (1 +
+    alpha/gamma) / (beta (1 + N/gamma)), a stationary point on the section,
+    and then reads S_L.  The stepper's steps shrink to the float spacing
+    near L', so the double-zero leg ends on its one event row, on entering
+    the disc of radius 1e-9 around L' (at alpha_2 ends, p <= 2.2); about a
+    focus L' it crosses the section inside that disc.  LSODA gives up on a
+    decay leg converging into L' (on the tests' 408-draw grid, 4e-11 to
+    4e-8 short of g_L, 1.5e-10 to 4.9e-6 from S_L), so a give-up within
+    1e-5 of L' reads S_L (RK45 at rel_tol 1e-12 agrees within 7.5e-9).
 
     Both legs count their work in one ``_new_stats()`` record and together
     make at most ``cfg.max_steps`` rhs evaluations.  The stepper leg stops
@@ -542,16 +554,13 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
     the last naming the budget.
     """
     dc = derive_constants(params)
-    p, al, N = params.p, params.alpha, float(params.N)
+    al, N = params.alpha, float(params.N)
     if params.epsilon != -1:
         raise ParameterError("the connection function is defined for the "
                              "backward time direction (epsilon = -1)")
     if not (al < 0.0) or dc.beta <= 0.0:
         raise ParameterError("the connection function requires alpha < 0 < beta")
     g_L = 1.0 / dc.gamma
-    if not 0.0 < offset < g_L:
-        raise ParameterError(f"the separatrix offset must lie in (0, {g_L}), "
-                             f"got {offset}")
     g_A = 1.0 / abs(al)
     atol = min(cfg.abs_tol, 1e-13)
     beta, eta = dc.beta, dc.eta
@@ -561,6 +570,8 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
                             "coefficients")
 
     slope = _rhs(params, _SLOPE_TEXT, beta)
+    S_L = (1.0 + al / dc.gamma) / (beta * (1.0 + N / dc.gamma))
+    chart = _rhs(params, _R_TEXT, beta)  # F > 0 where chart(g, S)[0] > 0
     stats = _new_stats()  # both legs' work, and their one budget
 
     def over_budget():
@@ -568,36 +579,38 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
             f"connection function exceeded its budget of {cfg.max_steps} "
             f"rhs evaluations at alpha = {al}")
 
-    # orbit leaving the double-zero point B' = (0, 1/beta): unstable
-    # eigenvector (1, (alpha - N)/(beta (1 + lambda))), lambda = (p-2)/(p-1);
-    # the stepper's time is g, with the state (g, S) on the slope field
-    lam = (p - 2.0) / (p - 1.0)
-    slope0 = (al - N) / (dc.beta * (1.0 + lam))
-    S_start0 = 1.0 / dc.beta + offset * slope0
+    # orbit leaving B' along S = 1/beta + sum c_k g^k, launched at the largest
+    # g <= g_L/2 where |c_10 g^10| <= rel_tol |c_1 g|, never inside 1e-7
+    c = _double_zero_manifold(params)
+    reach = _manifold_reach(c, cfg.rel_tol)
+    g0 = min(0.5 * g_L, reach) if reach >= 1e-7 else 1e-7
+    S_start0 = 1.0 / beta + _series(c, g0)
+    if not chart(g0, S_start0)[0] > 0.0:
+        raise AnalysisError(
+            "double-zero separatrix launches outside the admissible region F > 0")
     attempts = (cfg.max_steps - 2) // 6  # n attempts cost 2 + 6 n evaluations
     if attempts < 0:
         raise over_budget()
+    at_L = (_SEvent("(y - gL) ** 2 + (Y - SL) ** 2 - 1e-18", -1, True),)
     try:
-        seg = _rk45_segment(slope, offset, g_L, offset, S_start0, cfg.rel_tol, atol,
-                            math.inf, (), *_event_values(()), stats, attempts)
+        seg = _rk45_segment(slope, g0, g_L, g0, S_start0, cfg.rel_tol, atol, math.inf,
+                            at_L, *_event_values(at_L, gL=g_L, SL=S_L), stats, attempts)
     except _BudgetExhausted:
         raise over_budget() from None
     except IntegrationError:
         raise AnalysisError("double-zero separatrix left the admissible "
                             "region before the section") from None
-    S0 = seg.Y[-1]
+    S0 = S_L if seg.terminal is not None else seg.Y[-1]
 
-    # orbit entering the algebraic-decay point A' = (1/|alpha|, 0) along
-    # its center manifold S = sum m_k x^k, x = g - 1/|alpha|: launched at
-    # the largest |x| <= 300 |x0| where |m_10 x^10| <= rel_tol |m_1 x|, and
-    # never inside |x0| (a nan or infinite m_10 gives |x0|); the stiff
-    # approach damps the launch error on the way to the section
+    # orbit entering A' = (1/|alpha|, 0) along S = sum m_k x^k, x = g - 1/|alpha|,
+    # launched at the largest |x| <= 300 |x0| where |m_10 x^10| <= rel_tol
+    # |m_1 x|, never inside |x0| (a nan or infinite m_10 gives |x0|)
     m, _ = _decay_manifold(params, beta)
     x0 = -1e-3 * (g_A - g_L)
     reach = _manifold_reach(m, cfg.rel_tol)
     x = x0 * (min(300.0, reach / -x0) if reach >= -x0 else 1.0)
     S_start1 = _series(m, x)
-    if not _rhs(params, _R_TEXT, beta)(g_A + x, S_start1)[0] > 0.0:
+    if not chart(g_A + x, S_start1)[0] > 0.0:
         raise AnalysisError(
             "algebraic-decay separatrix launches outside the admissible region F > 0")
 
@@ -614,16 +627,17 @@ def _phi_shoot(params: ProblemParams, cfg: IntegrationConfig,
         warnings.simplefilter("ignore", UserWarning)
         sol1 = solve_ivp(decay_slope, (g_A + x, g_L), [S_start1], method="LSODA",
                          rtol=cfg.rel_tol, atol=atol)
-    if not sol1.success:
-        raise AnalysisError(
-            "algebraic-decay separatrix left the admissible region before the section")
     S1 = float(sol1.y[0, -1])
+    if not sol1.success:
+        if not math.hypot(sol1.t[-1] - g_L, S1 - S_L) <= 1e-5:
+            raise AnalysisError(
+                "algebraic-decay separatrix left the admissible region before the section")
+        S1 = S_L
     return S0, S1
 
 
 def phi_of_alpha(N: int, p: float, alpha: float,
-                 config: Optional[IntegrationConfig] = None,
-                 offset: float = 1e-7) -> float:
+                 config: Optional[IntegrationConfig] = None) -> float:
     """Signed gap phi(alpha) = S0 - S1 between the two separatrices on
     the section {g = 1/gamma} of the rescaled inverse-slope chart.
 
@@ -634,7 +648,7 @@ def phi_of_alpha(N: int, p: float, alpha: float,
     """
     cfg = config or IntegrationConfig()
     params = ProblemParams(N=N, p=p, alpha=alpha, epsilon=-1)
-    S0, S1 = _phi_shoot(params, cfg, offset)
+    S0, S1 = _phi_shoot(params, cfg)
     return S0 - S1
 
 

@@ -29,9 +29,11 @@ the double-zero launch, both R charts in nu, and chart R_beta's slope
 dS/dg, composed from chart R's text, on which the connection function
 runs.
 So is the one lift of charts Q, P and R to chart S (``_lift``, through
-y^{p-2} = ``_q``), and the one center-manifold series of the
-algebraic-decay point in either R chart (``_decay_manifold``), from which
-the T_alpha launch and the connection function both start.  All
+y^{p-2} = ``_q``), the one center-manifold series of the algebraic-decay
+point in either R chart (``_decay_manifold``), from which the T_alpha
+launch and the connection function both start, and the unstable-manifold
+series of the double-zero point in chart R_beta (``_double_zero_manifold``),
+from which the connection function's other leg starts.  All
 operations here are pure closed forms; integration lives in
 :mod:`plap.integrate`.
 """
@@ -228,6 +230,29 @@ def _decay_manifold(params: ProblemParams, b: float):
         km.append(n * m[n])
         G.append(g_A * u[n] + u[n - 1])
     return m[1:], u[2:]
+
+
+def _double_zero_manifold(params: ProblemParams):
+    """[c_1, ..., c_10]: the series S = 1/beta + T, T = sum c_k g^k, of the
+    unstable manifold of the saddle B' = (0, 1/beta) of chart R_beta
+    (``_R_TEXT`` at b = beta, eps = -1), an analytic graph (L. Perko,
+    *Differential Equations and Dynamical Systems*, sec. 2.7).  There
+    dg/dnu = g u, u = lam + (eta - alpha/(p-1)) g + beta (1 + eta g) T,
+    lam = (p-2)/(p-1), and dS/dnu = (1/beta + T) v, v = (alpha - N) g -
+    beta (1 + N g) T; g^n of S'(g) dg/dnu = dS/dnu fixes c_n with the
+    divisor n lam + 1, and c_1 = (alpha - N)/(beta (1 + lam))."""
+    dc = derive_constants(params)
+    al, N, beta, eta = params.alpha, float(params.N), dc.beta, dc.eta
+    lam = (params.p - 2.0) / (params.p - 1.0)
+    c = [0.0, (al - N) / (beta * (1.0 + lam))]  # by the power of g, as in _decay_manifold
+    kc, u, v = c[:], [lam, eta - al / (params.p - 1.0) + beta * c[1]], [0.0, al - N - beta * c[1]]
+    for n in range(2, 11):
+        c.append((sum(map(mul, c[1:n], v[n - 1:0:-1])) - sum(map(mul, kc[1:n], u[n - 1:0:-1]))
+                  - N * c[n - 1]) / (n * lam + 1.0))
+        kc.append(n * c[n])
+        u.append(beta * (c[n] + eta * c[n - 1]))
+        v.append(-beta * (c[n] + N * c[n - 1]))
+    return c[1:]
 
 
 def _tau_rate(m, u, b: float) -> list:

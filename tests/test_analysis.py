@@ -10,11 +10,12 @@ from hypothesis import assume, given, seed, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from plap import analysis
-from plap.integrate import IntegrationConfig, Trajectory, integrate_s
+from plap.integrate import IntegrationConfig, Trajectory, _new_stats, integrate_s
 from plap.params import (ParameterError, ProblemParams, derive_constants,
                          m_ell_point)
-from plap.systems import _R_TEXT, PhaseState, _decay_manifold, _rhs
-from plap.trajectories import shoot_regular
+from plap.systems import (_R_TEXT, PhaseState, _decay_manifold, _double_zero_manifold,
+                          _manifold_reach, _rhs, _series)
+from plap.trajectories import _edge_phase, shoot_regular
 from plap.analysis import (
     AnalysisError,
     BracketError,
@@ -329,10 +330,22 @@ class TestConnectionFunction:
         samples_2 = [phi_of_alpha(2, 3.0, a) for a in (-1.95, -1.8, -1.6)]
         assert samples_2[0] > samples_2[1] > samples_2[2]
 
-    def test_offset_insensitivity(self):
-        vals = [phi_of_alpha(2, 3.0, -1.8, offset=off)
-                for off in (1e-6, 1e-7, 1e-8)]
-        assert max(vals) - min(vals) <= 1e-9
+    def test_launch_distance_insensitivity(self, monkeypatch):
+        # S0 from the double-zero series at its reach, at a tenth of it, and
+        # from the first-order point at g = 1e-7: the saddle B' shrinks a
+        # launch error off its unstable manifold on the way to the section
+        params = ProblemParams(2, 3.0, -1.8, -1)
+        real_reach = analysis._manifold_reach
+        full = _double_zero_manifold(params)
+        first = full[:1] + [0.0] * (len(full) - 1)
+        got = []
+        for series, scale in ((full, 1.0), (full, 0.1), (first, 0.0)):
+            monkeypatch.setattr(analysis, "_double_zero_manifold", lambda _, c=series: c)
+            monkeypatch.setattr(analysis, "_manifold_reach",
+                                lambda m, rel, c=series, k=scale:
+                                k * real_reach(full, rel) if m is c else real_reach(m, rel))
+            got.append(analysis._phi_shoot(params, IntegrationConfig())[0])
+        assert max(got) - min(got) <= 1e-8 * abs(got[0]), got
 
     def test_decay_separatrix_is_integrated_as_stiff(self, solver_calls):
         # RK45 spent about 7,900 rhs evaluations on this orbit, held to
@@ -351,15 +364,40 @@ class TestConnectionFunction:
             phi_of_alpha(1, 3.0, -0.7)
         assert solver_calls == []
 
-    @pytest.mark.parametrize("offset", [0.0, -1e-7, math.nan, math.inf, 0.5])
-    def test_offset_must_lie_before_the_section(self, offset):
-        # the section of (2, 3, -1.8) is g = 1/gamma = 1/3; an offset past
-        # it once integrated nothing and returned a gap
-        params = ProblemParams(2, 3.0, -1.8, -1)
-        with pytest.raises(ParameterError, match="offset"):
-            phi_of_alpha(2, 3.0, -1.8, offset=offset)
-        with pytest.raises(ParameterError, match="offset"):
-            analysis._phi_shoot(params, IntegrationConfig(), offset)
+    def test_decay_leg_ending_on_L_reads_its_ordinate(self, monkeypatch):
+        # LSODA gives up on these decay legs 3.6e-11 and 5.4e-10 short of
+        # the section, converging into L' = (1/gamma, S_L): S1 reads S_L,
+        # which RK45 at rel_tol 1e-12 to the section confirms
+        real = analysis.solve_ivp
+        for N, p, alpha in [(2, 2.884458375095161, -2.8038683795433594),
+                            (3, 3.6140049597748267, -1.9569495838138105)]:
+            params = ProblemParams(N, p, alpha, -1)
+            dc = derive_constants(params)
+            launches = []
+
+            def spy(fun, t_span, y0, **kwargs):
+                launches.append((t_span[0], y0[0]))
+                return real(fun, t_span, y0, **kwargs)
+
+            monkeypatch.setattr(analysis, "solve_ivp", spy)
+            _, S1 = analysis._phi_shoot(params, IntegrationConfig())
+            assert S1 == (1.0 + alpha / dc.gamma) / (dc.beta * (1.0 + N / dc.gamma))
+            f = _rhs(params, _R_TEXT, dc.beta)
+            (g1, S_launch), = launches
+            ref = solve_ivp(lambda g, u: [f(g, float(u[0]))[1] / f(g, float(u[0]))[0]],
+                            (g1, 1.0 / dc.gamma), [S_launch], method="RK45",
+                            rtol=1e-12, atol=1e-14)
+            assert ref.success and abs(S1 - ref.y[0, -1]) <= 1e-7, params
+
+        # a give-up anywhere else stays an error
+        def stalled(fun, t_span, y0, **kwargs):
+            sol = real(fun, (t_span[0], 0.5 * (t_span[0] + t_span[1])), y0, **kwargs)
+            sol.success = False
+            return sol
+
+        monkeypatch.setattr(analysis, "solve_ivp", stalled)
+        with pytest.raises(AnalysisError, match="left the admissible region"):
+            analysis._phi_shoot(params, IntegrationConfig())
 
     @pytest.mark.parametrize("N, p", sorted(RECORDED_ALPHA_C) + [(1, 3.0)])
     def test_double_zero_separatrix_meets_a_tight_reference(self, N, p):
@@ -412,6 +450,29 @@ class TestConnectionFunction:
         m = _beta_series(ProblemParams(1, p, alpha, -1))
         assert m[0] == pytest.approx(alpha, rel=1e-15)
         assert max(map(abs, m[1:6])) <= 1e-12
+        # and it leaves B' = (0, 1) (beta = 1) along S = 1 + alpha g
+        c = _double_zero_manifold(ProblemParams(1, p, alpha, -1))
+        assert c[0] == pytest.approx(alpha, rel=1e-15)
+        assert max(map(abs, c[1:])) <= 1e-12
+
+    @pytest.mark.parametrize("N, p", [(2, 2.2), (3, 2.5), (2, 3.0), (4, 3.0),
+                                      (3, 4.0), (5, 6.0), (2, 10.0), (4, 10.0)])
+    def test_double_zero_series_is_the_T_eps_launch(self, N, p):
+        # at eps = -1 the T_eps launch leaves B' in chart R (s = beta S, in
+        # the time |g|) along the same unstable manifold, from its
+        # first-order point at g = 1e-7; within the series' reach its
+        # samples lie on the series
+        a, b = analysis._search_interval(*critical_bracket(N, p))
+        params = ProblemParams(N, p, 0.5 * (a + b), -1)
+        beta = derive_constants(params).beta
+        c = _double_zero_manifold(params)
+        reach = _manifold_reach(c, 1e-8)
+        g, u = _edge_phase((1e-7, 1.0 + 1e-7 * beta * c[0]), params, IntegrationConfig(),
+                           _new_stats())
+        inside = g <= reach
+        assert inside.sum() >= 5
+        S = 1.0 / beta + _series(c, g[inside])
+        assert np.max(np.abs(u[1, inside] / beta - S) / np.abs(S)) <= 1e-8
 
     @pytest.mark.parametrize("N, p", sorted(RECORDED_ALPHA_C))
     def test_series_residual_has_order_K_plus_one(self, N, p):
@@ -502,18 +563,18 @@ class TestConnectionFunction:
                      - self.separatrix_solve(params, g1, S_launch, g_L))
             assert abs(moved) <= 0.2 * 1e-6 * abs(ref), params
 
-    @pytest.mark.parametrize("max_steps", [1, 100, 250, 300, 350])
+    @pytest.mark.parametrize("max_steps", [1, 50, 100, 250, 300, 350])
     def test_rhs_budget(self, max_steps, monkeypatch):
         # both legs count into one record under one budget.  The double-zero
-        # leg takes 37 steps and 224 rhs evaluations, the decay leg 53.  At
-        # 1 the stepper cannot make its first two evaluations and does not
-        # start; at 100 it stops at a whole step, after 16 attempts and 98
-        # evaluations, and LSODA never starts; at 250 the stepper finishes
-        # and LSODA stops after the 26 evaluations left; at 300 and 350 both
-        # legs finish, in 277.
-        attempts, stepper, decay_evals = {1: (0, 0, None), 100: (16, 98, None),
-                                          250: (37, 224, 26), 300: (37, 224, 53),
-                                          350: (37, 224, 53)}[max_steps]
+        # leg takes 13 attempts (12 steps) and 80 rhs evaluations, the decay
+        # leg 53.  At 1 the stepper cannot make its first two evaluations
+        # and does not start; at 50 it stops at a whole step, after 8
+        # attempts and 50 evaluations, and LSODA never starts; at 100 the
+        # stepper finishes and LSODA stops after the 20 evaluations left; at
+        # 250, 300 and 350 both legs finish, in 133.
+        attempts, stepper, decay_evals = {1: (0, 0, None), 50: (8, 50, None),
+                                          100: (13, 80, 20), 250: (13, 80, 53),
+                                          300: (13, 80, 53), 350: (13, 80, 53)}[max_steps]
         records, stepper_evals, decay = [], [], []
         real_stats, real_solve = analysis._new_stats, analysis.solve_ivp
 
@@ -534,7 +595,7 @@ class TestConnectionFunction:
         monkeypatch.setattr(analysis, "_new_stats", new_stats)
         monkeypatch.setattr(analysis, "solve_ivp", spy)
         cfg = IntegrationConfig(max_steps=max_steps)
-        whole = 277  # both legs' evaluations when the budget does not stop them
+        whole = 133  # both legs' evaluations when the budget does not stop them
         if max_steps >= whole:
             assert math.isfinite(phi_of_alpha(2, 3.0, -1.9, cfg))
         else:
@@ -551,10 +612,13 @@ class TestConnectionFunction:
 
     def test_fixed_seed_grid_ends_within_budget(self):
         # every draw returns a finite gap or a declared error, about 1 s
-        # for all 408 (launches with F <= 0 are a third of the errors).
-        # Five draws below the search intervals sit where F reaches 0 at
-        # the section; there LSODA's outcome turns on its launch point, and
-        # Radau and DOP853 at rel_tol 1e-12 fail as well
+        # for all 408 (every error is a decay launch with F <= 0).  On 26
+        # draws outside the search intervals a separatrix runs into the
+        # section's stationary point L': 11 double-zero legs that once died
+        # at the float spacing short of it (their S0 agrees with DOP853 at
+        # rel_tol 1e-12 within 6e-13) and 15 decay legs on which LSODA gives
+        # up within 1e-5 of L' (their phi agrees with RK45 at rel_tol 1e-12
+        # within 7.5e-9)
         rng = np.random.default_rng(5)
         outcomes = {"value": 0, "AnalysisError": 0, "ParameterError": 0}
         for _ in range(408):
@@ -568,7 +632,7 @@ class TestConnectionFunction:
                 continue
             assert math.isfinite(value), (N, p, alpha)
             outcomes["value"] += 1
-        assert outcomes == {"value": 139, "AnalysisError": 65,
+        assert outcomes == {"value": 165, "AnalysisError": 39,
                             "ParameterError": 204}, outcomes
 
 
@@ -635,6 +699,15 @@ class TestCriticalExponent:
     def test_recorded_values(self, N, p):
         res = find_alpha_c(N, p)
         assert abs(res.value - RECORDED_ALPHA_C[N, p]) <= 1e-6
+
+    def test_small_p_searches_return_and_rise_with_p(self):
+        # where the search interval ends at alpha_2 (p <= 2.2) the
+        # double-zero leg runs into L' there; every search returns, and
+        # alpha_c rises with p
+        for N in (2, 3, 4, 5):
+            values = [find_alpha_c(N, p).value
+                      for p in (2.05, 2.1, 2.2, 2.3, 2.5, 3.0, 4.0, 6.0, 10.0, 20.0)]
+            assert values == sorted(values) and len(set(values)) == len(values), N
 
     def test_nonpositive_tolerance_rejected(self):
         with pytest.raises(ParameterError):

@@ -304,12 +304,12 @@ class TestIntegrate:
 
     def test_max_steps_budget_message(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("max_steps = 300\n")
+        cfg.write_text("max_steps = 150\n")
         monkeypatch.setenv("PLAP_CONFIG", str(cfg))
         code, _, err = run(capsys, "classify", "--N", "2", "--p", "3",
                            "--alpha", "-1.8", "--eps", "-1")
         assert code == 1
-        assert "budget of 300 rhs evaluations" in err
+        assert "budget of 150 rhs evaluations" in err
 
     # the chart-S guards are fixed constants of plap.integrate, not keys
     @pytest.mark.parametrize("key", ["bogus", "y_axis_band", "max_step",
@@ -552,6 +552,14 @@ class TestReports:
         doc = json.loads(out)
         assert doc["alpha_c"] == -2
         assert doc["method"] == "closed_form"
+
+    def test_search_ending_at_alpha_2(self, capsys):
+        # the double-zero separatrix runs into the section's stationary
+        # point L' at the search interval's upper end, alpha_2
+        code, out, _ = run(capsys, "alpha-c", "--N", "2", "--p", "2.2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["bracket"][0] < doc["alpha_c"] < doc["bracket"][1]
 
     def test_tol_keeps_default_bracket_width(self, capsys):
         code, out, _ = run(capsys, "alpha-c", "--N", "2", "--p", "3",

@@ -8,7 +8,9 @@ these; a change that moves them re-records the file with
 
     PYTHONPATH=src python tests/test_fingerprint.py
 
-and says in its description why they moved.
+and says in its description why they moved.  The command prints, for
+each of the three files below, every value it moves as old -> new, with
+the relative move of a number, or that nothing moved.
 
 The cycles that ``classify_regime`` certifies for the osc, sou, orb and
 clin representatives are pinned bit for bit in ``CYCLES``.  The
@@ -21,7 +23,9 @@ the benchmark's seven shootings and the SVG of every bundled recipe.
 The same command re-records it.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import tempfile
 from collections import Counter
@@ -154,8 +158,54 @@ def test_write_fingerprint(capsys):
     assert got == json.loads(WRITE_FINGERPRINT.read_text())
 
 
+def _leaves(doc, path=()):
+    """(path, value) for every leaf of a JSON document, in document order;
+    a path names dict keys and list indices."""
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _leaves(value, path + (str(key),))
+    else:
+        yield path, doc
+
+
+def moves(old, new) -> list:
+    """One line per leaf that differs between two JSON documents, ``path:
+    old -> new``, a missing leaf read as ``absent``, and for two numbers
+    their relative move."""
+    a, b = dict(_leaves(old)), dict(_leaves(new))
+    lines = []
+    for path in [*a, *(p for p in b if p not in a)]:
+        x, y = a.get(path), b.get(path)
+        if path in a and path in b and x == y and type(x) is type(y):
+            continue
+        shown = (repr(d[path]) if path in d else "absent" for d in (a, b))
+        line = f"{' / '.join(path)}: {' -> '.join(shown)}"
+        if x and all(type(v) in (int, float) for v in (x, y)):
+            line += f" ({(y - x) / abs(x):+.2e})"
+        lines.append(line)
+    return lines
+
+
+def test_moves_lists_each_changed_leaf():
+    old = {"phi": {"a": 2.0, "b": 1.0}, "alpha_c": {"k": [-1.5, [-2.0, -1.0], 5]},
+           "gone": "x"}
+    new = {"phi": {"a": 2.0, "b": 1.5}, "alpha_c": {"k": [-1.5, [-2.0, -1.25], 4]},
+           "new": True}
+    assert moves(old, new) == ["phi / b: 1.0 -> 1.5 (+5.00e-01)",
+                               "alpha_c / k / 1 / 1: -1.0 -> -1.25 (-2.50e-01)",
+                               "alpha_c / k / 2: 5 -> 4 (-2.00e-01)",
+                               "gone: 'x' -> absent", "new: absent -> True"]
+    assert moves(new, json.loads(json.dumps(new))) == []
+
+
 if __name__ == "__main__":
-    FINGERPRINT.write_text(json.dumps(recipe_fingerprint(), indent=1) + "\n")
-    ALPHA_C_FINGERPRINT.write_text(json.dumps(alpha_c_fingerprint(), indent=1)
-                                   + "\n")
-    WRITE_FINGERPRINT.write_text(json.dumps(write_fingerprint(), indent=1) + "\n")
+    for target, build in ((FINGERPRINT, recipe_fingerprint),
+                          (ALPHA_C_FINGERPRINT, alpha_c_fingerprint),
+                          (WRITE_FINGERPRINT, write_fingerprint)):
+        with contextlib.redirect_stdout(io.StringIO()):  # the CLI's own output
+            got = build()
+        lines = moves(json.loads(target.read_text()), got)
+        print(f"{target.name}: {len(lines)} moved" if lines else f"{target.name}: nothing moved")
+        for line in lines:
+            print(f"  {line}")
+        target.write_text(json.dumps(got, indent=1) + "\n")
