@@ -53,6 +53,9 @@ RECIPE_DIR = Path(__file__).parent / "recipes"
 
 EXIT_BAD_PARAMS = 2
 
+# rows per _nums call of the CSV and SVG writers; bytes per read of _sha256
+BLOCK_ROWS, READ_BYTES = 4096, 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # deterministic serialization
@@ -117,7 +120,11 @@ def _to_json(obj, sig: int = 17, indent: int = 0) -> str:
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    h = hashlib.sha256()
+    with path.open("rb") as f:
+        for chunk in iter(lambda: f.read(READ_BYTES), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -187,16 +194,34 @@ def _params_dict(params: ProblemParams) -> dict:
 # CSV / SVG emission
 
 
+def _write_rows(f, n: int, values, sig: int, per_row: int, sep: str, end: str,
+                labels: Sequence[str] = (), trim: bool = False) -> None:
+    """Write rows ``0..n`` to the text file ``f``, ``BLOCK_ROWS`` at a time:
+    one :func:`_nums` call renders the flat floats ``values(slice)`` of a
+    block's rows; each row follows its entry of ``labels`` if there are
+    labels, and ``trim`` drops the last row's ``end``."""
+    for i in range(0, n, BLOCK_ROWS):
+        s = slice(i, i + BLOCK_ROWS)
+        text = _nums(values(s), sig, per_row, sep, end)
+        if labels:
+            text = "".join(k + row + end for k, row in zip(labels[s], text.split(end)))
+        f.write(text[:-len(end)] if trim and i + BLOCK_ROWS >= n else text)
+
+
 def _write_trajectory_csv(traj: Trajectory, out: Path) -> list[Path]:
-    r, w, dw = traj.profile()
-    table = np.column_stack((traj.tau, traj.ys[0], traj.ys[1], r, w, dw))
-    out.write_text("tau,y,Y,r,w,dw\n" + _nums(table.ravel().tolist(), 12, 6, ",", "\n"))
-    ev_path = out.with_suffix(".events.csv") if out.suffix else \
-        out.parent / (out.name + ".events.csv")
-    rows = _nums([v for ev in traj.events for v in (ev.time, ev.state.y, ev.state.Y)],
-                 12, 3, ",", "\n").splitlines()
-    ev_path.write_text("kind,tau,y,Y\n" + "".join(
-        f"{ev.kind},{row}\n" for ev, row in zip(traj.events, rows)))
+    def values(s):
+        part = dataclasses.replace(traj, tau=traj.tau[s], ys=traj.ys[:, s])
+        return np.column_stack((part.tau, *part.ys, *part.profile())).ravel().tolist()
+
+    with out.open("w") as f:
+        f.write("tau,y,Y,r,w,dw\n")
+        _write_rows(f, traj.tau.size, values, 12, 6, ",", "\n")
+    ev_path = out.with_name(out.stem + ".events.csv")
+    with ev_path.open("w") as f:
+        f.write("kind,tau,y,Y\n")
+        _write_rows(f, len(traj.events), lambda s: [
+            v for ev in traj.events[s] for v in (ev.time, ev.state.y, ev.state.Y)],
+            12, 3, ",", "\n", labels=[ev.kind + "," for ev in traj.events])
     return [out, ev_path]
 
 
@@ -210,11 +235,12 @@ def _write_portrait_svg(trajs: Sequence[Trajectory], params: ProblemParams,
         points += [m, (-m[0], -m[1])]
 
     # view bounds from the bulk of the samples (2nd..98th percentile) so a
-    # single escaping arc does not collapse everything else to one pixel
-    all_y = np.concatenate([t.ys[0] for t in trajs] or [np.zeros(1)])
-    all_Y = np.concatenate([t.ys[1] for t in trajs] or [np.zeros(1)])
-    xs = [p[0] for p in points] + list(np.percentile(all_y, (2.0, 98.0)))
-    ys = [p[1] for p in points] + list(np.percentile(all_Y, (2.0, 98.0)))
+    # single escaping arc does not collapse everything else to one pixel;
+    # one coordinate's samples at a time, partitioned in place
+    lo_hi = [np.percentile(np.concatenate([t.ys[k] for t in trajs] or [np.zeros(1)]),
+                           (2.0, 98.0), overwrite_input=True) for k in (0, 1)]
+    xs = [p[0] for p in points] + list(lo_hi[0])
+    ys = [p[1] for p in points] + list(lo_hi[1])
     span_x = max(max(xs) - min(xs), 1e-3)
     span_y = max(max(ys) - min(ys), 1e-3)
     x0, y0 = min(xs) - 0.05 * span_x, min(ys) - 0.05 * span_y
@@ -232,22 +258,21 @@ def _write_portrait_svg(trajs: Sequence[Trajectory], params: ProblemParams,
                                    -height), 2.0 * height)
         return np.column_stack((px, py)).ravel().tolist()
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(width)}" '
-        f'height="{int(height)}" viewBox="0 0 {int(width)} {int(height)}">',
-        f'<rect width="{int(width)}" height="{int(height)}" fill="white"/>',
-    ]
     palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
                "#8c564b", "#17becf", "#7f7f7f"]
-    for i, t in enumerate(trajs):
-        pts = _nums(to_px(*t.ys), 9, 2, ",", " ")[:-1]
-        color = palette[i % len(palette)]
-        parts.append(f'<polyline points="{pts}" fill="none" '
-                     f'stroke="{color}" stroke-width="1"/>')
-    for cx_cy in _nums(to_px(*zip(*points)), 9, 2, '" cy="', "\n").splitlines():
-        parts.append(f'<circle cx="{cx_cy}" r="3" fill="black"/>')
-    parts.append("</svg>")
-    out.write_text("\n".join(parts) + "\n")
+    with out.open("w") as f:
+        f.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{int(width)}" '
+                f'height="{int(height)}" viewBox="0 0 {int(width)} {int(height)}">\n'
+                f'<rect width="{int(width)}" height="{int(height)}" fill="white"/>\n')
+        for i, t in enumerate(trajs):
+            f.write('<polyline points="')
+            _write_rows(f, t.tau.size, lambda s: to_px(*t.ys[:, s]), 9, 2, ",", " ",
+                        trim=True)
+            f.write(f'" fill="none" stroke="{palette[i % len(palette)]}" '
+                    f'stroke-width="1"/>\n')
+        _write_rows(f, len(points), lambda s: to_px(*zip(*points[s])), 9, 2, '" cy="',
+                    '" r="3" fill="black"/>\n', labels=['<circle cx="'] * len(points))
+        f.write("</svg>\n")
 
 
 # ---------------------------------------------------------------------------

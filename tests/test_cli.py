@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -494,31 +495,124 @@ class TestWriters:
         trajs = self._orbits()
         cli._write_portrait_svg(trajs, self.PARAMS, tmp_path / "o.svg")
         svg = (tmp_path / "o.svg").read_text()
-        m = m_ell_point(self.PARAMS)
-        points = [(0.0, 0.0), m, (-m[0], -m[1])]
-        all_y = np.concatenate([t.ys[0] for t in trajs])
-        all_Y = np.concatenate([t.ys[1] for t in trajs])
-        xs = [q[0] for q in points] + list(np.percentile(all_y, (2.0, 98.0)))
-        ys = [q[1] for q in points] + list(np.percentile(all_Y, (2.0, 98.0)))
-        span_x = max(max(xs) - min(xs), 1e-3)
-        span_y = max(max(ys) - min(ys), 1e-3)
-        x0, y0 = min(xs) - 0.05 * span_x, min(ys) - 0.05 * span_y
-        span_x *= 1.1
-        span_y *= 1.1
+        points, px = _pixel_map(trajs, self.PARAMS)
 
-        def px(y, Y):
-            return (cli._num(min(max((y - x0) / span_x * 640.0, -640.0), 1280.0), 9),
-                    cli._num(min(max(480.0 - (Y - y0) / span_y * 480.0, -480.0),
-                                 960.0), 9))
+        def text(y, Y):
+            return tuple(cli._num(v, 9) for v in px(y, Y))
 
-        want = [" ".join("%s,%s" % px(t.ys[0][j], t.ys[1][j])
+        want = [" ".join("%s,%s" % text(t.ys[0][j], t.ys[1][j])
                          for j in range(t.tau.size)) for t in trajs]
         got = re.findall(r'points="([^"]*)"', svg)
         assert got == want
         assert "1280," in got[0] and ",960" in got[0]
         assert "-640," in got[1] and ",-480" in got[1]
         circles = re.findall(r'cx="([^"]*)" cy="([^"]*)"', svg)
-        assert circles == [px(*q) for q in points]
+        assert circles == [text(*q) for q in points]
+
+
+def _pixel_map(trajs, params):
+    """The portrait's marked points and its pixel map, one sample at a
+    time: the view spans the marked points and the 2nd..98th percentiles
+    of the samples, and a pixel is clamped to one frame beyond it."""
+    m = m_ell_point(params)
+    points = [(0.0, 0.0)] + ([m, (-m[0], -m[1])] if m is not None else [])
+    all_y = np.concatenate([t.ys[0] for t in trajs])
+    all_Y = np.concatenate([t.ys[1] for t in trajs])
+    xs = [q[0] for q in points] + list(np.percentile(all_y, (2.0, 98.0)))
+    ys = [q[1] for q in points] + list(np.percentile(all_Y, (2.0, 98.0)))
+    span_x = max(max(xs) - min(xs), 1e-3)
+    span_y = max(max(ys) - min(ys), 1e-3)
+    x0, y0 = min(xs) - 0.05 * span_x, min(ys) - 0.05 * span_y
+    span_x *= 1.1
+    span_y *= 1.1
+
+    def px(y, Y):
+        return (min(max((y - x0) / span_x * 640.0, -640.0), 1280.0),
+                min(max(480.0 - (Y - y0) / span_y * 480.0, -480.0), 960.0))
+
+    return points, px
+
+
+B = cli.BLOCK_ROWS
+BLOCK_EDGE_COUNTS = [1, B - 1, B, B + 1, 2 * B + 1]
+
+
+def _block_edge_orbit(n: int, non_finite: float, events: bool = True):
+    """A spiral of ``n`` samples whose first and last sample of every block
+    hold ``non_finite`` (y) and its negation (Y), with an event at each
+    sample if ``events``; tau runs past 709.78, so r = e^tau, w and dw
+    overflow over the last samples."""
+    tau = np.linspace(-5.0, 800.0, n)
+    y = 0.3 * np.exp(-tau / 200.0) * np.cos(tau)
+    Y = 0.3 * np.exp(-tau / 200.0) * np.sin(tau)
+    edges = [k for i in range(0, n, B) for k in (i, min(i + B, n) - 1)]
+    y[edges], Y[edges] = non_finite, -non_finite
+    return Trajectory("S", TestWriters.PARAMS, tau, np.vstack([y, Y]),
+                      [Event("y_zero_crossing", t, PhaseState(t, a, b))
+                       for t, a, b in zip(tau, y, Y)] if events else [],
+                      "time_span", 1)
+
+
+class TestBlocks:
+    """The writers render ``BLOCK_ROWS`` rows per ``_nums`` call; at and
+    around each block edge their bytes equal one ``_nums`` call on all the
+    values, and no whole document is ever held."""
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_COUNTS)
+    def test_csv_and_events(self, tmp_path, n):
+        traj = _block_edge_orbit(n, math.nan)
+        cli._write_trajectory_csv(traj, tmp_path / "o.csv")
+        r, w, dw = traj.profile()
+        table = np.column_stack((traj.tau, *traj.ys, r, w, dw)).ravel().tolist()
+        assert (tmp_path / "o.csv").read_text() == (
+            "tau,y,Y,r,w,dw\n" + cli._nums(table, 12, 6, ",", "\n"))
+        rows = cli._nums([v for e in traj.events for v in (e.time, e.state.y, e.state.Y)],
+                         12, 3, ",", "\n").splitlines()
+        assert (tmp_path / "o.events.csv").read_text() == "kind,tau,y,Y\n" + "".join(
+            f"{e.kind},{row}\n" for e, row in zip(traj.events, rows))
+        assert rows[0].startswith("-5,null,null") and rows[-1].endswith(",null,null")
+
+    @pytest.mark.parametrize("n", BLOCK_EDGE_COUNTS)
+    def test_svg_polyline(self, tmp_path, n):
+        # an infinite sample is clamped to the frame; at n = 1 it would
+        # leave the view itself infinite
+        traj = _block_edge_orbit(n, math.inf if n > 1 else 1e6)
+        cli._write_portrait_svg([traj], TestWriters.PARAMS, tmp_path / "o.svg")
+        _, px = _pixel_map([traj], TestWriters.PARAMS)
+        pixels = [v for y, Y in zip(*traj.ys) for v in px(y, Y)]
+        got = re.findall(r'points="([^"]*)"', (tmp_path / "o.svg").read_text())
+        assert got == [cli._nums(pixels, 9, 2, ",", " ")[:-1]]
+        if n > 1:
+            assert got[0].startswith("1280,960 ") and got[0].endswith(" 1280,960")
+
+    def test_memory_does_not_grow_with_the_samples(self, tmp_path):
+        # rendered whole, these files peaked at 25 MiB (SVG) and 49 MiB
+        # (CSV), and hashing the CSV at 8 MiB; block by block they peak at
+        # 1.5, 2.3 and 0.14 MiB.  The only per-sample memory left is the
+        # SVG's copy of one coordinate for its percentiles (8 bytes a sample)
+        bound = 4 * 2 ** 20
+        arc = _block_edge_orbit(200_000, 1e6, events=False)
+        orbit = _block_edge_orbit(100_000, 1e6, events=False)
+        peaks = []
+        tracemalloc.start()
+        try:
+            for write in (lambda: cli._write_portrait_svg([arc], TestWriters.PARAMS,
+                                                          tmp_path / "o.svg"),
+                          lambda: cli._write_trajectory_csv(orbit, tmp_path / "o.csv"),
+                          lambda: cli._sha256(tmp_path / "o.csv")):
+                tracemalloc.reset_peak()
+                write()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "o.csv").stat().st_size > 2 * bound
+        assert max(peaks) < bound, peaks
+
+    @pytest.mark.parametrize("size", [0, 3 * cli.READ_BYTES + 5])
+    def test_sha256(self, tmp_path, size):
+        path = tmp_path / "blob"
+        path.write_bytes(bytes(k % 251 for k in range(size)))
+        assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 _SPECIAL_VALUES = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
