@@ -4,8 +4,8 @@ heat equation with p > 2.
 Submodules
 ----------
 params        parameter validation and closed-form constants
-systems       vector fields, chart conversions, oracles
-integrate     adaptive integration with events and the Y = 0 crossing rule
+systems       vector fields, the lift to chart S, oracles
+integrate     adaptive chart-S integration with events and the Y = 0 crossing rule
 trajectories  shooting constructions of the special trajectories
 analysis      stationary points, cycles, labels, the connection function,
               the critical exponent, and the regime classifier
@@ -16,15 +16,10 @@ __version__ = "0.1.0"
 
 from .params import DerivedConstants, ParameterError, ProblemParams, derive_constants
 from .systems import (
-    ChartDomainError,
-    ChartState,
     OracleConstraintError,
     OracleSolution,
     PhaseState,
     ProfileSample,
-    convert,
-    field,
-    invert,
     oracle,
     to_profile,
 )
@@ -67,15 +62,10 @@ __all__ = [
     "ParameterError",
     "ProblemParams",
     "derive_constants",
-    "ChartDomainError",
-    "ChartState",
     "OracleConstraintError",
     "OracleSolution",
     "PhaseState",
     "ProfileSample",
-    "convert",
-    "field",
-    "invert",
     "oracle",
     "to_profile",
     "Event",

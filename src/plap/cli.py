@@ -475,16 +475,20 @@ def cmd_classify(args) -> int:
 # parser
 
 
-def _add_param_flags(sp, need_alpha=True):
+def _add_param_flags(sp, need_alpha=True, tol=True, tau_max=True):
+    """The parameter flags, and the settings the subcommand reads: --tol
+    where it integrates, --tau-max where it integrates over a tau span."""
     sp.add_argument("--N", type=int, help="space dimension (integer >= 1)")
     sp.add_argument("--p", type=float, help="diffusion exponent (> 2)")
     if need_alpha:
         sp.add_argument("--alpha", type=float, help="similarity exponent")
         sp.add_argument("--eps", type=int, choices=(-1, 1),
                         help="time-direction sign")
-    sp.add_argument("--tol", type=float, help="relative tolerance override")
-    sp.add_argument("--tau-max", dest="tau_max", type=float,
-                    help="maximum tau span")
+    if tol:
+        sp.add_argument("--tol", type=float, help="relative tolerance override")
+    if tau_max:
+        sp.add_argument("--tau-max", dest="tau_max", type=float,
+                        help="maximum tau span")
 
 
 @functools.cache
@@ -500,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("constants", help="closed-form derived constants")
-    _add_param_flags(sp)
+    _add_param_flags(sp, tol=False, tau_max=False)
 
     sp = sub.add_parser("integrate", help="integrate from an explicit state")
     _add_param_flags(sp)
@@ -531,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("alpha-c", help="critical exponent: root of the "
                         "connection function by Brent's method")
-    _add_param_flags(sp, need_alpha=False)
+    _add_param_flags(sp, need_alpha=False, tau_max=False)
     sp.add_argument("--force-bisection", action="store_true",
                     help="search for the root even when a closed form "
                          "is available (N = 1)")

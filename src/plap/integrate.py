@@ -27,8 +27,8 @@ against ``IntegrationConfig.max_steps`` and stops at the first non-finite
 state.  The launch phases in charts Q and P and the T_eps launch in
 chart R, whose field reads its time |g| (:mod:`plap.trajectories`), and
 the connection function's double-zero separatrix on chart R_beta's slope
-(:mod:`plap.analysis`) run on the same stepper; the band crossings and
-the other charts of ``integrate`` run through ``solve_ivp``'s RK45.
+(:mod:`plap.analysis`) run on the same stepper; the band crossings run
+through ``solve_ivp``'s RK45.  ``integrate`` integrates chart S only.
 
 ``integrate_s`` builds one table of S-chart events per call, each row an
 expression in (y, Y) with a crossing direction.  One generated function
@@ -60,7 +60,7 @@ from scipy.integrate import RK45, solve_ivp
 from scipy.optimize import brentq
 
 from .params import ParameterError, ProblemParams, derive_constants, m_ell_point
-from .systems import _S_BACK, _S_TEXT, PhaseState, _rhs, field, phi_Y
+from .systems import _S_BACK, _S_TEXT, PhaseState, _rhs, phi_Y
 
 
 class IntegrationError(RuntimeError):
@@ -119,11 +119,10 @@ class Trajectory:
     found along the way, and a termination reason.
 
     ``tau`` increases when ``direction`` is +1 and decreases when -1;
-    samples are stored in integration order.  For non-S charts the sample
-    rows are the chart coordinates and ``tau`` is the chart's own time.
+    samples are stored in integration order.  The sample rows are chart S's
+    (y, Y).
     """
 
-    chart_id: str
     params: ProblemParams
     tau: np.ndarray
     ys: np.ndarray  # shape (2, n)
@@ -137,11 +136,9 @@ class Trajectory:
         return self.tau.size
 
     def profile(self):
-        """Arrays (r, w, dw) for S-chart trajectories.  Past tau ~ 709.78,
-        r = e^tau overflows to inf (and w, dw to inf or nan) without a
-        warning; the writers render those as ``null``."""
-        if self.chart_id != "S":
-            raise ValueError("profile() requires an S-chart trajectory")
+        """Arrays (r, w, dw) of the samples.  Past tau ~ 709.78, r = e^tau
+        overflows to inf (and w, dw to inf or nan) without a warning; the
+        writers render those as ``null``."""
         dc = derive_constants(self.params)
         with np.errstate(over="ignore", invalid="ignore"):
             r = np.exp(self.tau)
@@ -157,7 +154,7 @@ class Trajectory:
                        for e in self.events]
 
     def negated(self) -> "Trajectory":
-        """The mirror orbit (y, Y) -> (-y, -Y) of an S-chart trajectory.
+        """The mirror orbit (y, Y) -> (-y, -Y).
 
         The S field, its event table and the stepper are odd in (y, Y), so
         for any :class:`IntegrationConfig` this equals :func:`integrate_s`
@@ -165,14 +162,12 @@ class Trajectory:
         exact zeros: the same tau and direction, -ys, each event of the
         same kind and time at the negated state, M_ell and minus_M_ell
         swapped in the termination, and a copy of ``meta["stats"]``."""
-        if self.chart_id != "S":
-            raise ValueError("negated() requires an S-chart trajectory")
         swap = {"captured:M_ell": "captured:minus_M_ell",
                 "captured:minus_M_ell": "captured:M_ell"}
         events = [Event(e.kind, e.time, PhaseState(e.state.tau, -e.state.y, -e.state.Y))
                   for e in self.events]
         meta = {"stats": dict(self.meta["stats"])} if "stats" in self.meta else {}
-        return Trajectory("S", self.params, self.tau.copy(), -self.ys, events,
+        return Trajectory(self.params, self.tau.copy(), -self.ys, events,
                           swap.get(self.termination, self.termination), self.direction, meta)
 
 
@@ -753,7 +748,7 @@ def integrate_s(initial: PhaseState, params: ProblemParams,
         events.append(Event(ev_kind, tau_here, PhaseState(tau_here, y, Y)))
         break
 
-    traj = Trajectory("S", params, *_join(taus, ys_parts, direction), events,
+    traj = Trajectory(params, *_join(taus, ys_parts, direction), events,
                       termination, direction)
     traj.meta["stats"] = stats
     return traj
@@ -767,23 +762,9 @@ def integrate(chart_id: str, initial, params: ProblemParams,
               direction: int = 1,
               config: Optional[IntegrationConfig] = None,
               **kwargs) -> Trajectory:
-    """Chart dispatcher.  For chart S, ``initial`` is a PhaseState, the
-    full event machinery applies and ``kwargs`` pass through to
-    :func:`integrate_s`.  Other charts integrate their printed fields with
-    plain RK45 over ``t_span`` (default: ``max_time_span`` in
-    ``direction``), without axis handling or events (their fields are
-    smooth on their domains); the samples are the chart coordinates."""
-    if chart_id == "S":
-        return integrate_s(initial, params, direction, config, **kwargs)
-    cfg = config or IntegrationConfig()
-    span = kwargs.pop("t_span", (0.0, direction * cfg.max_time_span))
-    if kwargs:
-        raise TypeError(f"chart {chart_id} takes only t_span, got {sorted(kwargs)}")
-    coords = initial.coords if hasattr(initial, "coords") else initial
-    sol = solve_ivp(lambda t, u: field(chart_id, u, params), span,
-                    np.asarray(coords, dtype=float), method="RK45",
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol)
-    if not sol.success:
-        raise IntegrationError(f"chart {chart_id} integration failed: {sol.message}")
-    return Trajectory(chart_id, params, sol.t, sol.y, [], "time_span",
-                      1 if span[1] >= span[0] else -1)
+    """:func:`integrate_s` under the name of its chart, ``"S"``, the only
+    chart that integrates on its own; ``initial`` is a PhaseState and
+    ``kwargs`` pass through.  Any other chart is a ``ParameterError``."""
+    if chart_id != "S":
+        raise ParameterError(f"only chart S integrates, got chart {chart_id!r}")
+    return integrate_s(initial, params, direction, config, **kwargs)

@@ -1,4 +1,4 @@
-"""Vector fields, chart conversions, and closed-form profiles.
+"""Vector fields, the lift to chart S, and closed-form profiles.
 
 The profile equation
 
@@ -33,9 +33,11 @@ y^{p-2} = ``_q``), the one center-manifold series of the algebraic-decay
 point in either R chart (``_decay_manifold``), from which the T_alpha
 launch and the connection function both start, and the unstable-manifold
 series of the double-zero point in chart R_beta (``_double_zero_manifold``),
-from which the connection function's other leg starts.  All
-operations here are pure closed forms; integration lives in
-:mod:`plap.integrate`.
+from which the connection function's other leg starts.  Chart S is the
+only public chart (:class:`PhaseState`, :func:`to_profile`): the others
+have no public field or conversion, only these texts, and the launches
+lift their points to chart S by ``_lift``.  All operations here are
+pure closed forms; integration lives in :mod:`plap.integrate`.
 """
 
 from __future__ import annotations
@@ -45,19 +47,12 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from operator import mul
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.integrate import quad
 
-from .params import ParameterError, ProblemParams, derive_constants
-
-CHART_IDS = ("S", "Q", "P", "R", "R_beta")
-
-
-class ChartDomainError(ValueError):
-    """A chart operation was requested outside the chart's domain."""
-
+from .params import ProblemParams, derive_constants
 
 class OracleConstraintError(ValueError):
     """A closed-form profile was requested with incompatible parameters."""
@@ -89,17 +84,6 @@ class PhaseState:
     tau: float
     y: float
     Y: float
-
-
-@dataclass(frozen=True)
-class ChartState:
-    """A point of any chart; ``coords`` is the chart's coordinate pair and
-    ``time_var`` is tau for S/Q/P and nu for R/R_beta (nu is path dependent,
-    so pointwise conversions report the originating tau there as well)."""
-
-    chart_id: str
-    coords: tuple[float, float]
-    time_var: float
 
 
 @dataclass(frozen=True)
@@ -286,64 +270,8 @@ def _series(c, x):
     return out
 
 
-_CHART_TEXT = {"S": _S_TEXT, "Q": _Q_TEXT, "P": _P_TEXT, "R": _R_TEXT, "R_beta": _R_TEXT}
-
-
-def field(chart_id: str, coords, params: ProblemParams) -> np.ndarray:
-    """Right-hand side of the named chart at ``coords``.
-
-    Chart time is tau for S/Q/P and nu for R/R_beta.  Raises
-    :class:`ChartDomainError` when the chart's defining sign conditions
-    fail (sigma = 0 in chart Q, beta = 0 for R_beta, non-finite input).
-    """
-    if chart_id not in CHART_IDS:
-        raise ChartDomainError(f"unknown chart {chart_id!r}")
-    a, b = float(coords[0]), float(coords[1])
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ChartDomainError(f"non-finite coordinates {coords!r} in chart {chart_id}")
-    beta = derive_constants(params).beta  # validates the parameters first
-    if chart_id == "Q" and b == 0.0:
-        raise ChartDomainError("chart Q requires sigma != 0")
-    if chart_id == "R_beta" and beta == 0.0:
-        raise ChartDomainError("chart R_beta requires beta != 0")
-    f = _rhs(params, _CHART_TEXT[chart_id], beta if chart_id == "R_beta" else 1.0)
-    return np.array(f(a, b))
-
-
 # ---------------------------------------------------------------------------
-# chart conversions
-
-
-def convert(state: PhaseState, target_chart: str, params: ProblemParams) -> ChartState:
-    """Convert an S-chart point to another chart (coordinates only; the
-    rescaled time nu of charts R/R_beta is path dependent, so time_var is
-    carried over as the originating tau)."""
-    if target_chart not in CHART_IDS:
-        raise ChartDomainError(f"unknown chart {target_chart!r}")
-    y, Y = state.y, state.Y
-    p = params.p
-    if target_chart == "S":
-        return ChartState("S", (y, Y), state.tau)
-    if y == 0.0 and target_chart in ("Q", "P", "R", "R_beta"):
-        raise ChartDomainError(f"chart {target_chart} requires y != 0")
-    zeta = float(phi_Y(Y, p)) / y
-    if target_chart == "Q":
-        return ChartState("Q", (zeta, Y / y), state.tau)
-    if target_chart == "P":
-        if Y == 0.0:
-            raise ChartDomainError("chart P requires Y != 0")
-        return ChartState("P", (zeta, y / Y), state.tau)
-    # R charts need zeta != 0, i.e. Y != 0
-    if Y == 0.0:
-        raise ChartDomainError(f"chart {target_chart} requires Y != 0")
-    g = -1.0 / zeta
-    s = -Y / y
-    if target_chart == "R":
-        return ChartState("R", (g, s), state.tau)
-    dc = derive_constants(params)
-    if dc.beta == 0.0:
-        raise ChartDomainError("chart R_beta requires beta != 0")
-    return ChartState("R_beta", (g, s / dc.beta), state.tau)
+# the lift to chart S
 
 
 def _q(chart: str, a, b, p: float):
@@ -365,29 +293,6 @@ def _lift(chart: str, a, b, p: float):
     y = np.where(q > 0.0, np.abs(q), 1.0) ** (1.0 / (p - 2.0))
     Y = b * y if chart == "Q" else y / b if chart == "P" else -b * y
     return q > 0.0, y, Y
-
-
-def invert(chart_state: ChartState, params: ProblemParams, sign_y: int = 1) -> PhaseState:
-    """Invert :func:`convert` through :func:`_lift` (chart R_beta as chart R
-    with s = beta S).  The slope charts identify (y, Y) with (-y, -Y);
-    ``sign_y`` selects the branch (sign of y)."""
-    cid = chart_state.chart_id
-    a, b = chart_state.coords
-    if cid == "S":
-        return PhaseState(chart_state.time_var, a, b)
-    if cid not in CHART_IDS:
-        raise ChartDomainError(f"unknown chart {cid!r}")
-    if cid == "R_beta":
-        beta = derive_constants(params).beta
-        if beta == 0.0:
-            raise ChartDomainError("chart R_beta requires beta != 0")
-        cid, b = "R", b * beta
-    if a == 0.0 or b == 0.0:
-        raise ChartDomainError(f"cannot invert {chart_state} at a zero coordinate")
-    ok, y, Y = _lift(cid, a, b, params.p)
-    if not ok:
-        raise ChartDomainError(f"{chart_state} lifts to y^(p-2) <= 0")
-    return PhaseState(chart_state.time_var, sign_y * float(y), sign_y * float(Y))
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ def _hand_off(phase, params: ProblemParams, cfg: IntegrationConfig, direction: i
     meta["stats"] = s_traj.meta["stats"]
     meta["launch_stats"] = stats
     tau, ys = _join([tau, s_traj.tau], [np.array([y, Y]), s_traj.ys], direction)
-    return Trajectory("S", params, tau, ys, s_traj.events, s_traj.termination,
+    return Trajectory(params, tau, ys, s_traj.events, s_traj.termination,
                       direction, meta=meta)
 
 

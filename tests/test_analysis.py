@@ -198,7 +198,7 @@ class TestAsymptoticLabels:
             Y = np.sign(zeta) * np.abs(zeta * y) ** (params.p - 1.0)
         else:
             Y = sigma(tau) * y
-        return Trajectory("S", params, tau, np.vstack([y, Y]), [], "time_span",
+        return Trajectory(params, tau, np.vstack([y, Y]), [], "time_span",
                           direction)
 
     @pytest.mark.parametrize("N, p, zeta_off, sigma, label", [

@@ -453,7 +453,7 @@ class TestWriters:
             y = scale * np.exp(-tau) * np.cos(7.0 * tau)
             Y = scale * np.exp(-tau) * np.sin(7.0 * tau)
             y[::60], Y[30::60] = np.sign(scale) * 1e6, -np.sign(scale) * 1e6
-            out.append(Trajectory("S", self.PARAMS, tau, np.vstack([y, Y]), [],
+            out.append(Trajectory(self.PARAMS, tau, np.vstack([y, Y]), [],
                                   "time_span", 1))
         return out
 
@@ -476,7 +476,7 @@ class TestWriters:
                   [("y_zero_crossing", 0.25, 0.0, 0.05),
                    ("max_time_span", 800.0, 0.0, -0.5),
                    ("blowup", math.inf, -math.inf, math.nan)]]
-        traj = Trajectory("S", self.PARAMS, tau, ys, events, "time_span", 1)
+        traj = Trajectory(self.PARAMS, tau, ys, events, "time_span", 1)
         cli._write_trajectory_csv(traj, tmp_path / "o.csv")
         r, w, dw = traj.profile()
         assert np.isinf(r[3:]).all() and np.isnan(w[4]) and np.isnan(dw[4])
@@ -547,7 +547,7 @@ def _block_edge_orbit(n: int, non_finite: float, events: bool = True):
     Y = 0.3 * np.exp(-tau / 200.0) * np.sin(tau)
     edges = [k for i in range(0, n, B) for k in (i, min(i + B, n) - 1)]
     y[edges], Y[edges] = non_finite, -non_finite
-    return Trajectory("S", TestWriters.PARAMS, tau, np.vstack([y, Y]),
+    return Trajectory(TestWriters.PARAMS, tau, np.vstack([y, Y]),
                       [Event("y_zero_crossing", t, PhaseState(t, a, b))
                        for t, a, b in zip(tau, y, Y)] if events else [],
                       "time_span", 1)
@@ -671,6 +671,19 @@ class TestReports:
         assert (code, out) == (2, "")
         (line,) = err.splitlines()
         assert line.startswith("error: ") and "--tol" in line
+
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--N", "1", "--p", "3", "--alpha", "-4", "--eps", "-1", "--tol", "5"],
+        ["constants", "--N", "1", "--p", "3", "--alpha", "-4", "--eps", "-1",
+         "--tau-max", "1e-9"],
+        ["alpha-c", "--N", "2", "--p", "3", "--tau-max", "1e-9"]])
+    def test_unread_setting_is_an_unknown_flag(self, capsys, argv):
+        # constants reads neither setting and the connection function no tau
+        # span; both once took the flags, ignored them and exited 0
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_classifier_report(self, capsys):
         code, out, _ = run(capsys, "classify", "--N", "1", "--p", "3",

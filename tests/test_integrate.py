@@ -375,7 +375,7 @@ class TestTailBounds:
         dc = derive_constants(params)
         tau = np.array([0.0, 709.0, 710.0, 800.0])
         ys = np.array([[0.05, -0.02, 0.03, 0.0], [0.0, 0.01, -0.04, 0.02]])
-        traj = Trajectory("S", params, tau, ys, [], "time_span", 1)
+        traj = Trajectory(params, tau, ys, [], "time_span", 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r, w, dw = traj.profile()
@@ -451,12 +451,6 @@ class TestOddSymmetry:
         assert mirror.meta["stats"] is not traj.meta["stats"]
         assert _mirror_mismatch((m[0] * 1.05, m[1] * 1.05), params, 1) == []
 
-    def test_other_charts_refused(self):
-        traj = integrate("P", (0.3, 0.5), ProblemParams(2, 3.0, -1.3, -1),
-                         t_span=(0.0, 1.0))
-        with pytest.raises(ValueError, match="S-chart"):
-            traj.negated()
-
 
 class TestRestart:
     """The system is autonomous: an orbit restarted from one of its samples
@@ -484,11 +478,15 @@ class TestRestart:
 
 class TestChartDispatch:
     def test_non_s_chart_integration(self):
+        # chart S is the only chart that integrates; integrate() hands it on
         params = ProblemParams(2, 3.0, -1.3, -1)
-        traj = integrate("P", (0.3, 0.5), params, direction=1,
-                         t_span=(0.0, 1.0))
-        assert traj.chart_id == "P"
-        assert traj.tau[-1] == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(ParameterError, match="chart S"):
+            integrate("P", (0.3, 0.5), params, direction=1, t_span=(0.0, 1.0))
+        start = PhaseState(0.0, 0.3, 0.5)
+        traj = integrate("S", start, params, -1, tau_span=1.0)
+        ref = integrate_s(start, params, -1, tau_span=1.0)
+        assert np.array_equal(traj.tau, ref.tau) and np.array_equal(traj.ys, ref.ys)
+        assert traj.events == ref.events and traj.termination == ref.termination
 
     def test_convergence_under_tolerance_halving(self):
         params = ProblemParams(2, 3.0, -6.0, 1)

@@ -1,4 +1,4 @@
-"""Vector fields, chart conversions, first integrals, and closed-form
+"""Vector fields, the lift to chart S, first integrals, and closed-form
 profiles."""
 
 import math
@@ -6,23 +6,19 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from plap.params import ProblemParams, derive_constants, m_ell_point
 from plap.systems import (
-    ChartDomainError,
-    ChartState,
     OracleConstraintError,
     PhaseState,
     ProfileSample,
-    convert,
-    field,
-    invert,
     oracle,
     phi_Y,
     sgn_pow,
     to_profile,
     _decay_manifold,
+    _lift,
     _manifold_reach,
     _P_TEXT,
     _Q_TEXT,
@@ -79,27 +75,82 @@ def profile_state_rates(sample: ProfileSample, d2w: float, params: ProblemParams
     return dy, dY
 
 
+def s_field(params: ProblemParams, y, Y) -> np.ndarray:
+    """Chart S's field at (y, Y)."""
+    return np.array(_rhs(params, _S_TEXT)(float(y), float(Y)))
+
+
+def to_chart(chart: str, y: float, Y: float, params: ProblemParams):
+    """The point (y, Y) of chart S in chart Q, P, R or R_beta, by the
+    definitions of the ``plap.systems`` docstring: zeta = phi(Y)/y,
+    sigma = Y/y, psi = y/Y, g = -1/zeta, s = -sigma, and s = beta S."""
+    zeta = float(phi_Y(Y, params.p)) / y
+    if chart == "Q":
+        return zeta, Y / y
+    if chart == "P":
+        return zeta, y / Y
+    g, s = -1.0 / zeta, -Y / y
+    return (g, s) if chart == "R" else (g, s / derive_constants(params).beta)
+
+
+def chain_rule(chart: str, y: float, Y: float, params: ProblemParams):
+    """The rate of ``to_chart(chart, y, Y, params)`` along chart S's field
+    by the chain rule, with phi'(Y) = |Y|^(1/(p-1)-1)/(p-1) exact: in tau
+    for Q and P, in nu (d tau = g s d nu, s = b S) for R and R_beta.  Also
+    returns, for each rate, the sum of the sizes of the terms it adds up,
+    the scale of its rounding."""
+    dc = derive_constants(params)
+    e = 1.0 / (params.p - 1.0)
+    ph, dph = float(phi_Y(Y, params.p)), abs(Y) ** (e - 1.0) * e
+    dy, dY = _rhs(params, _S_TEXT)(y, Y)
+    my = dc.gamma * abs(y) + abs(ph)
+    mY = (dc.gamma + params.N) * abs(Y) + abs(params.alpha * y) + abs(ph)
+    zeta, sigma = ph / y, Y / y
+    d_zeta, m_zeta = (dph * dY - zeta * dy) / y, (dph * mY + abs(zeta) * my) / abs(y)
+    d_sigma, m_sigma = (dY - sigma * dy) / y, (mY + abs(sigma) * my) / abs(y)
+    if chart == "Q":
+        return (d_zeta, d_sigma), (m_zeta, m_sigma)
+    if chart == "P":
+        psi = y / Y
+        return (d_zeta, (dy - psi * dY) / Y), (m_zeta, (my + abs(psi) * mY) / abs(Y))
+    # g = -1/zeta and S = -sigma/b
+    b = 1.0 if chart == "R" else dc.beta
+    k = (-1.0 / zeta) * (-sigma)
+    return ((k * d_zeta / zeta ** 2, -k * d_sigma / b),
+            (abs(k) * m_zeta / zeta ** 2, abs(k) * m_sigma / abs(b)))
+
+
+# parameters and points off the axes for the chain-rule checks: N 1-3, p
+# from 2.05 to 20, both eps, alpha away from 0 and from beta = 0
+OFF_AXIS = st.builds(lambda sign, mag: sign * 10.0 ** mag,
+                     st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 3.0))
+CHAIN_PARAMS = st.builds(
+    ProblemParams, st.integers(1, 3), st.floats(2.05, 20.0),
+    st.floats(-20.0, 20.0).filter(lambda a: abs(a) > 1e-3), st.sampled_from([-1, 1])
+).filter(lambda pr: abs(derive_constants(pr).beta) > 1e-3)
+
+
 P_236_1 = ProblemParams(2, 3.0, -6.0, 1)
 
 
 class TestField:
     def test_s_field_on_positive_Y_axis(self):
         params = ProblemParams(2, 3.0, 1.0, 1)
-        dy, dY = field("S", (0.0, 4.0), params)
+        dy, dY = s_field(params, 0.0, 4.0)
         assert dy == pytest.approx(-2.0, abs=1e-14)
         assert dY == pytest.approx(-22.0, abs=1e-14)
 
     def test_s_field_vanishes_at_flat_point(self):
         m = m_ell_point(P_236_1)
         assert m == pytest.approx((1.0 / 15.0, -1.0 / 25.0), abs=1e-15)
-        rate = field("S", m, P_236_1)
+        rate = s_field(P_236_1, *m)
         assert np.max(np.abs(rate)) <= 1e-14
 
     def test_s_field_on_positive_y_axis(self):
         params = ProblemParams(2, 3.0, -5.0, -1)
         dc = derive_constants(params)
         phi = 0.37
-        dy, dY = field("S", (phi, 0.0), params)
+        dy, dY = s_field(params, phi, 0.0)
         assert dy == pytest.approx(-dc.gamma * phi, rel=1e-14)
         assert dY == pytest.approx(params.epsilon * params.alpha * phi, rel=1e-14)
 
@@ -149,43 +200,28 @@ class TestField:
         bound = _rhs(ProblemParams(2, 3, -2, -1), text, b).consts
         assert [type(c) for c in bound] == [float] * len(bound)
 
-    def test_domain_errors(self):
-        params = ProblemParams(2, 3.0, 1.0, 1)
-        with pytest.raises(ChartDomainError):
-            field("Q", (0.5, 0.0), params)
-        with pytest.raises(ChartDomainError):
-            field("nope", (0.0, 0.0), params)
-        with pytest.raises(ChartDomainError):
-            field("S", (float("nan"), 0.0), params)
+    # the chain rule against each launch chart's text, exactly: Q and P
+    # (tau), R at b = 1 and R_beta at b = beta (nu)
+    @seed(32)
+    @settings(max_examples=300, deadline=None)
+    @given(params=CHAIN_PARAMS, y=OFF_AXIS, Y=OFF_AXIS)
+    def test_all_charts_agree_through_conversion(self, params, y, Y):
+        for chart, text in (("Q", _Q_TEXT), ("P", _P_TEXT)):
+            rate = _rhs(params, text)(*to_chart(chart, y, Y, params))
+            exact, scale = chain_rule(chart, y, Y, params)
+            for r, x, m in zip(rate, exact, scale):
+                assert abs(r - x) <= 1e-12 * m, (chart, r, x, m)
 
-    def test_all_charts_agree_through_conversion(self):
-        # chain rule: chart rates must equal the pushforward of the S rates
-        params = ProblemParams(2, 3.0, -1.3, -1)
-        y, Y = 0.31, -0.22
-        dy, dY = field("S", (y, Y), params)
-        h = 1e-7
-        for chart in ("Q", "P"):
-            c0 = convert(PhaseState(0.0, y, Y), chart, params)
-            c1 = convert(PhaseState(h, y + h * dy, Y + h * dY), chart, params)
-            fd = (np.array(c1.coords) - np.array(c0.coords)) / h
-            rate = field(chart, c0.coords, params)
-            assert np.max(np.abs(fd - rate)) <= 1e-5 * max(1.0, np.max(np.abs(rate)))
-
-    def test_rescaled_charts_agree_through_conversion(self):
-        # d tau = g s d nu relates the R-chart clock to tau
-        params = ProblemParams(2, 3.0, -1.3, -1)
-        y, Y = 0.31, -0.22
-        dy, dY = field("S", (y, Y), params)
-        h = 1e-7
-        dc = derive_constants(params)
-        for chart in ("R", "R_beta"):
-            c0 = convert(PhaseState(0.0, y, Y), chart, params)
-            c1 = convert(PhaseState(h, y + h * dy, Y + h * dY), chart, params)
-            fd = (np.array(c1.coords) - np.array(c0.coords)) / h
-            g, second = c0.coords
-            s = second * dc.beta if chart == "R_beta" else second
-            rate = np.array(field(chart, c0.coords, params)) / (g * s)
-            assert np.max(np.abs(fd - rate)) <= 1e-5 * max(1.0, np.max(np.abs(rate)))
+    @seed(32)
+    @settings(max_examples=300, deadline=None)
+    @given(params=CHAIN_PARAMS, y=OFF_AXIS, Y=OFF_AXIS)
+    def test_rescaled_charts_agree_through_conversion(self, params, y, Y):
+        beta = derive_constants(params).beta
+        for chart, b in (("R", 1.0), ("R_beta", beta)):
+            rate = _rhs(params, _R_TEXT, b)(*to_chart(chart, y, Y, params))
+            exact, scale = chain_rule(chart, y, Y, params)
+            for r, x, m in zip(rate, exact, scale):
+                assert abs(r - x) <= 1e-12 * m, (chart, r, x, m)
 
 
 class TestDecayManifold:
@@ -233,18 +269,23 @@ class TestDecayManifold:
 
 class TestConversions:
     def test_slope_chart_example(self):
-        c = convert(PhaseState(0.0, 1.0, -1.0), "Q", ProblemParams(2, 3.0, 1.0, 1))
-        assert c.coords == pytest.approx((-1.0, -1.0), abs=1e-14)
+        params = ProblemParams(2, 3.0, 1.0, 1)
+        assert to_chart("Q", 1.0, -1.0, params) == pytest.approx((-1.0, -1.0), abs=1e-14)
+        ok, y, Y = _lift("Q", -1.0, -1.0, params.p)
+        assert ok and (float(y), float(Y)) == pytest.approx((1.0, -1.0), abs=1e-14)
 
     def test_flat_point_slope_coordinates(self):
         m = m_ell_point(P_236_1)
         dc = derive_constants(P_236_1)
-        c = convert(PhaseState(0.0, *m), "Q", P_236_1)
+        c = to_chart("Q", *m, P_236_1)
         expected = (-dc.gamma,
                     P_236_1.epsilon * (P_236_1.alpha + dc.gamma) / (P_236_1.N + dc.gamma))
-        assert c.coords == pytest.approx(expected, rel=1e-12)
-        r = convert(PhaseState(0.0, *m), "R", P_236_1)
-        assert r.coords[0] == pytest.approx(1.0 / dc.gamma, rel=1e-12)
+        assert c == pytest.approx(expected, rel=1e-12)
+        r = to_chart("R", *m, P_236_1)
+        assert r[0] == pytest.approx(1.0 / dc.gamma, rel=1e-12)
+        for chart, point in (("Q", expected), ("R", r)):
+            ok, y, Y = _lift(chart, *point, P_236_1.p)
+            assert ok and (float(y), float(Y)) == pytest.approx(m, rel=1e-12)
 
     @given(
         y=st.floats(min_value=-5.0, max_value=5.0).filter(lambda v: abs(v) > 1e-3),
@@ -253,24 +294,17 @@ class TestConversions:
     )
     @settings(max_examples=400, deadline=None)
     def test_round_trip_identity(self, y, Y, chart):
+        # _lift reads chart R_beta as chart R with s = beta S, on the branch
+        # y > 0; the slope charts identify (y, Y) with (-y, -Y)
         params = ProblemParams(2, 3.0, -1.5, -1)
-        state = PhaseState(0.7, y, Y)
-        try:
-            c = convert(state, chart, params)
-            back = invert(c, params, sign_y=1 if y > 0 else -1)
-        except ChartDomainError:
-            return
-        assert back.y == pytest.approx(y, rel=1e-12, abs=1e-12)
-        assert back.Y == pytest.approx(Y, rel=1e-12, abs=1e-12)
-
-    def test_convert_errors(self):
-        params = ProblemParams(2, 3.0, 1.0, 1)
-        with pytest.raises(ChartDomainError):
-            convert(PhaseState(0.0, 0.0, 1.0), "Q", params)
-        with pytest.raises(ChartDomainError):
-            convert(PhaseState(0.0, 1.0, 0.0), "P", params)
-        with pytest.raises(ChartDomainError):
-            invert(ChartState("Q", (1.0, -1.0), 0.0), params)
+        a, b = to_chart(chart, y, Y, params)
+        if chart == "R_beta":
+            chart, b = "R", b * derive_constants(params).beta
+        ok, y_back, Y_back = _lift(chart, a, b, params.p)
+        assert ok
+        sign_y = 1.0 if y > 0 else -1.0
+        assert sign_y * float(y_back) == pytest.approx(y, rel=1e-12, abs=1e-12)
+        assert sign_y * float(Y_back) == pytest.approx(Y, rel=1e-12, abs=1e-12)
 
 
 class TestProfileMap:
@@ -364,7 +398,7 @@ class TestOracles:
             state = from_profile(sample, params)
             if abs(state.y) < 1e-12 and abs(state.Y) < 1e-12:
                 continue
-            rate = field("S", (state.y, state.Y), params)
+            rate = s_field(params, state.y, state.Y)
             an = profile_state_rates(sample, float(sol.d2w(np.array([r]))[0]), params)
             scale = max(1e-9, float(np.max(np.abs(rate))))
             assert np.max(np.abs(np.array(an) - rate)) <= 1e-9 * max(1.0, scale)

@@ -4,8 +4,9 @@ short traced alpha-c, cycles and figures run each end ``correct``: every
 span they require still fires, every certified cycle period stays within
 the oracle's bound, and every shooting the figures run drives through
 the CLI writes its files.  The README's list of ``PLAP_CONFIG`` keys is
-the fields of ``IntegrationConfig``, and every private name the README or
-a ``plap`` docstring cites exists."""
+the fields of ``IntegrationConfig``, every name in ``plap.__all__`` is
+cited in its library overview, and every private name the README or a
+``plap`` docstring cites exists."""
 
 import ast
 import dataclasses
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import plap
 from plap.integrate import IntegrationConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,6 +33,15 @@ def test_readme_lists_the_config_keys():
     assert listed, "README no longer lists the PLAP_CONFIG keys"
     keys = re.findall(r"`(\w+)`", listed.group(1))
     assert keys == [f.name for f in dataclasses.fields(IntegrationConfig)]
+
+
+def test_readme_documents_every_export():
+    text = (ROOT / "README.md").read_text()
+    overview = text[text.index("## Library overview"):text.index("## Command line")]
+    cited = set(re.findall(r"`(\w+)", overview))
+    names = [name for name in plap.__all__ if name != "__version__"]
+    assert all(hasattr(plap, name) for name in names)
+    assert [name for name in names if name not in cited] == []
 
 
 def test_docs_cite_only_defined_private_names():

@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 from plap import trajectories
 from plap.integrate import IntegrationConfig, IntegrationError, _new_stats
 from plap.params import ParameterError, ProblemParams, derive_constants
-from plap.systems import _R_TEXT, _RX_TEXT, _rhs, field, oracle
+from plap.systems import _P_TEXT, _Q_TEXT, _R_TEXT, _RX_TEXT, _rhs, oracle
 from plap.trajectories import (
     _G_EXIT,
     SpecialTrajectorySpec,
@@ -462,8 +462,8 @@ class TestLaunchBudget:
                   tau_span=1.0)
 
 
-# The Q and P launches against the solve_ivp call on ``field`` that the
-# scalar stepper replaced: (kind, (N, p, alpha, eps), chart-time span)
+# The Q and P launches against the solve_ivp call on the chart's field text
+# that the scalar stepper replaced: (kind, (N, p, alpha, eps), chart-time span)
 LAUNCH_REFERENCE = [
     ("T_r", (2, 3.0, 2.0, 1), (0.0, 80.0)),
     ("T_u", (2, 3.0, 1.0, 1), (0.0, 80.0)),
@@ -487,7 +487,8 @@ def test_launch_replicates_scipy_rk45(kind, params, span):
         return _q(chart, u[0], u[1], params.p) - q_hand
 
     hand.terminal, hand.direction = True, -1
-    ref = solve_ivp(lambda t, u: field(chart, u, params), span,
+    f = _rhs(params, {"Q": _Q_TEXT, "P": _P_TEXT}[chart])
+    ref = solve_ivp(lambda t, u: f(float(u[0]), float(u[1])), span,
                     np.asarray(u0, dtype=float), method="RK45",
                     rtol=cfg.rel_tol, atol=min(cfg.abs_tol, 1e-14),
                     max_step=0.25, events=[hand])
