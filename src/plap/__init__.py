@@ -4,7 +4,7 @@ heat equation with p > 2.
 Submodules
 ----------
 params        parameter validation and closed-form constants
-systems       vector fields, the lift to chart S, oracles
+systems       vector fields and the lift to chart S
 integrate     adaptive chart-S integration with events and the Y = 0 crossing rule
 trajectories  shooting constructions of the special trajectories
 analysis      stationary points, cycles, labels, the connection function,
@@ -15,14 +15,7 @@ cli           command-line interface (CSV / JSON / SVG emission)
 __version__ = "0.1.0"
 
 from .params import DerivedConstants, ParameterError, ProblemParams, derive_constants
-from .systems import (
-    OracleConstraintError,
-    OracleSolution,
-    PhaseState,
-    ProfileSample,
-    oracle,
-    to_profile,
-)
+from .systems import PhaseState, ProfileSample, to_profile
 
 from .integrate import (
     Event,
@@ -62,11 +55,8 @@ __all__ = [
     "ParameterError",
     "ProblemParams",
     "derive_constants",
-    "OracleConstraintError",
-    "OracleSolution",
     "PhaseState",
     "ProfileSample",
-    "oracle",
     "to_profile",
     "Event",
     "IntegrationConfig",

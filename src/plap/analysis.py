@@ -934,8 +934,6 @@ _THEOREMS = {
     ), phi=True, bracket=True),
 }
 
-THEOREM_TAGS = tuple(_THEOREMS)
-
 
 def classify_regime(params: ProblemParams,
                     config: Optional[IntegrationConfig] = None) -> RegimeReport:

@@ -12,7 +12,9 @@ Output formats
 
 The environment variable ``PLAP_CONFIG`` may point at a ``key=value``
 file setting the four :class:`~plap.integrate.IntegrationConfig` fields
-(any other key is an error); ``--tol`` and ``--tau-max`` override it.
+(any other key is an error); ``--tol`` and ``--tau-max`` override it.  A
+subcommand refuses a file key whose flag it does not take, as it refuses
+the flag: ``max_time_span`` where there is no ``--tau-max``.
 """
 
 from __future__ import annotations
@@ -156,6 +158,10 @@ def _build_config(args) -> IntegrationConfig:
             key = key.strip()
             if key not in valid:
                 raise ParameterError(f"unknown config key {key!r} in {cfg_file}")
+            # the parser gives args the dests of the flags this subcommand takes
+            if key == "max_time_span" and not hasattr(args, "tau_max"):
+                raise ParameterError(f"config key {key!r} in {cfg_file} is not read "
+                                     f"by this command, which takes no --tau-max")
             try:
                 value = float(val.strip())
             except ValueError:

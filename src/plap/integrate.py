@@ -131,10 +131,6 @@ class Trajectory:
     direction: int
     meta: dict = dc_field(default_factory=dict)
 
-    @property
-    def n_samples(self) -> int:
-        return self.tau.size
-
     def profile(self):
         """Arrays (r, w, dw) of the samples.  Past tau ~ 709.78, r = e^tau
         overflows to inf (and w, dw to inf or nan) without a warning; the

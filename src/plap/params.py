@@ -32,7 +32,8 @@ class ProblemParams:
     N : integer dimension >= 1
     p : diffusion exponent, finite and strictly greater than 2
     alpha : similarity exponent, nonzero (the alpha = 0 profile is known in
-        closed form and served by an oracle, not by integration)
+        closed form; the test oracle ``oracle("alpha_zero", ...)`` in
+        ``tests/profile_tools.py`` serves it, not integration)
     epsilon : time-direction sign, +1 or -1
     """
 
@@ -50,9 +51,10 @@ class ProblemParams:
             raise ParameterError(f"epsilon must be +1 or -1, got {self.epsilon}")
         if not math.isfinite(self.alpha):
             raise ParameterError(f"alpha must be finite, got {self.alpha}")
-        # alpha = 0 is tolerated at construction time so the closed-form
-        # alpha-zero oracle can carry a parameter record; derive_constants
-        # (and hence every dynamical operation) rejects it.
+        # alpha = 0 is tolerated at construction time so the test oracle's
+        # closed-form alpha_zero profile (tests/profile_tools.py) can carry
+        # a parameter record; derive_constants (and hence every dynamical
+        # operation) rejects it.
 
 
 @dataclass(frozen=True)

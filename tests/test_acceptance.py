@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 
 from plap.params import ProblemParams, derive_constants, m_ell_point
-from plap.systems import (
-    PhaseState,
-    ProfileSample,
-    oracle,
-    phi_Y,
-)
+from plap.systems import PhaseState, ProfileSample, phi_Y
 from plap.integrate import IntegrationConfig, integrate_s
 from plap.trajectories import shoot_double_zero, shoot_regular
 from plap.analysis import (
@@ -26,7 +21,7 @@ from plap.analysis import (
     find_alpha_c,
     phi_of_alpha,
 )
-from profile_tools import J_N, from_profile
+from profile_tools import J_N, from_profile, oracle
 
 
 def _report(capsys, num, label, check):

@@ -295,7 +295,7 @@ class TestReturnMap:
         want_Y, want_t, full = self._whole_span(0.0229)
         assert (Y_next, period) == (want_Y, want_t)
         assert traj.termination == "section"
-        n = traj.n_samples
+        n = traj.tau.size
         assert traj.tau[-1] < 2.0 < full.tau[-1]
         assert np.array_equal(traj.ys, full.ys[:, :n])
 

@@ -685,6 +685,31 @@ class TestReports:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
+    def test_unread_config_key_is_refused(self, capsys, tmp_path, monkeypatch):
+        # alpha-c takes no --tau-max, so its file's max_time_span was read by
+        # nothing: 1e-9 once exited 0 with an alpha_c
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("rel_tol = 1e-9\nmax_time_span = 1e-9\n")
+        monkeypatch.setenv("PLAP_CONFIG", str(cfg))
+        code, out, err = run(capsys, "alpha-c", "--N", "2", "--p", "3")
+        assert (code, out) == (2, "")
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "'max_time_span'" in line and str(cfg) in line
+        assert "Traceback" not in err
+
+    def test_config_keys_a_command_reads(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.txt"
+        monkeypatch.setenv("PLAP_CONFIG", str(cfg))
+        cfg.write_text("rel_tol = 1e-9\n")
+        argv = ["alpha-c", "--N", "1", "--p", "3"]
+        assert _build_config(cli.build_parser().parse_args(argv)).rel_tol == 1e-9
+        assert run(capsys, *argv)[0] == 0
+        cfg.write_text("rel_tol = 1e-9\nmax_time_span = 40\n")
+        argv = ["classify", "--N", "2", "--p", "3", "--alpha", "2", "--eps", "1"]
+        built = _build_config(cli.build_parser().parse_args(argv))
+        assert (built.rel_tol, built.max_time_span) == (1e-9, 40.0)
+        assert run(capsys, *argv)[0] == 0
+
     def test_classifier_report(self, capsys):
         code, out, _ = run(capsys, "classify", "--N", "1", "--p", "3",
                            "--alpha", "-2.1", "--eps", "-1")

@@ -15,8 +15,7 @@ from hypothesis import given, seed, settings, strategies as st
 from scipy.integrate import RK45, solve_ivp
 
 from plap.params import ParameterError, ProblemParams, derive_constants, m_ell_point
-from plap.systems import (PhaseState, _P_TEXT, _Q_TEXT, _S_BACK, _S_TEXT, _SLOPE_TEXT, _rhs,
-                          oracle, phi_Y)
+from plap.systems import PhaseState, _P_TEXT, _Q_TEXT, _S_BACK, _S_TEXT, _SLOPE_TEXT, _rhs, phi_Y
 from plap.trajectories import SpecialTrajectorySpec, shoot, shoot_regular
 from plap.integrate import (
     IntegrationConfig,
@@ -25,7 +24,7 @@ from plap.integrate import (
     integrate,
     integrate_s,
 )
-from profile_tools import from_profile
+from profile_tools import from_profile, oracle
 
 # the package re-exports the function ``integrate`` over the module's name
 integrate_mod = sys.modules["plap.integrate"]
@@ -148,8 +147,8 @@ class TestEventsAndCaptures:
         assert traj.termination == "section"
         secs = [e for e in traj.events if e.kind == "section_crossing"]
         assert len(secs) == 1
-        n = traj.n_samples
-        assert 0 < n < full.n_samples
+        n = traj.tau.size
+        assert 0 < n < full.tau.size
         assert np.array_equal(traj.tau, full.tau[:n])
         assert np.array_equal(traj.ys, full.ys[:, :n])
         # the section event is the first downward zero of y (where

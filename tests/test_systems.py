@@ -10,10 +10,8 @@ from hypothesis import given, seed, settings, strategies as st
 
 from plap.params import ProblemParams, derive_constants, m_ell_point
 from plap.systems import (
-    OracleConstraintError,
     PhaseState,
     ProfileSample,
-    oracle,
     phi_Y,
     sgn_pow,
     to_profile,
@@ -31,7 +29,7 @@ from plap.systems import (
     _series,
     _tau_rate,
 )
-from profile_tools import J_N, J_alpha, from_profile
+from profile_tools import J_N, J_alpha, OracleConstraintError, from_profile, oracle
 
 
 # ---------------------------------------------------------------------------

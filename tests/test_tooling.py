@@ -6,7 +6,8 @@ the oracle's bound, and every shooting the figures run drives through
 the CLI writes its files.  The README's list of ``PLAP_CONFIG`` keys is
 the fields of ``IntegrationConfig``, every name in ``plap.__all__`` is
 cited in its library overview, and every private name the README or a
-``plap`` docstring cites exists."""
+``plap`` docstring cites exists.  ``plap.systems`` imports no scipy, and
+the closed-form oracle stays in ``tests/profile_tools.py``."""
 
 import ast
 import dataclasses
@@ -59,6 +60,17 @@ def test_docs_cite_only_defined_private_names():
                if not any(hasattr(modules.get(m), name) for m in ([module] if module else modules))]
     assert cited
     assert not missing, missing
+
+
+def test_systems_imports_no_scipy_and_plap_ships_no_oracle():
+    # the bottom layer stays off scipy's import path; the oracle is a test tool
+    tree = ast.parse((ROOT / "src" / "plap" / "systems.py").read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
+    assert [name for name in ("oracle", "OracleSolution", "OracleConstraintError")
+            if hasattr(plap, name)] == []
 
 
 def test_tracer_selftest():

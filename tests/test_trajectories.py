@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 from plap import trajectories
 from plap.integrate import IntegrationConfig, IntegrationError, _new_stats
 from plap.params import ParameterError, ProblemParams, derive_constants
-from plap.systems import _P_TEXT, _Q_TEXT, _R_TEXT, _RX_TEXT, _rhs, oracle
+from plap.systems import _P_TEXT, _Q_TEXT, _R_TEXT, _RX_TEXT, _rhs
 from plap.trajectories import (
     _G_EXIT,
     SpecialTrajectorySpec,
@@ -27,6 +27,7 @@ from plap.trajectories import (
     shoot_T_eta_or_u,
     shoot_T_pm,
 )
+from profile_tools import oracle
 
 
 def _loglog_slope(r, w, lo, hi):
@@ -646,7 +647,7 @@ def test_launch_fingerprint(kind, params, span, termination, kinds, n, first,
     traj = shoot(SpecialTrajectorySpec(kind), ProblemParams(*params), tau_span=span)
     assert traj.termination == termination
     assert sorted({e.kind for e in traj.events}) == kinds
-    assert traj.n_samples == n
+    assert traj.tau.size == n
     got_first = (traj.tau[0], *traj.ys[:, 0])
     got_last = (traj.tau[-1], *traj.ys[:, -1])
     assert got_first == pytest.approx(first, rel=1e-9, abs=1e-15)
